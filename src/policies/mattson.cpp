@@ -1,7 +1,6 @@
 #include "policies/mattson.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -37,22 +36,28 @@ class PositionTree {
   std::size_t n_;
 };
 
-// Single pass over `seq`, calling on_cold() for first accesses and
-// on_reuse(d) with the stack distance d >= 1 for repeats.  O(n log n).
-template <typename OnCold, typename OnReuse>
-void scan_stack_distances(const RequestSequence& seq, OnCold on_cold,
-                          OnReuse on_reuse) {
-  const std::size_t n = seq.size();
-  PositionTree marks(n);
-  // Presize the page->position map from the sequence's max page id: one O(n)
-  // pass up front, and the scan below never grows it — which lets the
-  // allocation sentry hold the kernel to the §8 allocation-free claim.
-  // The callbacks inherit the guard: both callers append into
-  // exactly-reserved storage or bump counters.
+/// 1 + the largest page id in `seq` (1 for an empty sequence): the size of
+/// a page-indexed map, and a bound on the distinct-page count.
+std::size_t page_bound(const RequestSequence& seq) {
   PageId max_page = 0;
   for (const PageId page : seq) max_page = std::max(max_page, page);
-  std::vector<std::size_t> last_pos(n == 0 ? 1 : std::size_t{max_page} + 1,
-                                    0);  // page -> 1-based position, 0 = unseen
+  return std::size_t{max_page} + 1;
+}
+
+// Single pass over `seq`, calling on_cold() for first accesses and
+// on_reuse(d) with the stack distance d >= 1 for repeats.  O(n log n).
+// `bound` is page_bound(seq).
+template <typename OnCold, typename OnReuse>
+void scan_stack_distances(const RequestSequence& seq, std::size_t bound,
+                          OnCold on_cold, OnReuse on_reuse) {
+  const std::size_t n = seq.size();
+  PositionTree marks(n);
+  // page -> 1-based position of its last access, 0 = unseen.  Presized from
+  // the page bound, so the scan below never grows it — which lets the
+  // allocation sentry hold the kernel to the §8 allocation-free claim.  The
+  // callbacks inherit the guard: both callers append into exactly-reserved
+  // storage or bump counters.
+  std::vector<std::size_t> last_pos(bound, 0);
   AllocGuard guard("mattson stack-distance scan");
   for (std::size_t i = 1; i <= n; ++i) {
     const PageId page = seq[i - 1];
@@ -70,128 +75,26 @@ void scan_stack_distances(const RequestSequence& seq, OnCold on_cold,
   }
 }
 
-/// Lanes per pool task in lru_fault_curve_batch: enough to amortize lane
-/// setup, few enough that large-p sets still spread across workers.
-constexpr std::size_t kMattsonChunkLanes = 8;
-
-/// The batched scan for cores [first, first + count): all lanes' Fenwick
-/// trees, last-position maps and histograms live in three shared arrays
-/// with per-lane base offsets, and one outer loop over the position index
-/// advances every still-active lane — the SoA shape of BatchEngine applied
-/// to Mattson's algorithm.  Writes only curves[first .. first+count).
-void lru_fault_curve_batch_chunk(const RequestSet& requests, std::size_t first,
-                                 std::size_t count, std::size_t max_k,
-                                 std::vector<std::vector<Count>>& curves) {
-  struct Lane {
-    const PageId* seq = nullptr;
-    std::size_t n = 0;
-    std::size_t tree_base = 0;  ///< Fenwick over positions (n + 1 entries)
-    std::size_t pos_base = 0;   ///< page -> 1-based last position, 0 = unseen
-    std::size_t hist_base = 0;  ///< stack-distance histogram (max_k + 2)
-    Count cold = 0;
-  };
-  std::vector<Lane> lanes(count);
-  std::size_t tree_total = 0;
-  std::size_t pos_total = 0;
-  std::size_t max_n = 0;
-  for (std::size_t a = 0; a < count; ++a) {
-    const RequestSequence& seq =
-        requests.sequence(static_cast<CoreId>(first + a));
-    Lane& lane = lanes[a];
-    lane.seq = seq.pages().data();
-    lane.n = seq.size();
-    PageId max_page = 0;
-    for (const PageId page : seq) max_page = std::max(max_page, page);
-    lane.tree_base = tree_total;
-    lane.pos_base = pos_total;
-    lane.hist_base = a * (max_k + 2);
-    tree_total += lane.n + 1;
-    pos_total += lane.n == 0 ? 1 : std::size_t{max_page} + 1;
-    max_n = std::max(max_n, lane.n);
-  }
-  std::vector<std::uint32_t> tree(tree_total, 0);
-  std::vector<std::size_t> last_pos(pos_total, 0);
-  std::vector<Count> hist(count * (max_k + 2), 0);
-  // Longest lanes first: the active prefix shrinks as the position index
-  // runs past the shorter sequences (the ragged tail).
-  std::vector<std::size_t> order(count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&lanes](std::size_t a, std::size_t b) {
-                     return lanes[a].n > lanes[b].n;
-                   });
-
-  const auto mark = [&tree](Lane& lane, std::size_t pos) {
-    for (; pos <= lane.n; pos += pos & (~pos + 1)) ++tree[lane.tree_base + pos];
-  };
-  const auto unmark = [&tree](Lane& lane, std::size_t pos) {
-    for (; pos <= lane.n; pos += pos & (~pos + 1)) --tree[lane.tree_base + pos];
-  };
-  const auto prefix = [&tree](const Lane& lane, std::size_t pos) {
-    std::size_t sum = 0;
-    for (; pos > 0; pos -= pos & (~pos + 1)) sum += tree[lane.tree_base + pos];
-    return sum;
-  };
-
-  {
-    AllocGuard guard("batched mattson scan");
-    std::size_t active = count;
-    for (std::size_t i = 1; i <= max_n; ++i) {
-      while (active > 0 && lanes[order[active - 1]].n < i) --active;
-      for (std::size_t a = 0; a < active; ++a) {
-        Lane& lane = lanes[order[a]];
-        const PageId page = lane.seq[i - 1];
-        std::size_t& last = last_pos[lane.pos_base + page];
-        if (last == 0) {
-          ++lane.cold;
-        } else {
-          const std::size_t d = prefix(lane, i - 1) - prefix(lane, last) + 1;
-          ++hist[lane.hist_base + std::min(d, max_k + 1)];
-          unmark(lane, last);
-        }
-        mark(lane, i);
-        last = i;
-      }
-    }
-  }
-
-  // Suffix-sum each lane's histogram into its curve, exactly as the scalar
-  // kernel does.
-  for (std::size_t a = 0; a < count; ++a) {
-    const Lane& lane = lanes[a];
-    std::vector<Count>& curve = curves[first + a];
-    curve.assign(max_k + 1, 0);
-    Count beyond = 0;
-    for (std::size_t k = max_k + 1; k-- > 0;) {
-      beyond += hist[lane.hist_base + k + 1];
-      curve[k] = lane.cold + beyond;
-    }
-    MCP_ASSERT(curve[0] == lane.n);
-  }
-}
+/// Cores per pool task in lru_fault_curve_batch: enough to amortize the
+/// dispatch, few enough that large-p sets still spread across workers.
+constexpr std::size_t kMattsonChunkCores = 8;
 
 }  // namespace
 
 std::vector<Count> lru_fault_curve(const RequestSequence& seq,
                                    std::size_t max_k) {
-  const std::size_t n = seq.size();
-  // hist[d] = reuses at stack distance d, distances beyond max_k bucketed
-  // at max_k + 1 (they miss at every tracked capacity).
-  std::vector<Count> hist(max_k + 2, 0);
-  Count cold = 0;
-  scan_stack_distances(
-      seq, [&cold] { ++cold; },
-      [&hist, max_k](std::size_t d) { ++hist[std::min(d, max_k + 1)]; });
-
+  const std::vector<Count> hist = stack_distance_histogram(seq);
   // f(k) = cold misses + reuses with distance > k; suffix-sum the histogram.
-  std::vector<Count> curve(max_k + 1, 0);
+  // From k = the distinct-page count (its last bucket) on, only the cold
+  // misses remain.
+  std::vector<Count> curve(max_k + 1, hist[0]);
   Count beyond = 0;
-  for (std::size_t k = max_k + 1; k-- > 0;) {
+  for (std::size_t k = hist.size() - 1; k-- > 0;) {
     beyond += hist[k + 1];
-    curve[k] = cold + beyond;
+    if (k <= max_k) curve[k] = hist[0] + beyond;
   }
   // k = 0 limit: every request misses (cold + every reuse).
-  MCP_ASSERT(curve[0] == n);
+  MCP_ASSERT(curve[0] == seq.size());
   return curve;
 }
 
@@ -199,22 +102,36 @@ std::vector<std::vector<Count>> lru_fault_curve_batch(
     const RequestSet& requests, std::size_t max_k) {
   const std::size_t p = requests.num_cores();
   std::vector<std::vector<Count>> curves(p);
-  if (p == 0) return curves;
   const std::size_t chunks =
-      (p + kMattsonChunkLanes - 1) / kMattsonChunkLanes;
+      (p + kMattsonChunkCores - 1) / kMattsonChunkCores;
   parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t first = c * kMattsonChunkLanes;
-    const std::size_t count = std::min(kMattsonChunkLanes, p - first);
-    lru_fault_curve_batch_chunk(requests, first, count, max_k, curves);
+    const std::size_t end = std::min(p, (c + 1) * kMattsonChunkCores);
+    for (std::size_t j = c * kMattsonChunkCores; j < end; ++j) {
+      curves[j] = lru_fault_curve(requests.sequence(static_cast<CoreId>(j)),
+                                  max_k);
+    }
   });
   return curves;
+}
+
+std::vector<Count> stack_distance_histogram(const RequestSequence& seq) {
+  // A distance never exceeds the distinct-page count, which is the cold
+  // count and at most min(n, page bound): size for the bound, then trim
+  // the empty tail past hist[cold].
+  const std::size_t bound = page_bound(seq);
+  std::vector<Count> hist(std::min(seq.size(), bound) + 1, 0);
+  scan_stack_distances(
+      seq, bound, [&hist] { ++hist[0]; },
+      [&hist](std::size_t d) { ++hist[d]; });
+  hist.resize(hist[0] + 1);
+  return hist;
 }
 
 std::vector<std::size_t> stack_distances(const RequestSequence& seq) {
   std::vector<std::size_t> out;
   out.reserve(seq.size());
   scan_stack_distances(
-      seq, [&out] { out.push_back(0); },
+      seq, page_bound(seq), [&out] { out.push_back(0); },
       [&out](std::size_t d) { out.push_back(d); });
   return out;
 }

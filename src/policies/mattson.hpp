@@ -28,20 +28,23 @@ namespace mcp {
 /// single_core_policy_faults); for k >= the number of distinct pages the
 /// value is the cold-miss count.  Agrees with
 /// single_core_policy_faults(seq, k, LRU) for every k — the per-k run is
-/// kept as the test oracle.
+/// kept as the test oracle.  curve[k] does not depend on max_k, so a curve
+/// is a prefix of the curve at any larger max_k.
 [[nodiscard]] std::vector<Count> lru_fault_curve(const RequestSequence& seq,
                                                  std::size_t max_k);
 
-/// Batched Mattson: per-core LRU fault curves for a whole request set in
-/// one structure-of-arrays pass.  The Fenwick position trees, last-access
-/// maps and stack-distance histograms of all cores are packed CSR-style
-/// into shared lanes and advanced position-by-position in lockstep (lanes
-/// ordered longest-first, so shorter sequences drop out of the active
-/// prefix and ragged tails cost nothing); lanes are chunked over the shared
-/// pool for large p.  curves[j] is identical to
-/// lru_fault_curve(requests.sequence(j), max_k) for every core j.
+/// Per-core LRU fault curves for a whole request set: curves[j] is
+/// lru_fault_curve(requests.sequence(j), max_k), the cores scanned in
+/// chunks of 8 per task on the shared pool.
 [[nodiscard]] std::vector<std::vector<Count>> lru_fault_curve_batch(
     const RequestSet& requests, std::size_t max_k);
+
+/// Histogram of stack_distances(seq), counted during the scan without the
+/// per-request vector: hist[0] = cold (first) accesses, which is also the
+/// number of distinct pages, and hist[d] = reuses at stack distance d for
+/// d = 1..hist[0].  lru_fault_curve is its suffix sum.
+[[nodiscard]] std::vector<Count> stack_distance_histogram(
+    const RequestSequence& seq);
 
 /// All requests' stack distances in sequence order: 0 for a first (cold)
 /// access, otherwise the number of distinct pages touched since the

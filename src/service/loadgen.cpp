@@ -163,6 +163,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
     result.batched_sessions += stats.batched_sessions;
     result.scalar_sessions += stats.scalar_sessions;
     result.lane_steps += stats.lane_steps;
+    result.answer_ns += stats.answer_ns;
     result.epoch_latency.merge(stats.epoch_latency);
   }
   MCP_REQUIRE(result.bad_frames == 0, "loadgen: daemon dropped frames");

@@ -76,6 +76,7 @@ struct LoadgenResult {
   std::uint64_t batched_sessions = 0;  ///< Sessions served by cohort lanes.
   std::uint64_t scalar_sessions = 0;   ///< Sessions served by SimSession.
   std::uint64_t lane_steps = 0;        ///< Cohort lockstep iterations.
+  std::uint64_t answer_ns = 0;         ///< Shard CPU ns building replies.
   LatencyHistogram epoch_latency;   ///< Wall ns per shard epoch, merged.
 };
 

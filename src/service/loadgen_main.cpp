@@ -100,6 +100,8 @@ void print_entry(bool first, const Scenario& scenario, std::size_t shards,
               static_cast<unsigned long long>(last.scalar_sessions));
   std::printf("      \"lane_steps\": %llu,\n",
               static_cast<unsigned long long>(last.lane_steps));
+  std::printf("      \"answer_ns\": %llu,\n",
+              static_cast<unsigned long long>(last.answer_ns));
   std::printf("      \"total_faults\": %llu\n",
               static_cast<unsigned long long>(last.total_faults));
   std::printf("    }");

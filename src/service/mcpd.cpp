@@ -169,6 +169,26 @@ std::vector<std::byte> ResponseMailbox::wait() {
 
 // --- Session ----------------------------------------------------------------
 
+/// The LRU fault curves of the queries a session answers together: one
+/// stack-distance scan per core, run on first use at the widest k any of
+/// them reads, of which each query takes a prefix — bit-identical to a scan
+/// at its own k (mattson.hpp).  Dropped with the batch.
+struct CurveScan {
+  std::size_t width = 0;
+  FaultCurves full = {};  ///< Empty until scanned (sessions have p >= 1).
+
+  [[nodiscard]] FaultCurves prefix(const RequestSet& trace, std::size_t k) {
+    MCP_ASSERT(k <= width);
+    if (full.empty()) full = lru_fault_curve_batch(trace, width);
+    FaultCurves out;
+    for (const std::vector<Count>& curve : full) {
+      out.emplace_back(curve.begin(),
+                       curve.begin() + static_cast<std::ptrdiff_t>(k + 1));
+    }
+    return out;
+  }
+};
+
 /// One tenant session, owned by exactly one shard, on one of two stepping
 /// paths:
 ///
@@ -188,10 +208,13 @@ class Session final : public RequestSource {
  public:
   /// `cohort == nullptr` selects the scalar path.  A batched session holds
   /// no strategy object and no SimSession — the cohort engine is the
-  /// simulator.
+  /// simulator.  `answer_ns` is the owning shard's ShardStats::answer_ns.
   Session(std::uint64_t id, const wire::SessionParams& params,
-          CohortGroup* cohort)
-      : id_(id), params_(params), trace_(params.num_cores) {
+          CohortGroup* cohort, std::uint64_t& answer_ns)
+      : id_(id),
+        params_(params),
+        trace_(params.num_cores),
+        answer_ns_(&answer_ns) {
     if (cohort == nullptr) {
       cursor_.assign(params.num_cores, 0);
       strategy_ = make_strategy(params);
@@ -263,9 +286,7 @@ class Session final : public RequestSource {
         throw InputError("mcpd: request pair core " +
                          std::to_string(run_core) + " out of range");
       }
-      // Tracked here so a lane refresh need not rescan the trace
-      // (RequestSet::page_bound() is O(total pairs)).
-      if (max_page >= page_bound_) page_bound_ = max_page + 1;
+      admit_pages(max_page);
       trace_.sequence(run_core).append({tile.data(), len});
       i += len;
     }
@@ -286,29 +307,30 @@ class Session final : public RequestSource {
     const std::size_t n = run.size();
     if (n == 0) return 0;
     RequestSequence& seq = trace_.sequence(run.core());
-    const std::size_t old_size = seq.size();
     if constexpr (std::endian::native == std::endian::little) {
       // The run payload already is a PageId array (4-aligned LE words):
-      // append straight from the client's buffer, the one unavoidable
-      // cold pass over the wire bytes.
-      seq.append({reinterpret_cast<const PageId*>(run.page_bytes()), n});
+      // fold its page maximum, the one unavoidable cold pass over the wire
+      // bytes, then append straight from the client's buffer.
+      const std::span<const PageId> pages(
+          reinterpret_cast<const PageId*>(run.page_bytes()), n);
+      PageId max_page = 0;
+      for (const PageId page : pages) max_page = std::max(max_page, page);
+      admit_pages(max_page);
+      seq.append(pages);
     } else {
       std::array<PageId, 1024> tile;
       for (std::size_t i = 0; i < n;) {
         const std::size_t len = std::min(tile.size(), n - i);
-        for (std::size_t k = 0; k < len; ++k) tile[k] = run.page(i + k);
+        PageId max_page = 0;
+        for (std::size_t k = 0; k < len; ++k) {
+          tile[k] = run.page(i + k);
+          max_page = std::max(max_page, tile[k]);
+        }
+        admit_pages(max_page);
         seq.append({tile.data(), len});
         i += len;
       }
     }
-    // Fold the page bound over the just-written (cache-hot) tail — kept
-    // current here so a lane refresh need not rescan the trace
-    // (RequestSet::page_bound() is O(total pairs)).
-    PageId bound = page_bound_;
-    for (const PageId page : seq.pages().subspan(old_size)) {
-      bound = std::max(bound, page + 1);
-    }
-    page_bound_ = bound;
     return n;
   }
 
@@ -325,7 +347,8 @@ class Session final : public RequestSource {
       return;
     }
     if (finished_) {
-      answer(type, query, reply_to);
+      CurveScan scan{curve_k(type, query)};
+      answer(type, query, reply_to, scan);
       return;
     }
     if (parked_.size() >= park_limit) {
@@ -384,14 +407,29 @@ class Session final : public RequestSource {
     std::weak_ptr<ResponseMailbox> reply_to;
   };
 
+  /// Rejects requests whose largest page id, folded by the caller as it
+  /// copies them, is out of range; else raises page_bound_, kept current
+  /// so a lane refresh need not rescan the trace.
+  void admit_pages(PageId max_page) {
+    if (max_page >= wire::kMaxWirePageId) {
+      throw InputError("mcpd: request page id " + std::to_string(max_page) +
+                       " at or above kMaxWirePageId");
+    }
+    page_bound_ = std::max(page_bound_, max_page + 1);
+  }
+
   /// Marks the session finished (stats_ must already be final) and answers
-  /// every parked query.
+  /// every parked query, the LRU ones from one shared CurveScan.
   void finish() {
     finished_ = true;
     const std::vector<ParkedQuery> parked = std::exchange(parked_, {});
+    CurveScan scan;
+    for (const ParkedQuery& query : parked) {
+      scan.width = std::max(scan.width, curve_k(query.type, query.query));
+    }
     for (const ParkedQuery& query : parked) {
       try {
-        answer(query.type, query.query, query.reply_to);
+        answer(query.type, query.query, query.reply_to, scan);
       } catch (const std::exception&) {
         // answer() turns its own failures into kError replies; landing here
         // means even that failed (e.g. allocation).  Drop this reply and
@@ -417,6 +455,13 @@ class Session final : public RequestSource {
     return nullptr;
   }
 
+  /// The widest LRU curve a query reads (0 if it reads none).
+  [[nodiscard]] std::size_t curve_k(wire::FrameType type,
+                                    const wire::QueryView& query) const {
+    if (type == wire::FrameType::kQueryFaultCurve) return query.max_k;
+    return type == wire::FrameType::kQueryPartition ? params_.cache_size : 0;
+  }
+
   void answer_error(std::uint64_t query_id, const char* message,
                     const std::weak_ptr<ResponseMailbox>& reply_to) {
     const std::shared_ptr<ResponseMailbox> mailbox = reply_to.lock();
@@ -430,26 +475,27 @@ class Session final : public RequestSource {
   }
 
   void answer(wire::FrameType type, const wire::QueryView& query,
-              const std::weak_ptr<ResponseMailbox>& reply_to) {
+              const std::weak_ptr<ResponseMailbox>& reply_to,
+              CurveScan& scan) {
     const std::shared_ptr<ResponseMailbox> mailbox = reply_to.lock();
     if (!mailbox) return;  // client gone; the reply has no reader
+    const std::uint64_t cpu0 = thread_cpu_ns();
     wire::WireWriter writer;
     try {
-      build_answer(writer, type, query);
+      build_answer(writer, type, query, scan);
     } catch (const std::exception& e) {
-      wire::WireWriter error;
+      writer = wire::WireWriter();
       wire::ErrorReply reply;
       reply.query_id = query.query_id;
       reply.message = e.what();
-      error.error_reply(id_, reply);
-      mailbox->deliver(std::move(error).take());
-      return;
+      writer.error_reply(id_, reply);
     }
+    *answer_ns_ += thread_cpu_ns() - cpu0;
     mailbox->deliver(std::move(writer).take());
   }
 
   void build_answer(wire::WireWriter& writer, wire::FrameType type,
-                    const wire::QueryView& query) {
+                    const wire::QueryView& query, CurveScan& scan) {
     switch (type) {
       case wire::FrameType::kQueryFaults: {
         wire::FaultCountsReply reply;
@@ -470,15 +516,14 @@ class Session final : public RequestSource {
         wire::FaultCurveReply reply;
         reply.query_id = query.query_id;
         reply.max_k = query.max_k;
-        reply.curves = lru_fault_curve_batch(trace_, query.max_k);
+        reply.curves = scan.prefix(trace_, query.max_k);
         writer.fault_curve(id_, reply);
         break;
       }
       case wire::FrameType::kQueryPartition: {
         // query_rejected() screens infeasible partitions at enqueue time;
         // this is unreachable for accepted queries.
-        const FaultCurves curves =
-            lru_fault_curve_batch(trace_, params_.cache_size);
+        const FaultCurves curves = scan.prefix(trace_, params_.cache_size);
         const PartitionSearchResult best =
             optimal_partition_from_curves(curves, params_.cache_size);
         wire::PartitionAdviceReply reply;
@@ -509,6 +554,7 @@ class Session final : public RequestSource {
   std::uint32_t lane_ = 0;           ///< Valid until finish_batched().
   RunStats stats_;  ///< Valid once finished_.
   std::vector<ParkedQuery> parked_;
+  std::uint64_t* answer_ns_;  ///< The shard's counter; outlives us.
   bool closed_ = false;
   bool dirty_ = false;
   bool finished_ = false;
@@ -660,8 +706,8 @@ class Shard {
         // Construct before inserting: a throwing Session constructor (e.g.
         // an infeasible strategy/cache combination) must not leave a null
         // map entry behind for later frames to dereference.
-        auto session =
-            std::make_unique<Session>(frame.session, params, cohort);
+        auto session = std::make_unique<Session>(frame.session, params,
+                                                 cohort, stats_.answer_ns);
         sessions_.emplace(frame.session, std::move(session));
         ++stats_.sessions_opened;
         ++(cohort != nullptr ? stats_.batched_sessions
@@ -844,6 +890,7 @@ ShardStats Mcpd::total_stats() const {
     total.lane_steps += s.lane_steps;
     total.bad_frames += s.bad_frames;
     total.busy_ns += s.busy_ns;
+    total.answer_ns += s.answer_ns;
     total.epoch_latency.merge(s.epoch_latency);
   }
   return total;

@@ -24,7 +24,7 @@
 // composition or arrival interleaving.  Queries (fault counts, LRU fault
 // curves via the Mattson kernel, partition advice) are answered when the
 // session finishes — the only point at which the answer is independent of
-// arrival timing.
+// arrival timing — and the LRU ones answered together share one scan.
 //
 // Transport is in-process loopback: a "frame" is bytes in the mcpwire
 // format (wire_format.hpp) and delivery is a queue push.  A socket front
@@ -118,6 +118,9 @@ struct ShardStats {
   std::uint64_t lane_steps = 0;        ///< Cohort lockstep iterations run.
   std::uint64_t bad_frames = 0;     ///< Malformed/out-of-protocol, dropped.
   std::uint64_t busy_ns = 0;        ///< CLOCK_THREAD_CPUTIME_ID spent in epochs.
+  /// The part of busy_ns spent building query replies: curve scans,
+  /// partition search and encoding (two clock reads per answered query).
+  std::uint64_t answer_ns = 0;
   LatencyHistogram epoch_latency;   ///< Wall ns per epoch (drain->publish).
 };
 

@@ -49,10 +49,10 @@ FaultCurves policy_fault_curves(const RequestSet& requests,
                                 std::size_t cache_size,
                                 const PolicyFactory& factory) {
   // LRU has the stack property, so the whole column f_j(0..K) falls out of
-  // one Mattson pass per core instead of K + 1 independent runs — and the
-  // batched kernel advances all cores' passes in lockstep lanes.  The name
-  // check is deliberately exact: LRU-SCAN and the other variants do not
-  // keep the inclusion property.
+  // one Mattson pass per core instead of K + 1 independent runs, with the
+  // cores' passes spread over the shared pool.  The name check is
+  // deliberately exact: LRU-SCAN and the other variants do not keep the
+  // inclusion property.
   const std::string policy_name = factory()->name();
   if (policy_name == "LRU") {
     return lru_fault_curve_batch(requests, cache_size);

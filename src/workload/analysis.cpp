@@ -1,7 +1,6 @@
 #include "workload/analysis.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/error.hpp"
 #include "policies/mattson.hpp"
@@ -12,23 +11,13 @@ StackDistanceHistogram::StackDistanceHistogram(const RequestSequence& seq) {
   total_ = seq.size();
   // The single-pass Fenwick kernel lives in policies/mattson.hpp (it is
   // also the LRU fast path of partition search); this class is the
-  // histogram view of its output.  Note the off-by-one between the two
-  // conventions: mattson's distance counts the re-referenced page itself
-  // (minimum 1), the histogram indexes by pages *in between* (minimum 0).
-  std::unordered_set<PageId> distinct(seq.begin(), seq.end());
-  std::vector<Count> counts;
-  for (const std::size_t d : stack_distances(seq)) {
-    if (d == 0) {
-      ++cold_;
-      continue;
-    }
-    if (d - 1 >= counts.size()) counts.resize(d, 0);
-    ++counts[d - 1];
-  }
-  // Pad to the number of distinct pages (distances can't exceed it, but a
-  // short run may not have realized the deeper ones).
-  if (counts.size() < distinct.size()) counts.resize(distinct.size(), 0);
-  counts_ = std::move(counts);
+  // histogram view of its output, one bucket per distinct page.  Note the
+  // off-by-one between the two conventions: mattson's distance counts the
+  // re-referenced page itself (minimum 1), the histogram indexes by pages
+  // *in between* (minimum 0).
+  const std::vector<Count> hist = stack_distance_histogram(seq);
+  cold_ = hist[0];
+  counts_.assign(hist.begin() + 1, hist.end());
   // Suffix sums: suffix_[d] = accesses at distance >= d.
   suffix_.assign(counts_.size() + 1, 0);
   for (std::size_t d = counts_.size(); d-- > 0;) {

@@ -280,6 +280,76 @@ TEST(Mcpd, CohortHandlesMidStreamFinishersAndLateJoiners) {
   EXPECT_EQ(total.sessions_finished, tenants.size() + 1);
 }
 
+/// A fault-curve reply at `max_k` must equal the library's curves.
+void expect_curve_matches_library(const Tenant& tenant, std::uint32_t max_k,
+                                  const wire::FaultCurveReply& reply) {
+  EXPECT_EQ(reply.max_k, max_k);
+  EXPECT_EQ(reply.curves, lru_fault_curve_batch(tenant.trace, max_k))
+      << "max_k " << max_k;
+}
+
+/// Partition advice must equal the offline search over the library's
+/// curves at K.
+void expect_advice_matches_library(const Tenant& tenant,
+                                   const wire::PartitionAdviceReply& reply) {
+  const std::size_t K = tenant.params.cache_size;
+  const PartitionSearchResult want =
+      optimal_partition_from_curves(lru_fault_curve_batch(tenant.trace, K), K);
+  EXPECT_EQ(reply.predicted_faults, want.faults);
+  ASSERT_EQ(reply.cells_per_core.size(), want.partition.size());
+  for (std::size_t j = 0; j < want.partition.size(); ++j) {
+    EXPECT_EQ(reply.cells_per_core[j], want.partition[j]);
+  }
+}
+
+/// Streams `tenant` into `daemon` and asks for its fault curves at every
+/// `max_ks` entry plus partition advice, twice: parked before close, so the
+/// finishing session answers them as one batch from one shared scan per
+/// core, then again after finish, when each query runs its own scan.
+void expect_lru_queries_match_library(
+    Mcpd& daemon, const Tenant& tenant,
+    const std::vector<std::uint32_t>& max_ks) {
+  McpdClient client(daemon);
+  client.open(tenant.session, tenant.params);
+  for (CoreId core = 0; core < tenant.trace.num_cores(); ++core) {
+    client.send_core_pages(tenant.session, core,
+                           tenant.trace.sequence(core).pages());
+  }
+  // Query ids 1..max_ks.size() are the curves, the next one the advice.
+  for (std::size_t i = 0; i < max_ks.size(); ++i) {
+    client.post_query_fault_curve(tenant.session, i + 1, max_ks[i]);
+  }
+  client.post_query_partition(tenant.session, max_ks.size() + 1);
+  client.close(tenant.session);
+  // One shard delivers a session's replies in posting order.
+  for (std::size_t i = 0; i <= max_ks.size(); ++i) {
+    std::vector<std::byte> storage;
+    const wire::FrameView frame = client.wait_reply(storage);
+    SCOPED_TRACE("query " + std::to_string(i + 1) + " in the finish batch");
+    if (i < max_ks.size()) {
+      ASSERT_EQ(frame.type, wire::FrameType::kFaultCurve);
+      const wire::FaultCurveReply reply = wire::decode_fault_curve(frame);
+      EXPECT_EQ(reply.query_id, i + 1);
+      expect_curve_matches_library(tenant, max_ks[i], reply);
+    } else {
+      ASSERT_EQ(frame.type, wire::FrameType::kPartitionAdvice);
+      const wire::PartitionAdviceReply reply =
+          wire::decode_partition_advice(frame);
+      EXPECT_EQ(reply.query_id, i + 1);
+      expect_advice_matches_library(tenant, reply);
+    }
+  }
+  SCOPED_TRACE("queries after finish");
+  std::uint64_t query_id = 100;
+  for (const std::uint32_t max_k : max_ks) {
+    expect_curve_matches_library(
+        tenant, max_k,
+        client.query_fault_curve(tenant.session, ++query_id, max_k));
+  }
+  expect_advice_matches_library(
+      tenant, client.query_partition(tenant.session, ++query_id));
+}
+
 TEST(Mcpd, FaultCurveMatchesMattsonKernel) {
   Rng rng(0xCAFE);
   Tenant tenant;
@@ -288,19 +358,13 @@ TEST(Mcpd, FaultCurveMatchesMattsonKernel) {
   tenant.params = SessionParams{3, 8, 2, StrategyKind::kSharedLru};
 
   Mcpd daemon(McpdConfig{2});
-  McpdClient client(daemon);
-  client.open(tenant.session, tenant.params);
-  for (CoreId core = 0; core < 3; ++core) {
-    client.send_core_pages(tenant.session, core,
-                           tenant.trace.sequence(core).pages());
-  }
-  client.close(tenant.session);
-
-  const std::uint32_t max_k = 12;
-  const wire::FaultCurveReply reply =
-      client.query_fault_curve(tenant.session, 77, max_k);
-  EXPECT_EQ(reply.max_k, max_k);
-  EXPECT_EQ(reply.curves, lru_fault_curve_batch(tenant.trace, max_k));
+  // max_k above K (the batch's scan width), 0, below K and at K.
+  expect_lru_queries_match_library(daemon, tenant, {12, 0, 5, 8});
+  daemon.stop();
+  // Building those replies is counted, and inside the shard's busy time.
+  const ShardStats total = daemon.total_stats();
+  EXPECT_GT(total.answer_ns, 0u);
+  EXPECT_LE(total.answer_ns, total.busy_ns);
 }
 
 TEST(Mcpd, PartitionAdviceMatchesOfflineSearch) {
@@ -311,23 +375,11 @@ TEST(Mcpd, PartitionAdviceMatchesOfflineSearch) {
   tenant.params = SessionParams{3, 9, 2, StrategyKind::kSharedLru};
 
   Mcpd daemon(McpdConfig{1});
-  McpdClient client(daemon);
-  client.open(tenant.session, tenant.params);
-  for (CoreId core = 0; core < 3; ++core) {
-    client.send_core_pages(tenant.session, core,
-                           tenant.trace.sequence(core).pages());
-  }
-  client.close(tenant.session);
-
-  const wire::PartitionAdviceReply reply =
-      client.query_partition(tenant.session, 88);
-  const PartitionSearchResult want = optimal_partition_from_curves(
-      lru_fault_curve_batch(tenant.trace, 9), 9);
-  EXPECT_EQ(reply.predicted_faults, want.faults);
-  ASSERT_EQ(reply.cells_per_core.size(), want.partition.size());
-  for (std::size_t j = 0; j < want.partition.size(); ++j) {
-    EXPECT_EQ(reply.cells_per_core[j], want.partition[j]);
-  }
+  // Curves narrower than K only: the partition query sets the scan width.
+  expect_lru_queries_match_library(daemon, tenant, {0, 4});
+  // The same session shape with curves at 0, below and above K.
+  tenant.session = 7;
+  expect_lru_queries_match_library(daemon, tenant, {0, 4, 15});
 }
 
 TEST(Mcpd, QueryBeforeCloseIsParkedUntilFinish) {
@@ -378,6 +430,55 @@ TEST(Mcpd, ProtocolErrorsAreCountedNotFatal) {
   EXPECT_EQ(daemon.total_stats().bad_frames, 2u);
   EXPECT_EQ(daemon.total_stats().sessions_opened, 1u);
   EXPECT_EQ(daemon.total_stats().sessions_finished, 1u);
+}
+
+TEST(Mcpd, OutOfRangePageIdIsABadFrameNotACohortStall) {
+  // Page ids at or above kMaxWirePageId, kInvalidPage among them, are
+  // rejected at ingest.  Unchecked, 0xFFFFFFFF wrapped the session's page
+  // bound to 0, the cohort kernel's bounds check then failed every drain,
+  // and the well-behaved session sharing the cohort never finished.
+  Rng rng(0xBAD1D);
+  const std::vector<Tenant> tenants = make_homogeneous_tenants(2, rng);
+  const Tenant& good = tenants[0];
+  const Tenant& hostile = tenants[1];
+  Mcpd daemon(McpdConfig{1});  // one shard, one cohort
+  McpdClient client(daemon);
+  for (const Tenant& tenant : tenants) {
+    client.open(tenant.session, tenant.params);
+  }
+  const PageId bad_run[] = {1, kInvalidPage, 2};
+  client.send_core_run(hostile.session, 0, bad_run);
+  const PageId bad_chunk[] = {3, wire::kMaxWirePageId};
+  client.send_core_pages(hostile.session, 1, bad_chunk);
+  for (const Tenant& tenant : tenants) {
+    for (CoreId core = 0; core < tenant.trace.num_cores(); ++core) {
+      client.send_core_run(tenant.session, static_cast<std::uint32_t>(core),
+                           tenant.trace.sequence(core).pages());
+    }
+    client.post_query_faults(tenant.session, tenant.session);
+    client.close(tenant.session);
+  }
+  daemon.stop();
+  const ShardStats total = daemon.total_stats();
+  EXPECT_EQ(total.bad_frames, 2u);
+  ASSERT_EQ(total.sessions_finished, 2u);
+  // Both sessions replied; a rejected frame appends nothing, so the hostile
+  // session ran exactly its well-formed requests.
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    std::vector<std::byte> storage;
+    const wire::FrameView frame = client.wait_reply(storage);
+    ASSERT_EQ(frame.type, wire::FrameType::kFaultCounts);
+    const wire::FaultCountsReply reply = wire::decode_fault_counts(frame);
+    const Tenant& tenant = reply.query_id == good.session ? good : hostile;
+    const RunStats want = oracle_run(tenant);
+    SCOPED_TRACE("session " + std::to_string(tenant.session));
+    EXPECT_EQ(reply.requests_served, want.total_requests());
+    EXPECT_EQ(reply.end_time, want.end_time);
+    ASSERT_EQ(reply.per_core_faults.size(), want.num_cores());
+    for (CoreId j = 0; j < want.num_cores(); ++j) {
+      EXPECT_EQ(reply.per_core_faults[j], want.core(j).faults) << "core " << j;
+    }
+  }
 }
 
 TEST(Mcpd, FailedSessionOpenDoesNotPoisonTheShard) {

@@ -56,6 +56,10 @@ TEST(MattsonKernel, StackDistancesDefinition) {
   // distance: 0 0 0 3 1 3
   EXPECT_EQ(stack_distances({5, 6, 7, 5, 5, 6}),
             (std::vector<std::size_t>{0, 0, 0, 3, 1, 3}));
+  // The histogram counts the same distances, one bucket per distinct page.
+  EXPECT_EQ(stack_distance_histogram({5, 6, 7, 5, 5, 6}),
+            (std::vector<Count>{3, 1, 0, 2}));
+  EXPECT_EQ(stack_distance_histogram({}), (std::vector<Count>{0}));
 }
 
 TEST(MattsonKernel, MatchesPerKOnRandomSequences) {
@@ -140,10 +144,9 @@ TEST(MattsonKernel, PolicyFaultCurvesFastPathEqualsReferenceSweep) {
 }
 
 TEST(MattsonKernel, BatchedCurvesMatchPerKOracle) {
-  // lru_fault_curve_batch advances all cores' Mattson passes as lanes over
-  // shared offset arrays; every lane's curve must equal both the scalar
-  // kernel and the per-k oracle it stands in for.  Ragged lane lengths
-  // (including an empty sequence) exercise the active-prefix shrink.
+  // lru_fault_curve_batch scans the cores in pool chunks; every core's
+  // curve must equal both the scalar kernel and the per-k oracle it stands
+  // in for, over ragged lengths including an empty sequence.
   Rng rng(0x3A77);
   RequestSet rs;
   rs.add_sequence({});
@@ -169,6 +172,14 @@ TEST(MattsonKernel, BatchedCurvesMatchPerKOracle) {
                 single_core_policy_faults(rs.sequence(j), k, lru))
           << "core=" << j << " k=" << k;
     }
+  }
+  // Enough cores for several chunks, so the pool runs them concurrently.
+  const RequestSet wide = testing::random_disjoint_workload(rng, 40, 9, 120);
+  const FaultCurves wide_curves = lru_fault_curve_batch(wide, max_k);
+  ASSERT_EQ(wide_curves.size(), wide.num_cores());
+  for (CoreId j = 0; j < wide.num_cores(); ++j) {
+    EXPECT_EQ(wide_curves[j], lru_fault_curve(wide.sequence(j), max_k))
+        << "core=" << j;
   }
 }
 

@@ -73,6 +73,13 @@ struct DecompositionCase {
   Time tau;
 };
 
+// Names each case "<policy>_tau<tau>" in gtest output and in the ctest test
+// names derived from it.  Without it gtest dumps the struct's bytes, which
+// include the std::string's data pointer and so change from build to build.
+void PrintTo(const DecompositionCase& c, std::ostream* os) {
+  *os << c.policy << "_tau" << c.tau;
+}
+
 class PartitionDecomposition
     : public ::testing::TestWithParam<DecompositionCase> {};
 
