@@ -285,12 +285,12 @@ void BM_PartitionSweep(benchmark::State& state) {
 }
 
 void BM_BatchSweep(benchmark::State& state) {
-  // The same 105-cell partition grid as BM_PartitionSweep, but run as
-  // lockstep lanes through the batch engine (SweepRunner::run_jobs) instead
-  // of per-cell strategy objects.  Arg = batch width B.  cells_per_sec here
-  // against BM_PartitionSweep's counter is the batched-vs-scalar aggregate
-  // speedup; the perf-smoke job gates on this counter staying put.
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  // The same 105-cell partition grid as BM_PartitionSweep, but run on the
+  // batch kernel (SweepRunner::run_jobs) instead of per-cell strategy
+  // objects, at the same worker cap as BM_PartitionSweep/0.  cells_per_sec
+  // here against BM_PartitionSweep/0's counter is the kernel-vs-strategy-
+  // objects speedup; the perf-smoke job gates both this counter and the
+  // ratio.
   const RequestSet rs = zipf_workload(3, 48, 1500, 11);
   SimConfig cfg;
   cfg.cache_size = 16;
@@ -309,7 +309,7 @@ void BM_BatchSweep(benchmark::State& state) {
   double wall = 0.0;
   for (auto _ : state) {
     SweepRunner sweep(SweepOptions{/*master_seed=*/13, /*max_threads=*/0});
-    const std::vector<RunStats> stats = sweep.run_jobs(jobs, width);
+    const std::vector<RunStats> stats = sweep.run_jobs(jobs);
     benchmark::DoNotOptimize(stats.data());
     cells += sweep.last_timing().cells;
     wall += sweep.last_timing().wall_seconds;
@@ -395,8 +395,7 @@ BENCHMARK(BM_BigFleetThroughput);
 BENCHMARK(BM_LruFaultCurve)->Arg(64);
 // Arg = sweep worker cap: serial, two workers, all hardware workers (0).
 BENCHMARK(BM_PartitionSweep)->Arg(1)->Arg(2)->Arg(0);
-// Arg = batch width B: degenerate single-lane batches vs full lockstep.
-BENCHMARK(BM_BatchSweep)->Arg(1)->Arg(64);
+BENCHMARK(BM_BatchSweep);
 // Arg = shard count: single-shard baseline vs the sharded daemon.
 BENCHMARK(BM_McpdIngest)->Arg(1)->Arg(4);
 

@@ -107,16 +107,14 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
             t);
   }
 
-  // Batched sweep: the same 105 partition jobs as lockstep lanes through
-  // the batch engine (SweepRunner::run_jobs).  The fault vector must match
-  // the scalar sweep bit-for-bit at every batch width — the batch engine's
-  // differential contract, re-checked here from the driver's seed — and the
-  // Mcells/s column quantifies the structure-of-arrays win over the
-  // per-cell strategy objects above.
+  // Batched sweep: the same 105 partition jobs on the batch kernel
+  // (SweepRunner::run_jobs).  The fault vector must match the scalar sweep
+  // bit-for-bit — the kernel's differential contract, re-checked here from
+  // the driver's seed — and the Mcells/s column quantifies the
+  // structure-of-arrays win over the per-cell strategy objects above.
   auto& batch_table = b.series(
-      "batch_sweep",
-      "Batched partition sweep (same 105 cells, lockstep lanes):",
-      {"B", "cells", "wall_s", "Mcells/s", "Mlane_steps/s", "identical"});
+      "batch_sweep", "Batched partition sweep (same 105 cells, batch kernel):",
+      {"cells", "wall_s", "Mcells/s", "Msteps/s", "identical"});
   std::vector<SimJob> batch_jobs(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     batch_jobs[i].config = sweep_cfg;
@@ -124,28 +122,25 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
     batch_jobs[i].strategy =
         BatchStrategySpec::static_partition(grid[i], BatchPolicy::kLru);
   }
-  bool batch_identical = true;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{32}}) {
-    SweepRunner sweep(SweepOptions{ctx.master_seed, ctx.workers});
-    const std::vector<RunStats> stats = sweep.run_jobs(batch_jobs, width);
-    std::vector<Count> faults(stats.size());
-    Count lane_steps = 0;
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      faults[i] = stats[i].total_faults();
-      lane_steps += stats[i].sim_steps;
-    }
-    const bool identical = faults == baseline;
-    batch_identical = batch_identical && identical;
-    const SweepTiming& t = sweep.last_timing();
-    const double rate = t.wall_seconds > 0.0
-                            ? static_cast<double>(lane_steps) / t.wall_seconds
-                            : 0.0;
-    batch_table.row(std::to_string(width),
-                    static_cast<std::uint64_t>(t.cells), t.wall_seconds,
-                    t.cells_per_second() / 1e6, rate / 1e6,
-                    identical ? "yes" : "NO");
-    b.sweep("E13.batch_sweep.b" + std::to_string(width), t);
+  SweepRunner batch_sweep(SweepOptions{ctx.master_seed, ctx.workers});
+  const std::vector<RunStats> batch_stats = batch_sweep.run_jobs(batch_jobs);
+  std::vector<Count> batch_faults(batch_stats.size());
+  Count batch_steps = 0;
+  for (std::size_t i = 0; i < batch_stats.size(); ++i) {
+    batch_faults[i] = batch_stats[i].total_faults();
+    batch_steps += batch_stats[i].sim_steps;
   }
+  const bool batch_identical = batch_faults == baseline;
+  const SweepTiming& batch_timing = batch_sweep.last_timing();
+  const double step_rate =
+      batch_timing.wall_seconds > 0.0
+          ? static_cast<double>(batch_steps) / batch_timing.wall_seconds
+          : 0.0;
+  batch_table.row(static_cast<std::uint64_t>(batch_timing.cells),
+                  batch_timing.wall_seconds,
+                  batch_timing.cells_per_second() / 1e6, step_rate / 1e6,
+                  batch_identical ? "yes" : "NO");
+  b.sweep("E13.batch_sweep", batch_timing);
 
   // LRU fault-curve kernel: the single-pass Mattson path of
   // policy_fault_curves against the per-k reference loop it replaced; the
@@ -221,8 +216,8 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
       rates_positive && deterministic && batch_identical && curves_agree &&
           latency_sane,
       "simulator sustains positive throughput on every strategy family; "
-      "sweep results bit-identical across worker counts and batch widths; "
-      "Mattson curve matches the per-k reference; per-cell latency "
+      "sweep results bit-identical across worker counts and on the batch "
+      "kernel; Mattson curve matches the per-k reference; per-cell latency "
       "histogram is well-formed (ordered quantiles over all cells)");
 }
 
@@ -233,14 +228,14 @@ void mcp::experiments::register_e13(lab::ExperimentRegistry& registry) {
       "E13",
       "Engine throughput & sweep determinism (lab edition)",
       "simulator steps/faults/requests per second per strategy family; "
-      "partition sweep bit-identical at 1/2/all workers; batched lockstep "
-      "sweep (Mcells/s) bit-identical at B=1/32; Mattson vs per-k LRU "
+      "partition sweep bit-identical at 1/2/all workers; batch-kernel "
+      "sweep (Mcells/s) bit-identical to it; Mattson vs per-k LRU "
       "fault-curve cells/sec (see bench_sim_throughput for the full "
       "google-benchmark suite)",
       "EXPERIMENTS.md §E13; PR-1 sweep contract",
       {"engine", "throughput", "sweep", "batch", "fault-curve"},
       "p=4, K=64 zipf single-pass; 105-cell partition sweep at worker caps "
-      "{1,2,all} and batch widths {1,32}; K=64 LRU fault curves both paths",
+      "{1,2,all} and on the batch kernel; K=64 LRU fault curves both paths",
       run,
   });
 }

@@ -10,7 +10,7 @@
 #                                       requests/sec, capacity_rps and epoch
 #                                       latency quantiles across shard counts;
 #                                       mixed replay plus the homogeneous
-#                                       batched/scalar cohort pair)
+#                                       fitted-tenant scenario)
 #
 # Builds the google-benchmark suite and the loadgen in Release and captures
 # the benchmarks that gate the perf-smoke CI job.  Usage:
@@ -27,7 +27,7 @@ OUT=${1:-bench/baseline/BENCH_E13.json}
 OFFLINE_OUT=${2:-bench/baseline/BENCH_OFFLINE.json}
 MCPD_OUT=${3:-bench/baseline/BENCH_MCPD.json}
 BUILD=${BUILD_DIR:-build-bench}
-FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0$|BM_BatchSweep/(1|64)$|BM_McpdIngest/(1|4)$'}
+FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0$|BM_BatchSweep$|BM_McpdIngest/(1|4)$'}
 OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(packed|reference)/(24|40|48)$|BM_FtfSolverParallel/(1|8)$|BM_PifSolver/(packed|reference)/(32|64|128)$'}
 LOADGEN_ARGS=${LOADGEN_ARGS:---shards=1,2,4,8 --tenants=64 --producers=2 --repetitions=5 --homogeneous}
 
@@ -38,15 +38,7 @@ cmake --build "$BUILD" --target bench_sim_throughput mcpd-loadgen \
 
 mkdir -p "$(dirname "$OUT")" "$(dirname "$OFFLINE_OUT")" "$(dirname "$MCPD_OUT")"
 
-# Snapshot the outgoing baselines as *.before.json so a regeneration always
-# leaves the previous medians next to the new ones for review (diffing the
-# two is how an intentional perf change is documented in the PR).
-for existing in "$OUT" "$OFFLINE_OUT" "$MCPD_OUT"; do
-  if [ -f "$existing" ]; then
-    cp "$existing" "${existing%.json}.before.json"
-    echo "snapshotted ${existing%.json}.before.json"
-  fi
-done
+# The previous baselines are in git history: diff against them there.
 "$BUILD"/bench/bench_sim_throughput \
   --benchmark_filter="$FILTER" \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \

@@ -9,8 +9,11 @@ but do not gate.
 
 Gates are `BENCHMARK:COUNTER` pairs, repeatable:
 
-  # E13 simulator gate (the default when no --gate is given)
-  scripts/check_perf_regression.py CURRENT.json
+  # E13 simulator gate (the default when no --gate is given), plus the
+  # within-run kernel-vs-strategy-objects ratio on the same sweep grid
+  scripts/check_perf_regression.py CURRENT.json \
+      --speedup 'BM_BatchSweep:cells_per_sec' \
+                'BM_PartitionSweep/0:cells_per_sec' 3.0
   # offline engine gate (BENCH_OFFLINE.json)
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_OFFLINE.json \
       --gate 'BM_FtfSolver/packed/48:states_per_sec' \
@@ -33,9 +36,9 @@ import sys
 
 DEFAULT_GATES = (
     "BM_SharedPolicy/lru/4:steps_per_sec",
-    # The batched lockstep sweep's aggregate throughput (BatchEngine under
+    # The batch kernel's sweep throughput (BatchEngine under
     # SweepRunner::run_jobs); 25% default tolerance like every other gate.
-    "BM_BatchSweep/64:cells_per_sec",
+    "BM_BatchSweep:cells_per_sec",
 )
 CONTEXT_COUNTERS = (
     "steps_per_sec",

@@ -1,22 +1,20 @@
-// Implementation of the batched lockstep engine and SweepRunner::run_jobs.
+// Implementation of the batch kernel and SweepRunner::run_jobs.
 //
-// The per-lane step function is a transliteration of Simulator::run's step
-// loop (land fetches, serve ready cores in increasing id, fast-forward the
-// clock), specialized at compile time on (shared vs static-partition, LRU
-// vs FIFO).  Bit-equality with the scalar engine is argued in DESIGN.md
-// §12; the load-bearing piece is the stamp representation of the policies:
-// stamps are unique and monotonic per cell, LRU writes them on insert and
-// hit, FIFO on insert only, so "first evictable page scanning the policy
-// list from the back" is exactly "minimum stamp among the region's present
-// slots".  The scan itself reads one array: non-present slots carry tagged
-// keys (kReservedKey / kFreeKey below) that can never win the min while an
+// The step loop is a transliteration of Simulator::run's step loop (land
+// fetches, serve ready cores in increasing id, fast-forward the clock),
+// specialized at compile time on (shared vs static-partition, LRU vs FIFO).
+// Bit-equality with the scalar engine is argued in DESIGN.md §12; the
+// load-bearing piece is the stamp representation of the policies: stamps
+// are unique and monotonic per job, LRU writes them on insert and hit, FIFO
+// on insert only, so "first evictable page scanning the policy list from
+// the back" is exactly "minimum stamp among the region's present slots".
+// The scan itself reads one array: non-present slots carry tagged keys
+// (kReservedKey / kFreeKey below) that can never win the min while an
 // evictable slot exists.
 #include "core/batch_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <optional>
 #include <span>
 
 #include "core/error.hpp"
@@ -27,240 +25,185 @@ namespace mcp {
 
 namespace {
 
-/// Blocked schedule for run()/drain(): each visit advances a lane many
-/// steps, so its slot and core lanes stay hot in L1 instead of being
-/// flushed by the other B - 1 lanes between consecutive steps.
-constexpr std::size_t kRunBlockSteps = 1024;
-
 /// Victim-scan keys, folded into slot_stamp: a present slot holds its
 /// policy stamp verbatim, a fetching slot holds stamp | kReservedKey (the
 /// tag loses every min-comparison while an evictable slot exists and the
 /// fetch landing clears it, restoring the stamp), and a free slot holds
 /// kFreeKey.  The eviction scan then reduces to an unsigned min over the
-/// region's contiguous key lane — no status-byte loads, no data-dependent
+/// region's contiguous key array — no status-byte loads, no data-dependent
 /// branches — and "no evictable page" is simply min >= kReservedKey.
-/// Stamps count serves per cell, so they stay far below 2^62.
+/// Stamps count serves per job, so they stay far below 2^62.
 constexpr std::uint64_t kReservedKey = std::uint64_t{1} << 62;
 constexpr std::uint64_t kFreeKey = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
-void BatchEngine::load(std::span<const SimJob> jobs, std::span<RunStats> out) {
-  MCP_REQUIRE(out.size() == jobs.size(),
-              "BatchEngine::load: out.size() must equal jobs.size()");
-  state_.clear();
-  active_.clear();
-  cohort_ = false;
-  free_lanes_.clear();
-  lane_stats_.clear();
-  page_capacity_ = 0;
-  retired_steps_ = 0;
-  out_ = out.data();
-  out_size_ = out.size();
-
-  // Pass 1: validate every job's shape and size the lanes.
-  std::size_t total_slots = 0;
-  std::size_t total_cores = 0;
-  std::size_t total_regions = 0;
-  std::size_t total_pages = 0;
-  std::vector<PageId> page_bounds(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SimJob& job = jobs[i];
-    MCP_REQUIRE(job.requests != nullptr, "SimJob.requests must not be null");
-    MCP_REQUIRE(job.config.cache_size > 0,
-                "SimConfig.cache_size must be positive");
-    const std::size_t p = job.requests->num_cores();
-    MCP_REQUIRE(p > 0, "request stream has no cores");
-    const BatchStrategySpec& spec = job.strategy;
-    if (spec.kind == BatchStrategySpec::Kind::kStaticPartition) {
-      MCP_REQUIRE(spec.partition.size() == p,
-                  "static partition spec must have one part per core");
-      std::size_t sum = 0;
-      for (const std::size_t part : spec.partition) {
-        MCP_REQUIRE(part >= 1, "every core's part must hold at least one page");
-        sum += part;
-      }
-      MCP_REQUIRE(sum == job.config.cache_size,
-                  "partition must sum to the cache size");
-    } else {
-      MCP_REQUIRE(spec.partition.empty(),
-                  "shared strategy spec takes no partition");
+BatchEngine::BatchEngine(const SimConfig& config, std::size_t num_cores,
+                         const BatchStrategySpec& strategy)
+    : stats_(num_cores) {
+  const std::size_t cache_size = config.cache_size;
+  MCP_REQUIRE(cache_size > 0, "SimConfig.cache_size must be positive");
+  MCP_REQUIRE(num_cores > 0, "request stream has no cores");
+  const bool partitioned =
+      strategy.kind == BatchStrategySpec::Kind::kStaticPartition;
+  if (partitioned) {
+    MCP_REQUIRE(strategy.partition.size() == num_cores,
+                "static partition spec must have one part per core");
+    std::size_t sum = 0;
+    for (const std::size_t part : strategy.partition) {
+      MCP_REQUIRE(part >= 1, "every core's part must hold at least one page");
+      sum += part;
     }
-    page_bounds[i] = job.requests->page_bound();
-    total_slots += job.config.cache_size;
-    total_cores += p;
-    total_regions +=
-        spec.kind == BatchStrategySpec::Kind::kStaticPartition ? p : 1;
-    total_pages += page_bounds[i];
+    MCP_REQUIRE(sum == cache_size, "partition must sum to the cache size");
+  } else {
+    MCP_REQUIRE(strategy.partition.empty(),
+                "shared strategy spec takes no partition");
   }
 
-  state_.cells.resize(jobs.size());
-  state_.slot_page.assign(total_slots, kInvalidPage);
-  state_.slot_status.assign(total_slots, BatchSlotStatus::kFree);
-  state_.slot_ready.assign(total_slots, 0);
-  state_.slot_stamp.assign(total_slots, kFreeKey);
-  state_.free_stack.resize(total_slots);
-  state_.inflight.resize(total_slots);
-  state_.page_slot.assign(total_pages, kNoBatchSlot);
-  state_.core_ready.assign(total_cores, 0);
-  state_.core_finish.assign(total_cores, 0);
-  state_.core_seq.resize(total_cores);
-  state_.core_len.resize(total_cores);
-  state_.core_next.assign(total_cores, 0);
-  state_.core_pending.assign(total_cores, kInvalidPage);
-  state_.core_flags.assign(total_cores, 0);
-  state_.region_size.resize(total_regions);
-  state_.region_occ.assign(total_regions, 0);
-  state_.region_slot_base.resize(total_regions);
-  state_.region_free_top.resize(total_regions);
-  active_.reserve(jobs.size());
+  BatchState& st = state_;
+  st.cache_size = static_cast<std::uint32_t>(cache_size);
+  st.num_cores = static_cast<std::uint32_t>(num_cores);
+  st.tau = config.fault_penalty;
+  st.max_steps = config.max_steps;
+  st.mode = config.shared_fetch;
+  st.kind = strategy.kind;
+  st.policy = strategy.policy;
+  st.record_timeline = config.record_fault_timeline;
+  st.active_cores = static_cast<std::uint32_t>(num_cores);
 
-  // Pass 2: fill the lane slices and pre-size every result (the step loop
-  // must not allocate, so fault timelines get their worst-case capacity —
-  // at most one fault per request — here).
-  std::size_t slot_base = 0;
-  std::size_t core_base = 0;
-  std::size_t region_base = 0;
-  std::size_t page_base = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SimJob& job = jobs[i];
-    const std::size_t cache_size = job.config.cache_size;
-    const std::size_t p = job.requests->num_cores();
-    const bool partitioned =
-        job.strategy.kind == BatchStrategySpec::Kind::kStaticPartition;
+  st.slot_page.assign(cache_size, kInvalidPage);
+  st.slot_status.assign(cache_size, BatchSlotStatus::kFree);
+  st.slot_ready.assign(cache_size, 0);
+  st.slot_stamp.assign(cache_size, kFreeKey);
+  st.inflight.assign(cache_size, 0);
+  // The identity fill seeds every region's free-stack segment with its own
+  // slot range (region slot ranges tile [0, K) in region order, so slot and
+  // free-stack segments coincide).
+  st.free_stack.resize(cache_size);
+  for (std::size_t s = 0; s < cache_size; ++s) {
+    st.free_stack[s] = static_cast<std::uint32_t>(s);
+  }
+  st.core_ready.assign(num_cores, 0);
+  st.core_finish.assign(num_cores, 0);
+  st.core_seq.assign(num_cores, nullptr);
+  st.core_len.assign(num_cores, 0);
+  st.core_next.assign(num_cores, 0);
+  st.core_pending.assign(num_cores, kInvalidPage);
+  st.core_flags.assign(num_cores, 0);
 
-    BatchCell& cell = state_.cells[i];
-    cell = BatchCell{};
-    cell.cache_size = static_cast<std::uint32_t>(cache_size);
-    cell.num_cores = static_cast<std::uint32_t>(p);
-    cell.num_regions = static_cast<std::uint32_t>(partitioned ? p : 1);
-    cell.page_bound = page_bounds[i];
-    cell.tau = job.config.fault_penalty;
-    cell.max_steps = job.config.max_steps;
-    cell.mode = job.config.shared_fetch;
-    cell.kind = job.strategy.kind;
-    cell.policy = job.strategy.policy;
-    cell.record_timeline = job.config.record_fault_timeline;
-    cell.slot_base = slot_base;
-    cell.core_base = core_base;
-    cell.region_base = region_base;
-    cell.page_base = page_base;
-    cell.active_cores = static_cast<std::uint32_t>(p);
-
-    // The identity fill seeds every region's free-stack segment with its
-    // own slot range (region slot ranges tile the cell's range in region
-    // order, so slot and free-stack segments coincide).
-    for (std::size_t s = 0; s < cache_size; ++s) {
-      state_.free_stack[slot_base + s] =
-          static_cast<std::uint32_t>(slot_base + s);
-    }
-    for (std::size_t j = 0; j < p; ++j) {
-      const RequestSequence& seq =
-          job.requests->sequence(static_cast<CoreId>(j));
-      state_.core_seq[core_base + j] = seq.pages().data();
-      state_.core_len[core_base + j] = static_cast<std::uint32_t>(seq.size());
-    }
-    std::size_t region_slot = slot_base;
-    for (std::size_t r = 0; r < cell.num_regions; ++r) {
-      const std::size_t rsize =
-          partitioned ? job.strategy.partition[r] : cache_size;
-      state_.region_size[region_base + r] = static_cast<std::uint32_t>(rsize);
-      state_.region_slot_base[region_base + r] =
-          static_cast<std::uint32_t>(region_slot);
-      state_.region_free_top[region_base + r] =
-          static_cast<std::uint32_t>(rsize);
-      region_slot += rsize;
-    }
-
-    RunStats stats(p);
-    if (job.config.record_fault_timeline) {
-      for (std::size_t j = 0; j < p; ++j) {
-        stats.core(static_cast<CoreId>(j))
-            .fault_times.reserve(
-                job.requests->sequence(static_cast<CoreId>(j)).size());
-      }
-    }
-    out_[i] = std::move(stats);
-
-    active_.push_back(static_cast<std::uint32_t>(i));
-    slot_base += cache_size;
-    core_base += p;
-    region_base += cell.num_regions;
-    page_base += page_bounds[i];
+  const std::size_t regions = partitioned ? num_cores : 1;
+  st.region_size.resize(regions);
+  st.region_occ.assign(regions, 0);
+  st.region_slot_base.resize(regions);
+  st.region_free_top.resize(regions);
+  std::size_t region_slot = 0;
+  for (std::size_t r = 0; r < regions; ++r) {
+    const std::size_t rsize = partitioned ? strategy.partition[r] : cache_size;
+    st.region_size[r] = static_cast<std::uint32_t>(rsize);
+    st.region_slot_base[r] = static_cast<std::uint32_t>(region_slot);
+    st.region_free_top[r] = static_cast<std::uint32_t>(rsize);
+    region_slot += rsize;
   }
 }
 
-template <bool kPartitioned, bool kLruTouch>
-bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
-                             std::size_t steps) {
+RunStats BatchEngine::run(const SimJob& job) {
+  MCP_REQUIRE(job.requests != nullptr, "SimJob.requests must not be null");
+  const RequestSet& requests = *job.requests;
+  BatchEngine engine(job.config, requests.num_cores(), job.strategy);
+  engine.feed(requests, requests.page_bound(), /*closed=*/true);
+  engine.advance();
+  return engine.take_stats();
+}
+
+void BatchEngine::feed(const RequestSet& trace, PageId page_bound,
+                       bool closed) {
   BatchState& st = state_;
-  // Lane slices as raw locals: the lanes are disjoint arrays of distinct
-  // element types indexed by absolute slot ids (slot lanes) or pre-offset
-  // by the cell's base (core/region/page lanes).  Hoisting the data
-  // pointers out of the vectors keeps the optimizer from reloading them
-  // after every store (the vectors alias `state_` as far as it can tell).
+  MCP_REQUIRE(trace.num_cores() == st.num_cores,
+              "BatchEngine::feed: trace core count does not match the job");
+  MCP_REQUIRE(!st.closed || closed,
+              "BatchEngine::feed: a closed feed cannot reopen");
+  if (page_bound > st.page_slot.size()) {
+    st.page_slot.resize(page_bound, kNoBatchSlot);
+  }
+  st.page_bound = std::max(st.page_bound, page_bound);
+  for (std::uint32_t j = 0; j < st.num_cores; ++j) {
+    const RequestSequence& seq = trace.sequence(static_cast<CoreId>(j));
+    MCP_REQUIRE(seq.size() >= st.core_len[j],
+                "BatchEngine::feed: a feed may only grow");
+    st.core_seq[j] = seq.pages().data();
+    st.core_len[j] = static_cast<std::uint32_t>(seq.size());
+    if (st.record_timeline) {
+      // Worst case one fault per request: reserve here so advance() stays
+      // allocation-free.
+      stats_.core(static_cast<CoreId>(j)).fault_times.reserve(seq.size());
+    }
+  }
+  st.closed = closed;
+}
+
+template <bool kPartitioned, bool kLruTouch>
+bool BatchEngine::step_loop() {
+  BatchState& st = state_;
+  // The arrays as raw locals: hoisting the data pointers out of the vectors
+  // keeps the optimizer from reloading them after every store (byte-typed
+  // stores may alias the vectors' own pointers as far as it can tell).
   PageId* const slot_page = st.slot_page.data();
   BatchSlotStatus* const slot_status = st.slot_status.data();
   Time* const slot_ready = st.slot_ready.data();
   std::uint64_t* const slot_stamp = st.slot_stamp.data();
   std::uint32_t* const free_stack = st.free_stack.data();
-  std::uint32_t* const inflight = st.inflight.data() + cell.slot_base;
-  std::uint32_t* const page_slot = st.page_slot.data() + cell.page_base;
-  Time* const core_ready = st.core_ready.data() + cell.core_base;
-  Time* const core_finish = st.core_finish.data() + cell.core_base;
-  const PageId* const* const core_seq = st.core_seq.data() + cell.core_base;
-  const std::uint32_t* const core_len = st.core_len.data() + cell.core_base;
-  std::uint32_t* const core_next = st.core_next.data() + cell.core_base;
-  PageId* const core_pending = st.core_pending.data() + cell.core_base;
-  std::uint8_t* const core_flags = st.core_flags.data() + cell.core_base;
-  const std::uint32_t* const region_size =
-      st.region_size.data() + cell.region_base;
-  std::uint32_t* const region_occ = st.region_occ.data() + cell.region_base;
-  const std::uint32_t* const region_slot_base =
-      st.region_slot_base.data() + cell.region_base;
-  std::uint32_t* const region_free_top =
-      st.region_free_top.data() + cell.region_base;
-  CoreStats* const cores = &stats.core(0);
+  std::uint32_t* const inflight = st.inflight.data();
+  std::uint32_t* const page_slot = st.page_slot.data();
+  Time* const core_ready = st.core_ready.data();
+  Time* const core_finish = st.core_finish.data();
+  const PageId* const* const core_seq = st.core_seq.data();
+  const std::uint32_t* const core_len = st.core_len.data();
+  std::uint32_t* const core_next = st.core_next.data();
+  PageId* const core_pending = st.core_pending.data();
+  std::uint8_t* const core_flags = st.core_flags.data();
+  const std::uint32_t* const region_size = st.region_size.data();
+  std::uint32_t* const region_occ = st.region_occ.data();
+  const std::uint32_t* const region_slot_base = st.region_slot_base.data();
+  std::uint32_t* const region_free_top = st.region_free_top.data();
+  CoreStats* const cores = &stats_.core(0);
 
-  const Time tau = cell.tau;
-  // The lane's clock and stamp counter live in registers across the whole
-  // block (every serve touches both) and are written back at each exit —
-  // together with the pointer hoists above, this is the per-step overhead
-  // the blocked schedule amortizes over kRunBlockSteps steps.
-  Time now = cell.now;
-  std::uint64_t stamp = cell.stamp;
+  const Time tau = st.tau;
+  // The clock and stamp counter live in registers across the loop (every
+  // serve touches both) and are written back at each exit.
+  Time now = st.now;
+  std::uint64_t stamp = st.stamp;
 
-  for (std::size_t t = 0; t < steps; ++t) {
+  for (;;) {
     Time next_time = kTimeNever;
     std::uint32_t serve_from = 0;
-    if (cell.in_step) {
+    if (st.in_step) {
       // Resuming a step parked by a stall below: the preamble (step count,
       // fetch landing) already ran when this step first started, cores before
       // resume_core are already served, and the folded fast-forward min they
-      // contributed is restored.  Nothing else ran while the lane was parked,
+      // contributed is restored.  Nothing else ran while the job was parked,
       // so every value is exactly what the uninterrupted step would see.
-      cell.in_step = false;
-      next_time = cell.next_time_partial;
-      serve_from = cell.resume_core;
+      st.in_step = false;
+      next_time = st.next_time_partial;
+      serve_from = st.resume_core;
     } else {
-      ++cell.steps;
-      if (cell.max_steps != 0 && cell.steps > cell.max_steps) {
+      ++st.steps;
+      if (st.max_steps != 0 && st.steps > st.max_steps) {
         AllocAllow allow;  // declared growth: error paths may build a message
-        cell.now = now;
-        cell.stamp = stamp;
+        st.now = now;
+        st.stamp = stamp;
         throw ModelError("simulation exceeded SimConfig.max_steps");
       }
 
       // 1. Land fetches due now, before any request is served this step.  The
-      //    in-flight lane holds at most min(p, K) entries; backwards
+      //    in-flight array holds at most min(p, K) entries; backwards
       //    swap-remove keeps it packed.  Landing order is unobservable here:
       //    the batchable strategies' on_fetch_complete is a no-op.
-      for (std::uint32_t i = cell.fetching; i-- > 0;) {
+      for (std::uint32_t i = st.fetching; i-- > 0;) {
         const std::uint32_t slot = inflight[i];
         if (slot_ready[slot] <= now) {
           slot_status[slot] = BatchSlotStatus::kPresent;
           slot_stamp[slot] &= ~kReservedKey;  // evictable again, stamp intact
-          inflight[i] = inflight[--cell.fetching];
+          inflight[i] = inflight[--st.fetching];
         }
       }
     }
@@ -271,46 +214,45 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
     // 3. Serve ready cores in increasing core id — the paper's fixed logical
     //    service order for simultaneous requests.  The fast-forward min is
     //    folded into the same pass: iteration j is the only writer of core
-    //    j's ready time, so the value observed here is the value the old
-    //    second pass would have read.
-    for (std::uint32_t j = serve_from; j < cell.num_cores; ++j) {
+    //    j's ready time, so the value observed here is the value a separate
+    //    second pass would read.
+    for (std::uint32_t j = serve_from; j < st.num_cores; ++j) {
       const std::uint8_t flags = core_flags[j];
       if ((flags & kBatchCoreDone) != 0) continue;
       if (core_ready[j] > now) {
         next_time = std::min(next_time, core_ready[j]);
         continue;
       }
-      // The pending lane materializes a pulled-but-unserved request only on
-      // the paths that actually park one (the stall below, kJoinsFetch); a
-      // request served the same step it is pulled stays in this register, so
-      // the hit path writes no pending state at all.
+      // The pending array materializes a pulled-but-unserved request only on
+      // the path that actually parks one (kJoinsFetch); a request served the
+      // same step it is pulled stays in this register, so the hit path
+      // writes no pending state at all.
       PageId page;
       if ((flags & kBatchCorePending) != 0) {
         page = core_pending[j];
       } else {
         if (core_next[j] >= core_len[j]) {
-          if (!cell.closed) {
-            // Source contract (SimSession): the feed may still grow, so the
-            // whole lane parks mid-step before core j — a later same-step
-            // core must never be served ahead of an earlier one.  This
-            // branch lives on the already-cold cursor-exhausted path, so the
-            // hot kernel is untouched while a lane has buffered requests.
-            cell.status = BatchLaneStatus::kStalled;
-            cell.in_step = true;
-            cell.resume_core = j;
-            cell.next_time_partial = next_time;
-            cell.now = now;
-            cell.stamp = stamp;
+          if (!st.closed) {
+            // The feed may still grow, so the job parks mid-step before
+            // core j — a later same-step core must never be served ahead of
+            // an earlier one.  This branch lives on the already-cold
+            // cursor-exhausted path, so the hot loop is untouched while the
+            // job has buffered requests.
+            st.in_step = true;
+            st.resume_core = j;
+            st.next_time_partial = next_time;
+            st.now = now;
+            st.stamp = stamp;
             return false;
           }
           core_flags[j] = static_cast<std::uint8_t>(flags | kBatchCoreDone);
           cores[j].completion_time = core_finish[j];
-          --cell.active_cores;
+          --st.active_cores;
           continue;
         }
         page = core_seq[j][core_next[j]++];
       }
-      MCP_ASSERT(page < cell.page_bound);
+      MCP_ASSERT(page < st.page_bound);
       std::uint32_t& slot_of_page = page_slot[page];
       CoreStats& core_stats = cores[j];
 
@@ -331,7 +273,7 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
 
       if (slot_of_page != kNoBatchSlot) {
         // The page is in flight on behalf of another core.
-        if (cell.mode == SharedFetchMode::kJoinsFetch) {
+        if (st.mode == SharedFetchMode::kJoinsFetch) {
           // Block until the fetch lands, then re-serve the parked request
           // (usually a hit; a fault if the page was evicted again).
           if ((flags & kBatchCorePending) == 0) {
@@ -347,7 +289,7 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
         // fetch — no cell is taken and the policy is not consulted.
         ++core_stats.faults;
         ++core_stats.requests;
-        if (cell.record_timeline) core_stats.fault_times.push_back(now);
+        if (st.record_timeline) core_stats.fault_times.push_back(now);
         core_ready[j] = now + tau + 1;
         core_finish[j] = now + tau;
         if ((flags & kBatchCorePending) != 0) {
@@ -360,17 +302,17 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
       // Plain fault: evict if the region is full, then begin the fetch.
       ++core_stats.faults;
       ++core_stats.requests;
-      if (cell.record_timeline) core_stats.fault_times.push_back(now);
+      if (st.record_timeline) core_stats.fault_times.push_back(now);
       const std::uint32_t region = kPartitioned ? j : 0;
       const std::size_t region_begin = region_slot_base[region];
       if (region_occ[region] == region_size[region]) {
         // Victim: minimum stamp among the region's present slots (fetching
-        // cells carry kReservedKey-tagged keys and free ones kFreeKey, so the
+        // slots carry kReservedKey-tagged keys and free ones kFreeKey, so the
         // min pass needs no status checks and no data-dependent branches —
         // it compiles to a straight-line reduction the hardware can overlap).
-        // A second short pass recovers the slot: stamps are unique per cell
-        // and the tagged keys can never equal an untagged minimum.  The scan
-        // covers only the region's own slot range — K/p slots, not K.
+        // A second short pass recovers the slot: stamps are unique and the
+        // tagged keys can never equal an untagged minimum.  The scan covers
+        // only the region's own slot range — K/p slots, not K.
         const std::size_t end = region_begin + region_size[region];
         std::uint64_t oldest = kFreeKey;
         for (std::size_t s = region_begin; s < end; ++s) {
@@ -378,8 +320,8 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
         }
         if (oldest >= kReservedKey) {
           AllocAllow allow;
-          cell.now = now;  // keep the header consistent even on this exit
-          cell.stamp = stamp;
+          st.now = now;  // keep the state consistent even on this exit
+          st.stamp = stamp;
           throw ModelError("batch engine: no evictable page (all reserved)");
         }
         std::size_t victim = region_begin;
@@ -400,7 +342,7 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
       slot_ready[slot] = now + tau + 1;
       slot_stamp[slot] = ++stamp | kReservedKey;
       slot_of_page = slot;
-      inflight[cell.fetching++] = slot;
+      inflight[st.fetching++] = slot;
       ++region_occ[region];
       core_ready[j] = now + tau + 1;
       core_finish[j] = now + tau;
@@ -410,324 +352,40 @@ bool BatchEngine::step_block(BatchCell& cell, RunStats& stats,
       next_time = std::min(next_time, now + tau + 1);
     }
 
-    if (cell.active_cores == 0) {
-      cell.status = BatchLaneStatus::kEnded;
-      stats.end_time = now;
-      stats.sim_steps = cell.steps;
-      cell.now = now;
-      cell.stamp = stamp;
-      return false;
+    if (st.active_cores == 0) {
+      stats_.end_time = now;
+      stats_.sim_steps = st.steps;
+      st.now = now;
+      st.stamp = stamp;
+      return true;
     }
 
     // 4. Fast-forward to the next step at which any core can act.
     MCP_ASSERT(next_time != kTimeNever);
     now = std::max(now + 1, next_time);
   }
-
-  cell.now = now;
-  cell.stamp = stamp;
-  return true;
 }
 
-std::size_t BatchEngine::round(std::size_t steps_per_lane) {
-  std::size_t i = 0;
-  while (i < active_.size()) {
-    const std::uint32_t index = active_[i];
-    MCP_ASSERT(index < out_size_);
-    BatchCell& cell = state_.cells[index];
-    RunStats& stats = out_[index];
-    bool alive = false;
-    if (cell.kind == BatchStrategySpec::Kind::kStaticPartition) {
-      alive = cell.policy == BatchPolicy::kLru
-                  ? step_block<true, true>(cell, stats, steps_per_lane)
-                  : step_block<true, false>(cell, stats, steps_per_lane);
+bool BatchEngine::advance() {
+  if (ended()) return true;
+  bool done = false;
+  {
+    AllocGuard guard("batch engine step loop");
+    if (state_.kind == BatchStrategySpec::Kind::kStaticPartition) {
+      done = state_.policy == BatchPolicy::kLru ? step_loop<true, true>()
+                                                : step_loop<true, false>();
     } else {
-      alive = cell.policy == BatchPolicy::kLru
-                  ? step_block<false, true>(cell, stats, steps_per_lane)
-                  : step_block<false, false>(cell, stats, steps_per_lane);
-    }
-    if (alive) {
-      ++i;
-    } else {
-      // Ragged tail: a finished (or, in cohort mode, stalled) lane is
-      // swap-removed and not visited again until a refresh re-wakes it;
-      // the remaining lanes keep their own clocks.
-      active_[i] = active_.back();
-      active_.pop_back();
+      done = state_.policy == BatchPolicy::kLru ? step_loop<false, true>()
+                                                : step_loop<false, false>();
     }
   }
   MCP_CHECKED_ONLY(validate());
-  return active_.size();
+  return done;
 }
 
-std::size_t BatchEngine::step_round() { return round(1); }
-
-void BatchEngine::run(std::span<const SimJob> jobs, std::span<RunStats> out) {
-  load(jobs, out);
-  std::optional<AllocGuard> guard;
-  if (options_.alloc_guard) guard.emplace("batch engine lockstep loop");
-  // Blocked schedule (kRunBlockSteps): per-lane results are identical to
-  // the strict one-step round-robin (lanes never read each other's state),
-  // which step_round() still provides for the phased API.
-  while (round(kRunBlockSteps) > 0) {
-  }
-}
-
-std::vector<RunStats> BatchEngine::run(std::span<const SimJob> jobs) {
-  std::vector<RunStats> results(jobs.size());
-  run(jobs, results);
-  return results;
-}
-
-Count BatchEngine::lane_steps() const noexcept {
-  Count total = retired_steps_;
-  for (const BatchCell& cell : state_.cells) total += cell.steps;
-  return total;
-}
-
-// --- Cohort mode ------------------------------------------------------------
-
-void BatchEngine::init_cohort(const CohortShape& shape) {
-  MCP_REQUIRE(shape.cache_size > 0, "cohort shape: cache_size must be positive");
-  MCP_REQUIRE(shape.num_cores > 0, "cohort shape: need at least one core");
-  const BatchStrategySpec& spec = shape.strategy;
-  cohort_regions_.clear();
-  if (spec.kind == BatchStrategySpec::Kind::kStaticPartition) {
-    MCP_REQUIRE(spec.partition.size() == shape.num_cores,
-                "static partition spec must have one part per core");
-    std::size_t sum = 0;
-    for (const std::size_t part : spec.partition) {
-      MCP_REQUIRE(part >= 1, "every core's part must hold at least one page");
-      sum += part;
-    }
-    MCP_REQUIRE(sum == shape.cache_size,
-                "partition must sum to the cache size");
-    cohort_regions_ = spec.partition;
-  } else {
-    MCP_REQUIRE(spec.partition.empty(),
-                "shared strategy spec takes no partition");
-    // Liveness: a faulting core never has its own fetch outstanding, so at
-    // most p - 1 slots are reserved when a victim is needed; with K >= p
-    // a present (evictable) slot always exists and drain() cannot throw.
-    // K < p shapes can abort mid-run and belong on the scalar path.
-    MCP_REQUIRE(shape.cache_size >= shape.num_cores,
-                "cohort shared lanes need cache_size >= num_cores");
-    cohort_regions_ = {shape.cache_size};
-  }
-
-  state_.clear();
-  active_.clear();
-  free_lanes_.clear();
-  lane_stats_.clear();
-  page_capacity_ = 0;
-  retired_steps_ = 0;
-  cohort_ = true;
-  out_ = nullptr;
-  out_size_ = 0;
-
-  proto_ = BatchCell{};
-  proto_.cache_size = static_cast<std::uint32_t>(shape.cache_size);
-  proto_.num_cores = static_cast<std::uint32_t>(shape.num_cores);
-  proto_.num_regions = static_cast<std::uint32_t>(cohort_regions_.size());
-  proto_.page_bound = 0;
-  proto_.tau = shape.fault_penalty;
-  proto_.max_steps = shape.max_steps;
-  proto_.mode = shape.shared_fetch;
-  proto_.kind = spec.kind;
-  proto_.policy = spec.policy;
-  proto_.record_timeline = shape.record_fault_timeline;
-  proto_.status = BatchLaneStatus::kFree;
-  proto_.closed = false;
-  proto_.active_cores = 0;
-}
-
-std::uint32_t BatchEngine::attach_lane() {
-  MCP_REQUIRE(cohort_, "attach_lane: engine is not in cohort mode");
-  std::uint32_t lane;
-  if (!free_lanes_.empty()) {
-    lane = free_lanes_.back();
-    free_lanes_.pop_back();
-  } else {
-    // Grow every lane array by one uniform stride.  resize() preserves the
-    // existing lanes in place: cohort strides are uniform, so the old
-    // slices keep their offsets.
-    lane = static_cast<std::uint32_t>(state_.cells.size());
-    const std::size_t slots = proto_.cache_size;
-    const std::size_t cores = proto_.num_cores;
-    const std::size_t regions = proto_.num_regions;
-    BatchState& st = state_;
-    st.cells.emplace_back();
-    st.slot_page.resize(st.slot_page.size() + slots, kInvalidPage);
-    st.slot_status.resize(st.slot_status.size() + slots,
-                          BatchSlotStatus::kFree);
-    st.slot_ready.resize(st.slot_ready.size() + slots, 0);
-    st.slot_stamp.resize(st.slot_stamp.size() + slots, kFreeKey);
-    st.free_stack.resize(st.free_stack.size() + slots, 0);
-    st.inflight.resize(st.inflight.size() + slots, 0);
-    st.page_slot.resize(st.page_slot.size() + page_capacity_, kNoBatchSlot);
-    st.core_ready.resize(st.core_ready.size() + cores, 0);
-    st.core_finish.resize(st.core_finish.size() + cores, 0);
-    st.core_seq.resize(st.core_seq.size() + cores, nullptr);
-    st.core_len.resize(st.core_len.size() + cores, 0);
-    st.core_next.resize(st.core_next.size() + cores, 0);
-    st.core_pending.resize(st.core_pending.size() + cores, kInvalidPage);
-    st.core_flags.resize(st.core_flags.size() + cores, 0);
-    st.region_size.resize(st.region_size.size() + regions, 0);
-    st.region_occ.resize(st.region_occ.size() + regions, 0);
-    st.region_slot_base.resize(st.region_slot_base.size() + regions, 0);
-    st.region_free_top.resize(st.region_free_top.size() + regions, 0);
-    lane_stats_.emplace_back();
-  }
-  reset_lane(lane);
-  BatchCell& cell = state_.cells[lane];
-  cell.status = BatchLaneStatus::kStalled;
-  cell.active_cores = proto_.num_cores;
-  lane_stats_[lane] = RunStats(proto_.num_cores);
-  // lane_stats_ may have reallocated; round() indexes through out_.
-  out_ = lane_stats_.data();
-  out_size_ = lane_stats_.size();
-  return lane;
-}
-
-void BatchEngine::reset_lane(std::uint32_t lane) {
-  BatchState& st = state_;
-  BatchCell& cell = st.cells[lane];
-  const std::size_t slots = proto_.cache_size;
-  const std::size_t cores = proto_.num_cores;
-  const std::size_t regions = proto_.num_regions;
-  cell = proto_;
-  cell.slot_base = static_cast<std::size_t>(lane) * slots;
-  cell.core_base = static_cast<std::size_t>(lane) * cores;
-  cell.region_base = static_cast<std::size_t>(lane) * regions;
-  cell.page_base = static_cast<std::size_t>(lane) * page_capacity_;
-  for (std::size_t s = cell.slot_base; s < cell.slot_base + slots; ++s) {
-    st.slot_page[s] = kInvalidPage;
-    st.slot_status[s] = BatchSlotStatus::kFree;
-    st.slot_ready[s] = 0;
-    st.slot_stamp[s] = kFreeKey;
-  }
-  for (std::size_t j = 0; j < cores; ++j) {
-    const std::size_t cj = cell.core_base + j;
-    st.core_ready[cj] = 0;
-    st.core_finish[cj] = 0;
-    st.core_seq[cj] = nullptr;
-    st.core_len[cj] = 0;
-    st.core_next[cj] = 0;
-    st.core_pending[cj] = kInvalidPage;
-    st.core_flags[cj] = 0;
-  }
-  std::size_t region_slot = cell.slot_base;
-  for (std::size_t r = 0; r < regions; ++r) {
-    const std::size_t rsize = cohort_regions_[r];
-    st.region_size[cell.region_base + r] = static_cast<std::uint32_t>(rsize);
-    st.region_slot_base[cell.region_base + r] =
-        static_cast<std::uint32_t>(region_slot);
-    st.region_free_top[cell.region_base + r] =
-        static_cast<std::uint32_t>(rsize);
-    st.region_occ[cell.region_base + r] = 0;
-    for (std::size_t s = 0; s < rsize; ++s) {
-      st.free_stack[region_slot + s] =
-          static_cast<std::uint32_t>(region_slot + s);
-    }
-    region_slot += rsize;
-  }
-}
-
-void BatchEngine::grow_page_capacity(std::size_t bound) {
-  std::size_t cap = page_capacity_ == 0 ? 64 : page_capacity_;
-  while (cap < bound) cap *= 2;
-  const std::size_t lanes = state_.cells.size();
-  std::vector<std::uint32_t> fresh(lanes * cap, kNoBatchSlot);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    BatchCell& cell = state_.cells[lane];
-    std::copy_n(
-        state_.page_slot.begin() + static_cast<std::ptrdiff_t>(cell.page_base),
-        page_capacity_,
-        fresh.begin() + static_cast<std::ptrdiff_t>(lane * cap));
-    cell.page_base = lane * cap;
-  }
-  state_.page_slot = std::move(fresh);
-  page_capacity_ = cap;
-}
-
-void BatchEngine::refresh_lane(std::uint32_t lane, const RequestSet& trace,
-                               PageId page_bound, bool closed) {
-  MCP_REQUIRE(cohort_, "refresh_lane: engine is not in cohort mode");
-  MCP_REQUIRE(lane < state_.cells.size(), "refresh_lane: no such lane");
-  BatchCell& cell = state_.cells[lane];
-  MCP_REQUIRE(cell.status == BatchLaneStatus::kStalled,
-              "refresh_lane: lane is not parked (free, running or ended)");
-  MCP_REQUIRE(trace.num_cores() == cell.num_cores,
-              "refresh_lane: trace core count does not match the cohort");
-  MCP_REQUIRE(!cell.closed || closed, "refresh_lane: a closed lane cannot "
-                                      "reopen");
-
-  if (page_bound > page_capacity_) grow_page_capacity(page_bound);
-  if (page_bound > cell.page_bound) cell.page_bound = page_bound;
-  BatchState& st = state_;
-  for (std::uint32_t j = 0; j < cell.num_cores; ++j) {
-    const RequestSequence& seq = trace.sequence(static_cast<CoreId>(j));
-    const std::size_t cj = cell.core_base + j;
-    MCP_REQUIRE(seq.size() >= st.core_len[cj],
-                "refresh_lane: a lane feed may only grow");
-    st.core_seq[cj] = seq.pages().data();
-    st.core_len[cj] = static_cast<std::uint32_t>(seq.size());
-  }
-  if (cell.record_timeline) {
-    // Worst case one fault per request: pre-size here so drain() stays
-    // allocation-free.
-    for (std::uint32_t j = 0; j < cell.num_cores; ++j) {
-      lane_stats_[lane]
-          .core(static_cast<CoreId>(j))
-          .fault_times.reserve(st.core_len[cell.core_base + j]);
-    }
-  }
-  cell.closed = closed;
-  // Wake only when the parked core can act: the model serves a step's cores
-  // in increasing id, so data for later cores cannot unblock the lane, and
-  // waking it would only re-park on the same core.  (A never-stepped lane
-  // parks at core 0, which is also where its first step begins.)
-  const std::size_t resume = cell.core_base + cell.resume_core;
-  if (closed || st.core_len[resume] > st.core_next[resume]) {
-    cell.status = BatchLaneStatus::kRunning;
-    active_.push_back(lane);
-  }
-}
-
-void BatchEngine::drain() {
-  MCP_REQUIRE(cohort_, "drain: engine is not in cohort mode");
-  std::optional<AllocGuard> guard;
-  if (options_.alloc_guard) guard.emplace("batch engine cohort drain");
-  while (round(kRunBlockSteps) > 0) {
-  }
-}
-
-BatchLaneStatus BatchEngine::lane_status(std::uint32_t lane) const {
-  MCP_REQUIRE(cohort_ && lane < state_.cells.size(),
-              "lane_status: no such cohort lane");
-  return state_.cells[lane].status;
-}
-
-RunStats BatchEngine::detach_lane(std::uint32_t lane) {
-  MCP_REQUIRE(cohort_ && lane < state_.cells.size(),
-              "detach_lane: no such cohort lane");
-  BatchCell& cell = state_.cells[lane];
-  MCP_REQUIRE(cell.status == BatchLaneStatus::kEnded,
-              "detach_lane: lane has not ended");
-  retired_steps_ += cell.steps;
-  // Clear the lane's page-index entries through the slot/page bijection —
-  // O(K) instead of O(page_capacity).
-  for (std::size_t s = cell.slot_base; s < cell.slot_base + cell.cache_size;
-       ++s) {
-    if (state_.slot_status[s] != BatchSlotStatus::kFree) {
-      state_.page_slot[cell.page_base + state_.slot_page[s]] = kNoBatchSlot;
-    }
-  }
-  reset_lane(lane);
-  free_lanes_.push_back(lane);
-  RunStats result = std::move(lane_stats_[lane]);
-  lane_stats_[lane] = RunStats();
-  return result;
+RunStats BatchEngine::take_stats() {
+  MCP_REQUIRE(ended(), "BatchEngine::take_stats before the job ended");
+  return std::move(stats_);
 }
 
 void BatchEngine::validate() const {
@@ -735,229 +393,138 @@ void BatchEngine::validate() const {
   // not hot-path code, so it suspends any enclosing AllocGuard.
   AllocAllow allow;
   const BatchState& st = state_;
+  const std::size_t slots = st.cache_size;
+  MCP_REQUIRE(st.slot_page.size() == slots && st.slot_status.size() == slots &&
+                  st.slot_ready.size() == slots &&
+                  st.slot_stamp.size() == slots &&
+                  st.free_stack.size() == slots && st.inflight.size() == slots,
+              "batch state: slot arrays are not sized to the cache");
+  MCP_REQUIRE(st.page_bound <= st.page_slot.size(),
+              "batch state: page index does not cover the page bound");
 
-  std::size_t slot_base = 0;
-  std::size_t core_base = 0;
-  std::size_t region_base = 0;
-  std::size_t page_base = 0;
-  // Marks free-stack and in-flight members (disjoint sets, one array).
-  std::vector<std::uint8_t> slot_seen(st.slot_page.size(), 0);
-  std::vector<std::uint8_t> cell_active(st.cells.size(), 0);
-  for (const std::uint32_t index : active_) {
-    MCP_REQUIRE(index < st.cells.size(),
-                "batch state: active list references a nonexistent cell");
-    MCP_REQUIRE(cell_active[index] == 0,
-                "batch state: cell listed as active twice");
-    cell_active[index] = 1;
+  std::vector<std::uint8_t> slot_seen(slots, 0);  // free-stack + in-flight
+  std::size_t fetching = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    // Eviction-key coherence: the victim scan trusts the key tags alone,
+    // so a status/key desync would silently evict a reserved slot (or
+    // never evict a present one) — check the folding invariant per slot.
+    switch (st.slot_status[s]) {
+      case BatchSlotStatus::kFree:
+        MCP_REQUIRE(st.slot_stamp[s] == kFreeKey,
+                    "batch state: free slot's eviction key is not kFreeKey");
+        break;
+      case BatchSlotStatus::kFetching:
+        MCP_REQUIRE((st.slot_stamp[s] & kReservedKey) != 0 &&
+                        st.slot_stamp[s] != kFreeKey,
+                    "batch state: fetching slot's eviction key lacks the "
+                    "reserved tag");
+        break;
+      case BatchSlotStatus::kPresent:
+        MCP_REQUIRE(st.slot_stamp[s] < kReservedKey,
+                    "batch state: present slot's eviction key carries a "
+                    "reserved or free tag");
+        break;
+    }
+    if (st.slot_status[s] == BatchSlotStatus::kFree) {
+      MCP_REQUIRE(st.slot_page[s] == kInvalidPage,
+                  "batch state: free slot still names a page");
+      continue;
+    }
+    if (st.slot_status[s] == BatchSlotStatus::kFetching) ++fetching;
+    const PageId page = st.slot_page[s];
+    MCP_REQUIRE(page < st.page_bound,
+                "batch state: slot holds a page outside the page bound");
+    MCP_REQUIRE(st.page_slot[page] == s,
+                "batch state: page index does not point back at the slot "
+                "holding the page");
+  }
+  for (std::size_t q = 0; q < st.page_slot.size(); ++q) {
+    const std::uint32_t s = st.page_slot[q];
+    if (s == kNoBatchSlot) continue;
+    MCP_REQUIRE(q < st.page_bound,
+                "batch state: page index entry beyond the page bound");
+    MCP_REQUIRE(s < slots && st.slot_status[s] != BatchSlotStatus::kFree &&
+                    st.slot_page[s] == q,
+                "batch state: page index points at a slot not holding the "
+                "page");
+  }
+  MCP_REQUIRE(st.fetching == fetching,
+              "batch state: in-flight count disagrees with slot statuses");
+  for (std::size_t t = 0; t < st.fetching; ++t) {
+    const std::uint32_t f = st.inflight[t];
+    MCP_REQUIRE(f < slots && st.slot_status[f] == BatchSlotStatus::kFetching &&
+                    slot_seen[f] == 0,
+                "batch state: in-flight array names a non-fetching or "
+                "duplicate slot");
+    slot_seen[f] = 1;
   }
 
-  for (std::size_t i = 0; i < st.cells.size(); ++i) {
-    const BatchCell& cell = st.cells[i];
-    // Cohort lanes share a uniform page stride (page_capacity_) that may
-    // exceed the lane's own page bound; load() lanes pack exactly.
-    const std::size_t page_stride = cohort_ ? page_capacity_ : cell.page_bound;
-    MCP_REQUIRE(cell.page_bound <= page_stride,
-                "batch state: cell page bound exceeds its lane stride");
-    MCP_REQUIRE(cell.slot_base == slot_base && cell.core_base == core_base &&
-                    cell.region_base == region_base &&
-                    cell.page_base == page_base,
-                "batch state: cell lane bases are not contiguous");
-    MCP_REQUIRE(slot_base + cell.cache_size <= st.slot_page.size() &&
-                    core_base + cell.num_cores <= st.core_ready.size() &&
-                    region_base + cell.num_regions <= st.region_size.size() &&
-                    page_base + page_stride <= st.page_slot.size(),
-                "batch state: cell lane slice exceeds the lane arrays");
-
-    // Lane lifecycle: only kRunning lanes ride the active list, only
-    // cohort-mode detach leaves kFree lanes behind, and a parked step is
-    // coherent with its stall (resume core in range, neither done nor
-    // holding a pending request — a stall happens at the cursor pull).
-    MCP_REQUIRE((cell_active[i] != 0) == (cell.status == BatchLaneStatus::kRunning),
-                "batch state: active list disagrees with lane status");
-    switch (cell.status) {
-      case BatchLaneStatus::kFree:
-        MCP_REQUIRE(cohort_, "batch state: detached lane outside cohort mode");
-        [[fallthrough]];
-      case BatchLaneStatus::kEnded:
-        MCP_REQUIRE(cell.active_cores == 0 && !cell.in_step,
-                    "batch state: ended or detached lane still has live "
-                    "cores or a parked step");
-        break;
-      case BatchLaneStatus::kRunning:
-      case BatchLaneStatus::kStalled:
-        MCP_REQUIRE(cell.active_cores > 0,
-                    "batch state: runnable lane has no live cores");
-        break;
+  std::size_t region_slot = 0;
+  for (std::size_t r = 0; r < st.region_size.size(); ++r) {
+    const std::size_t rsize = st.region_size[r];
+    MCP_REQUIRE(st.region_slot_base[r] == region_slot,
+                "batch state: region slot ranges do not tile the slots in "
+                "region order");
+    std::size_t occupied = 0;
+    for (std::size_t s = region_slot; s < region_slot + rsize; ++s) {
+      if (st.slot_status[s] != BatchSlotStatus::kFree) ++occupied;
     }
-    if (cell.in_step) {
-      MCP_REQUIRE(cell.status == BatchLaneStatus::kStalled,
-                  "batch state: parked step on a lane that is not stalled");
-      MCP_REQUIRE(cell.resume_core < cell.num_cores,
-                  "batch state: stalled lane's resume core out of range");
-      const std::size_t rj = core_base + cell.resume_core;
-      MCP_REQUIRE(
-          (st.core_flags[rj] & (kBatchCoreDone | kBatchCorePending)) == 0,
-          "batch state: stalled lane's resume core is done or already "
-          "holds a pending request");
-    }
-
-    const std::size_t slot_end = slot_base + cell.cache_size;
-    std::size_t fetching = 0;
-    for (std::size_t s = slot_base; s < slot_end; ++s) {
-      // Eviction-key coherence: the victim scan trusts the key tags alone,
-      // so a status/key desync would silently evict a reserved cell (or
-      // never evict a present one) — check the folding invariant per slot.
-      switch (st.slot_status[s]) {
-        case BatchSlotStatus::kFree:
-          MCP_REQUIRE(st.slot_stamp[s] == kFreeKey,
-                      "batch state: free slot's eviction key is not kFreeKey");
-          break;
-        case BatchSlotStatus::kFetching:
-          MCP_REQUIRE((st.slot_stamp[s] & kReservedKey) != 0 &&
-                          st.slot_stamp[s] != kFreeKey,
-                      "batch state: fetching slot's eviction key lacks the "
-                      "reserved tag");
-          break;
-        case BatchSlotStatus::kPresent:
-          MCP_REQUIRE(st.slot_stamp[s] < kReservedKey,
-                      "batch state: present slot's eviction key carries a "
-                      "reserved or free tag");
-          break;
-      }
-      if (st.slot_status[s] == BatchSlotStatus::kFree) {
-        MCP_REQUIRE(st.slot_page[s] == kInvalidPage,
-                    "batch state: free slot still names a page");
-        continue;
-      }
-      if (st.slot_status[s] == BatchSlotStatus::kFetching) ++fetching;
-      const PageId page = st.slot_page[s];
-      MCP_REQUIRE(page < cell.page_bound,
-                  "batch state: slot holds a page outside the cell's bound");
-      MCP_REQUIRE(st.page_slot[page_base + page] == s,
-                  "batch state: page index does not point back at the slot "
-                  "holding the page");
-    }
-    for (std::size_t q = 0; q < page_stride; ++q) {
-      const std::uint32_t s = st.page_slot[page_base + q];
-      if (s == kNoBatchSlot) continue;
-      MCP_REQUIRE(q < cell.page_bound,
-                  "batch state: page index entry beyond the cell's page "
-                  "bound");
-      MCP_REQUIRE(s >= slot_base && s < slot_end,
-                  "batch state: page index points outside the cell's slot "
-                  "lane (lane/cell bijection broken)");
-      MCP_REQUIRE(st.slot_status[s] != BatchSlotStatus::kFree &&
-                      st.slot_page[s] == q,
-                  "batch state: page index points at a slot not holding the "
-                  "page");
-    }
-    MCP_REQUIRE(cell.fetching == fetching,
-                "batch state: in-flight count disagrees with slot statuses");
-    for (std::size_t t = 0; t < cell.fetching; ++t) {
-      const std::uint32_t f = st.inflight[slot_base + t];
-      MCP_REQUIRE(f >= slot_base && f < slot_end &&
-                      st.slot_status[f] == BatchSlotStatus::kFetching &&
+    MCP_REQUIRE(st.region_occ[r] == occupied,
+                "batch state: region occupancy disagrees with the slot "
+                "statuses of its range");
+    const std::size_t free_top = st.region_free_top[r];
+    MCP_REQUIRE(free_top == rsize - occupied,
+                "batch state: free-stack depth disagrees with occupancy");
+    for (std::size_t t = 0; t < free_top; ++t) {
+      const std::uint32_t f = st.free_stack[region_slot + t];
+      MCP_REQUIRE(f >= region_slot && f < region_slot + rsize &&
+                      st.slot_status[f] == BatchSlotStatus::kFree &&
                       slot_seen[f] == 0,
-                  "batch state: in-flight lane names a non-fetching or "
+                  "batch state: free stack names a non-free, foreign, or "
                   "duplicate slot");
       slot_seen[f] = 1;
     }
-
-    std::size_t region_slot = slot_base;
-    for (std::size_t r = 0; r < cell.num_regions; ++r) {
-      const std::size_t rsize = st.region_size[region_base + r];
-      MCP_REQUIRE(st.region_slot_base[region_base + r] == region_slot,
-                  "batch state: region slot ranges do not tile the cell's "
-                  "slot lane in region order");
-      std::size_t occupied = 0;
-      for (std::size_t s = region_slot; s < region_slot + rsize; ++s) {
-        if (st.slot_status[s] != BatchSlotStatus::kFree) ++occupied;
-      }
-      MCP_REQUIRE(st.region_occ[region_base + r] == occupied,
-                  "batch state: region occupancy disagrees with the slot "
-                  "statuses of its range");
-      const std::size_t free_top = st.region_free_top[region_base + r];
-      MCP_REQUIRE(free_top == rsize - occupied,
-                  "batch state: free-stack depth disagrees with occupancy");
-      for (std::size_t t = 0; t < free_top; ++t) {
-        const std::uint32_t f = st.free_stack[region_slot + t];
-        MCP_REQUIRE(f >= region_slot && f < region_slot + rsize &&
-                        st.slot_status[f] == BatchSlotStatus::kFree &&
-                        slot_seen[f] == 0,
-                    "batch state: free stack names a non-free, foreign, or "
-                    "duplicate slot");
-        slot_seen[f] = 1;
-      }
-      region_slot += rsize;
-    }
-    MCP_REQUIRE(region_slot == slot_end,
-                "batch state: region sizes do not sum to the cache size");
-
-    std::size_t running = 0;
-    for (std::size_t j = 0; j < cell.num_cores; ++j) {
-      const std::size_t cj = core_base + j;
-      MCP_REQUIRE(st.core_next[cj] <= st.core_len[cj],
-                  "batch state: core cursor past the end of its sequence");
-      if ((st.core_flags[cj] & kBatchCoreDone) == 0) ++running;
-      if ((st.core_flags[cj] & kBatchCorePending) != 0) {
-        MCP_REQUIRE(st.core_pending[cj] < cell.page_bound,
-                    "batch state: pending request outside the page bound");
-      }
-      if (cell.status == BatchLaneStatus::kFree) {
-        MCP_REQUIRE(st.core_flags[cj] == 0 && st.core_next[cj] == 0 &&
-                        st.core_len[cj] == 0,
-                    "batch state: detached lane has a live core");
-      }
-    }
-    // A detached lane's cores are fully reset (flags 0) while its
-    // active_cores is 0, so the flag/count coherence applies to the others.
-    if (cell.status != BatchLaneStatus::kFree) {
-      MCP_REQUIRE(running == cell.active_cores,
-                  "batch state: active core count disagrees with core flags");
-      // Done flags require a closed feed: an open lane must have every core
-      // still live.
-      if (!cell.closed) {
-        MCP_REQUIRE(running == cell.num_cores,
-                    "batch state: core finished on an unclosed lane");
-      }
-    }
-
-    slot_base += cell.cache_size;
-    core_base += cell.num_cores;
-    region_base += cell.num_regions;
-    page_base += page_stride;
+    region_slot += rsize;
   }
-  MCP_REQUIRE(slot_base == st.slot_page.size() &&
-                  core_base == st.core_ready.size() &&
-                  region_base == st.region_size.size() &&
-                  page_base == st.page_slot.size(),
-              "batch state: cells do not tile the lane arrays");
+  MCP_REQUIRE(region_slot == slots,
+              "batch state: region sizes do not sum to the cache size");
+
+  std::size_t running = 0;
+  for (std::size_t j = 0; j < st.num_cores; ++j) {
+    MCP_REQUIRE(st.core_next[j] <= st.core_len[j],
+                "batch state: core cursor past the end of its feed");
+    if ((st.core_flags[j] & kBatchCoreDone) == 0) ++running;
+    if ((st.core_flags[j] & kBatchCorePending) != 0) {
+      MCP_REQUIRE(st.core_pending[j] < st.page_bound,
+                  "batch state: pending request outside the page bound");
+    }
+  }
+  MCP_REQUIRE(running == st.active_cores,
+              "batch state: active core count disagrees with core flags");
+  // Done flags require a closed feed: an open feed keeps every core live.
+  MCP_REQUIRE(st.closed || running == st.num_cores,
+              "batch state: core finished on an open feed");
+  // A parked step is coherent with its stall: resume core in range, neither
+  // done nor holding a pending request (a stall happens at the cursor pull).
+  if (st.in_step) {
+    MCP_REQUIRE(st.active_cores > 0,
+                "batch state: parked step on a job with no live cores");
+    MCP_REQUIRE(st.resume_core < st.num_cores,
+                "batch state: parked step's resume core out of range");
+    const std::size_t rj = st.resume_core;
+    MCP_REQUIRE(
+        (st.core_flags[rj] & (kBatchCoreDone | kBatchCorePending)) == 0,
+        "batch state: parked step's resume core is done or already holds a "
+        "pending request");
+  }
 }
 
-std::vector<RunStats> SweepRunner::run_jobs(std::span<const SimJob> jobs,
-                                            std::size_t batch_width) {
-  MCP_REQUIRE(batch_width > 0,
-              "SweepRunner::run_jobs: batch_width must be positive");
-  std::vector<RunStats> results(jobs.size());
-  const auto start = std::chrono::steady_clock::now();
-  if (!jobs.empty()) {
-    const std::size_t batches = (jobs.size() + batch_width - 1) / batch_width;
-    ThreadPool::global().run_indexed(
-        batches,
-        [&](std::size_t b) {
-          const std::size_t begin = b * batch_width;
-          const std::size_t count = std::min(batch_width, jobs.size() - begin);
-          BatchEngine engine;
-          engine.run(jobs.subspan(begin, count),
-                     std::span<RunStats>(results).subspan(begin, count));
-        },
-        options_.max_threads);
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  timing_.cells = jobs.size();
-  timing_.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  timing_.max_threads = options_.max_threads;
-  return results;
+std::vector<RunStats> SweepRunner::run_jobs(std::span<const SimJob> jobs) {
+  // One kernel per job, one pool index per job: jobs write only their own
+  // result slot, so results are identical for any worker count.  Jobs draw
+  // no randomness; the per-cell Rng run() hands out goes unused.
+  return run(jobs.size(),
+             [jobs](std::size_t i, Rng&) { return BatchEngine::run(jobs[i]); });
 }
 
 }  // namespace mcp

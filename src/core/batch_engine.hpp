@@ -1,38 +1,36 @@
-// BatchEngine: advances B independent simulation cells per step in lockstep
-// over the structure-of-arrays lanes of core/batch_state.hpp.
+// BatchEngine: the batch kernel — simulates one SimJob over the
+// structure-of-arrays state of core/batch_state.hpp.
 //
-// Semantics are bit-equal to running each cell through mcp::Simulator with
+// Semantics are bit-equal to running the job through mcp::Simulator with
 // the corresponding strategy object — same RunStats field for field,
 // including fault timelines, end_time and sim_steps.  The win is layout:
 // no virtual dispatch, no hash maps, no list nodes; every decision is a few
-// loads from contiguous lanes, so a sweep of thousands of small cells runs
-// at a multiple of the scalar engine's aggregate throughput (BM_BatchSweep,
-// E13 `batch_sweep` series).
+// loads from contiguous arrays, so a sweep of small jobs runs at a multiple
+// of the strategy-object engine's throughput (BM_BatchSweep against
+// BM_PartitionSweep, E13 `batch_sweep` series).
 //
-// The step loop is allocation-free after load(): every lane, free stack,
-// in-flight list and fault-timeline buffer is sized up front, and run()
-// arms an AllocGuard over the whole lockstep loop (DESIGN.md §10), so a
-// regression that sneaks an allocation into the hot path fails loudly
-// (tests/test_sentry.cpp).
+// Two entry points share one step loop: run() simulates a whole job, and
+// the resumable feed — feed(), then advance() until it reports the end —
+// serves mcpd sessions whose requests arrive in chunks.  A feed may stop
+// short of a core's sequence: the kernel then parks mid-step before the
+// first ready core with no buffered request (the model serves a step's
+// cores in increasing id, so a later core must never be served ahead of
+// it) and resumes bit-identically after the next feed.
 //
-// Determinism: lanes never read each other's state, so results are
-// bit-identical for any batch width B and — via SweepRunner::run_jobs,
-// which assigns each batch a fixed slice of the result vector — any worker
-// count (tests/core/test_batch_differential.cpp, test_sweep_determinism).
+// advance() is allocation-free: every array is sized by the constructor
+// and feed(), fault-timeline buffers are reserved at feed time (at most one
+// fault per request), and advance() arms an AllocGuard over the step loop
+// (DESIGN.md §10), so a regression that sneaks an allocation into the hot
+// path fails loudly (tests/test_sentry.cpp).
 //
-// Static analysis: an engine instance (including cohort mode, where one
-// engine serves a whole mcpd cohort) is single-threaded by contract — it
-// is confined to the shard worker or sweep task that owns it, so there is
+// Static analysis: an engine instance is single-threaded by contract — it
+// is confined to the sweep task or mcpd session that owns it, so there is
 // no capability to annotate (core/annotations.hpp).  What the analysis
-// layer checks here instead: the cohort drain/lockstep AllocGuard kernels
-// stay registered and test-exercised (mcp_verify.py rule `alloc-guard`),
-// and no unordered-container order ever feeds the lane -> result emission
-// (rule `unordered-iter` over the emission paths).
+// layer checks here instead: the step-loop AllocGuard stays registered and
+// test-exercised (mcp_verify.py rule `alloc-guard`).
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "core/batch_state.hpp"
 #include "core/stats.hpp"
@@ -41,144 +39,64 @@ namespace mcp {
 
 struct BatchEngineTestAccess;
 
-struct BatchEngineOptions {
-  /// Arm an AllocGuard over the lockstep loop in run() / drain().  Disable
-  /// only for sentry tests that want to arm their own guard around
-  /// step_round() or drain().
-  bool alloc_guard = true;
-};
-
-/// Shape shared by every lane of a cohort-mode engine (init_cohort): the
-/// (SimConfig, strategy) half of a SimJob, with the per-lane request feed
-/// arriving later through refresh_lane().  Shared-cache cohorts require
-/// cache_size >= num_cores: with fewer slots than cores, every slot can be
-/// simultaneously reserved by in-flight fetches, and the resulting "no
-/// evictable page" abort must fail one scalar session, never a whole batch.
-struct CohortShape {
-  std::size_t cache_size = 0;
-  std::size_t num_cores = 0;
-  Time fault_penalty = 0;
-  Time max_steps = 0;
-  SharedFetchMode shared_fetch = SharedFetchMode::kCountsAsFault;
-  bool record_fault_timeline = false;
-  BatchStrategySpec strategy;
-};
-
 class BatchEngine {
  public:
-  BatchEngine() = default;
-  explicit BatchEngine(BatchEngineOptions options) : options_(options) {}
+  /// Validates the job shape (the SimJob minus its requests) and sizes the
+  /// slot, core and region arrays.  The feed starts empty and open.  Throws
+  /// ModelError on a malformed shape.
+  BatchEngine(const SimConfig& config, std::size_t num_cores,
+              const BatchStrategySpec& strategy);
 
-  /// One-shot: load() + lockstep rounds until every lane finishes.
-  /// `out[i]` receives job i's RunStats (same values as Simulator::run).
-  /// Both spans are borrowed for the duration of the call only.
-  void run(std::span<const SimJob> jobs, std::span<RunStats> out);
-  [[nodiscard]] std::vector<RunStats> run(std::span<const SimJob> jobs);
+  /// One-shot: simulates the whole job and returns the RunStats
+  /// Simulator::run would.
+  [[nodiscard]] static RunStats run(const SimJob& job);
 
-  /// Phased API (used by the sentry and differential tests): load the jobs
-  /// — this is where ALL allocation happens — then call step_round() until
-  /// it returns 0.  `out` must stay alive until the last round.
-  void load(std::span<const SimJob> jobs, std::span<RunStats> out);
+  /// Points the cores at `trace`'s sequences (borrowed until the next feed;
+  /// sequences may only grow between feeds).  `page_bound` must exceed
+  /// every page id in `trace`; `closed` is sticky.  All growth happens
+  /// here: the page index and the fault-timeline reserves.
+  void feed(const RequestSet& trace, PageId page_bound, bool closed);
 
-  /// Advances every active lane by one step-loop iteration; finished lanes
-  /// are swap-removed.  Returns the number of still-active lanes.  (run()
-  /// uses the private blocked variant — many steps per lane visit — for
-  /// locality; per-lane results are identical either way because lanes
-  /// never read each other's state.)
-  std::size_t step_round();
+  /// Steps until every core served its last request (returns true) or the
+  /// next ready core has no buffered request on an open feed (returns
+  /// false; feed more and call again).  Throws ModelError on the paper
+  /// model's aborts, exactly where Simulator::run would: no evictable page
+  /// (every slot of the region reserved by in-flight fetches) or
+  /// SimConfig::max_steps exceeded.
+  bool advance();
 
-  [[nodiscard]] std::size_t active_lanes() const noexcept {
-    return active_.size();
+  [[nodiscard]] bool ended() const noexcept {
+    return state_.active_cores == 0;
   }
 
-  /// Total step-loop iterations executed across all lanes so far (the
-  /// batched counterpart of RunStats::sim_steps, summed).  Cohort mode
-  /// includes detached lanes, so the counter is monotonic across reuse.
-  [[nodiscard]] Count lane_steps() const noexcept;
+  /// Step-loop iterations executed so far (RunStats::sim_steps once ended).
+  [[nodiscard]] Count steps() const noexcept { return state_.steps; }
 
-  // --- Cohort mode (mcpd's per-shard scheduler) -----------------------------
-  //
-  // One engine per group of identically-shaped sessions.  Every lane shares
-  // the CohortShape, so lane arrays have uniform strides and lane id == cell
-  // index; the per-lane page index is a shared capacity (page_capacity_)
-  // that doubles as feeds reveal larger page ids.  Lanes attach/detach
-  // dynamically and their feeds arrive in chunks: refresh_lane() re-points a
-  // lane at the (append-only) caller trace and wakes it, drain() steps every
-  // runnable lane until it parks or ends.  All allocation happens in
-  // init_cohort/attach_lane/refresh_lane — drain() is allocation-free.
+  /// Moves the final RunStats out; requires ended().
+  [[nodiscard]] RunStats take_stats();
 
-  /// Switches the engine to cohort mode with zero lanes.  Throws ModelError
-  /// on an invalid shape (see CohortShape).
-  void init_cohort(const CohortShape& shape);
-  [[nodiscard]] bool cohort_mode() const noexcept { return cohort_; }
-
-  /// Adds a lane (recycling a detached slot when one exists) and returns
-  /// its id.  The lane starts kStalled with an empty feed.
-  std::uint32_t attach_lane();
-
-  /// Points the lane's cores at `trace`'s sequences (borrowed until the
-  /// next refresh or detach; sequences may only grow between refreshes).
-  /// `page_bound` must exceed every page id in `trace`; `closed` is sticky.
-  /// Wakes the lane iff the new data (or the close) lets it progress: the
-  /// model serves a step's cores in increasing id, so only data for the
-  /// parked core — or the promise of no more data — can unblock it.
-  void refresh_lane(std::uint32_t lane, const RequestSet& trace,
-                    PageId page_bound, bool closed);
-
-  /// Steps every woken lane until it parks or ends (blocked rounds, like
-  /// run()).  Arms an AllocGuard per options_.alloc_guard.
-  void drain();
-
-  [[nodiscard]] BatchLaneStatus lane_status(std::uint32_t lane) const;
-
-  /// Moves an ended lane's final RunStats out and recycles the lane slot
-  /// for a future attach_lane().
-  [[nodiscard]] RunStats detach_lane(std::uint32_t lane);
-
-  /// Deep lane/cell invariant check (see BatchState): throws ModelError on
-  /// the first violation.  Callable in any build; step_round() invokes it
-  /// per round under MCP_CHECKED.  Allocates scratch (owns an AllocAllow).
+  /// Deep state invariant check (see BatchState): throws ModelError on the
+  /// first violation.  Callable in any build; advance() invokes it on exit
+  /// under MCP_CHECKED.  Allocates scratch (owns an AllocAllow).
   void validate() const;
 
  private:
   friend struct BatchEngineTestAccess;
 
-  /// Advances one lane by up to `steps` simulation steps; the lane's
-  /// pointer slices, clock and stamp counter are hoisted once per block,
-  /// so larger blocks amortize the per-step dispatch to nothing.  Returns
-  /// false when the lane stalled or ended before exhausting the block.
+  /// The step loop, specialized on (shared vs static partition, LRU vs
+  /// FIFO).  Returns true when every core ended, false on a stall.
   template <bool kPartitioned, bool kLruTouch>
-  bool step_block(BatchCell& cell, RunStats& stats, std::size_t steps);
-  std::size_t round(std::size_t steps_per_lane);
-  void reset_lane(std::uint32_t lane);
-  void grow_page_capacity(std::size_t bound);
+  bool step_loop();
 
-  BatchEngineOptions options_{};
   BatchState state_;
-  std::vector<std::uint32_t> active_;  ///< cell indices still running
-  RunStats* out_ = nullptr;            ///< borrowed (load()) or
-                                       ///< lane_stats_.data() (cohort)
-  std::size_t out_size_ = 0;
-
-  // Cohort mode only.
-  bool cohort_ = false;
-  BatchCell proto_{};                        ///< lane shape template
-  std::vector<std::size_t> cohort_regions_;  ///< region sizes (1 or p)
-  std::size_t page_capacity_ = 0;            ///< per-lane page_slot stride
-  std::vector<std::uint32_t> free_lanes_;    ///< detached, reusable slots
-  std::vector<RunStats> lane_stats_;         ///< owned results, per lane
-  Count retired_steps_ = 0;                  ///< steps of detached lanes
+  RunStats stats_;
 };
 
 /// Test-only backdoor, mirroring CacheStateTestAccess: lets the sentry test
-/// corrupt lane state in place to prove validate() catches it.
+/// corrupt kernel state in place to prove validate() catches it.
 struct BatchEngineTestAccess {
   [[nodiscard]] static BatchState& state(BatchEngine& engine) {
     return engine.state_;
-  }
-  [[nodiscard]] static std::vector<std::uint32_t>& active(
-      BatchEngine& engine) {
-    return engine.active_;
   }
 };
 

@@ -1,25 +1,23 @@
-// Structure-of-arrays state for the batched lockstep engine (DESIGN.md §12).
+// Value types and structure-of-arrays state of the batch kernel
+// (core/batch_engine.hpp, DESIGN.md §12).
 //
-// A *cell* is one independent simulation — a (SimConfig, RequestSet,
-// strategy) triple; a batch is B cells advanced in lockstep by BatchEngine.
-// All per-cell state lives in flat lanes shared by the whole batch: cell i
-// owns the contiguous [base, base + count) slice of every lane, with the
-// bases recorded in its BatchCell header (a CSR layout).  Heterogeneous
-// shapes — cache size K, core count p, page bound, trace length — pack
-// without padding, and a cell that finishes early is simply dropped from the
-// active list, so ragged tails cost nothing.
+// A *job* is one independent simulation — a (SimConfig, RequestSet,
+// strategy) triple — and one BatchEngine simulates exactly one job.  Its
+// state lives in flat arrays indexed by slot, core, region or page id, so
+// every step is a few loads from contiguous memory instead of virtual
+// policy dispatch, hash lookups and list nodes.
 //
 // Only strategies whose decisions are a pure function of this packed state
 // are batchable: the shared cache S_A and static partitions sP^B_A under LRU
 // or FIFO (BatchStrategySpec).  Recency/insertion order is represented by a
-// per-cell monotonic stamp written into slot_stamp on insert (LRU and FIFO)
-// and on hit (LRU only); the victim is the minimum-stamp present slot of the
+// monotonic stamp written into slot_stamp on insert (LRU and FIFO) and on
+// hit (LRU only); the victim is the minimum-stamp present slot of the
 // faulting region, which reproduces the scalar policies' list order exactly
 // because stamps are unique.  Fetching and free slots hold high-tagged keys
-// (batch_engine.cpp) so the victim scan is a branchless min over one array.  Everything else (dynamic partitions, marking,
-// adaptive adversary streams) keeps the scalar Simulator — which is also
-// retained as the differential oracle for the batched path
-// (tests/core/test_batch_differential.cpp).
+// (batch_engine.cpp) so the victim scan is a branchless min over one array.
+// Everything else (dynamic partitions, marking, adaptive adversary streams)
+// keeps the scalar Simulator — which is also retained as the differential
+// oracle for the kernel (tests/core/test_batch_differential.cpp).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +33,7 @@
 
 namespace mcp {
 
-/// Eviction policies the batch engine can express with stamp lanes.
+/// Eviction policies the batch kernel can express with stamp arrays.
 enum class BatchPolicy : std::uint8_t { kLru, kFifo };
 
 /// Maps a policy display name to its batched counterpart.  Exact-name match
@@ -49,8 +47,7 @@ enum class BatchPolicy : std::uint8_t { kLru, kFifo };
 }
 
 /// Value-type description of a batchable strategy (no factories or virtual
-/// dispatch: a SimJob must be shippable to any worker and hashable into a
-/// lane header).
+/// dispatch: a SimJob must be shippable to any worker).
 struct BatchStrategySpec {
   enum class Kind : std::uint8_t { kShared, kStaticPartition };
 
@@ -68,7 +65,7 @@ struct BatchStrategySpec {
   }
 };
 
-/// One simulation cell, ready to run.  `requests` is borrowed: the caller
+/// One simulation job, ready to run.  `requests` is borrowed: the caller
 /// keeps the RequestSet alive until the run completes.
 struct SimJob {
   SimConfig config;
@@ -76,40 +73,35 @@ struct SimJob {
   BatchStrategySpec strategy;
 };
 
-/// Status of one cache slot lane entry.
+/// Status of one cache slot.
 enum class BatchSlotStatus : std::uint8_t { kFree = 0, kFetching, kPresent };
 
-/// Lifecycle of a lane.  load() lanes own their whole feed up front, so
-/// they are born kRunning with closed = true and can only move to kEnded.
-/// Cohort lanes (BatchEngine::init_cohort) mirror the RequestSource
-/// contract of core/simulator.hpp instead: a lane whose next ready core's
-/// cursor catches the buffered feed end parks (kStalled) mid-step and
-/// resumes bit-identically after the next refresh_lane(); once the feed is
-/// closed and every core drained it becomes kEnded and detach_lane()
-/// recycles the slot (kFree).
-enum class BatchLaneStatus : std::uint8_t {
-  kFree = 0,   ///< Detached cohort slot awaiting reuse.
-  kRunning,    ///< In the active list; stepped by round().
-  kStalled,    ///< Parked on an exhausted, unclosed feed.
-  kEnded,      ///< Every core served its last request (terminal).
-};
-
-/// Sentinel for page_slot lane entries: page not resident in this cell.
+/// Sentinel for page_slot entries: page not resident.
 inline constexpr std::uint32_t kNoBatchSlot =
     std::numeric_limits<std::uint32_t>::max();
 
-/// core_flags lane bits.
+/// core_flags bits.
 inline constexpr std::uint8_t kBatchCorePending = 0x1;  ///< has_pending
 inline constexpr std::uint8_t kBatchCoreDone = 0x2;     ///< sequence drained
 
-/// Per-cell header: immutable shape, CSR lane bases, and the mutable
-/// scalars that are one-per-cell rather than one-per-slot/core.
-struct BatchCell {
-  // Immutable shape (from SimJob).
-  std::uint32_t cache_size = 0;  ///< K: slots in [slot_base, slot_base+K)
-  std::uint32_t num_cores = 0;   ///< p: cores in [core_base, core_base+p)
-  std::uint32_t num_regions = 0;  ///< 1 (shared) or p (static partition)
-  std::uint32_t page_bound = 0;   ///< page ids < page_bound
+/// One job's state.  Invariants (enforced by BatchEngine::validate()):
+///  * regions' slot ranges tile [0, K) in region order, so a slot's owning
+///    region is implied by its index — the victim scan and the free stack
+///    of region r touch only [region_slot_base[r],
+///    region_slot_base[r] + region_size[r]);
+///  * page_slot and (slot_page, slot_status) are a bijection: a
+///    non-sentinel page_slot entry points at a non-free slot holding that
+///    page, and vice versa;
+///  * region r's free-stack segment holds exactly the region's free slots,
+///    once each;
+///  * in-flight entries are exactly the fetching slots;
+///  * region occupancy equals the count of non-free slots in its range;
+///  * a core is done only once the feed is closed, and a parked step
+///    (in_step) resumes at a live core whose cursor caught the feed end.
+struct BatchState {
+  // Immutable shape (from the job).
+  std::uint32_t cache_size = 0;  ///< K
+  std::uint32_t num_cores = 0;   ///< p
   Time tau = 0;
   Time max_steps = 0;
   SharedFetchMode mode = SharedFetchMode::kCountsAsFault;
@@ -117,63 +109,38 @@ struct BatchCell {
   BatchPolicy policy = BatchPolicy::kLru;
   bool record_timeline = true;
 
-  // CSR bases into the shared lanes (slot_base also indexes the free-stack
-  // and in-flight lanes, which are slot-capacity arrays).
-  std::size_t slot_base = 0;
-  std::size_t core_base = 0;
-  std::size_t region_base = 0;
-  std::size_t page_base = 0;
+  // Feed (BatchEngine::feed).
+  PageId page_bound = 0;  ///< Page ids < page_bound; page_slot covers them.
+  bool closed = false;    ///< No more requests will ever be appended.
 
-  // Mutable per-cell scalars.
+  // Mutable scalars.
   Time now = 0;
-  Time steps = 0;               ///< lockstep iterations this lane executed
+  Time steps = 0;               ///< step-loop iterations executed
   std::uint64_t stamp = 0;      ///< monotonic recency/insertion counter
   std::uint32_t active_cores = 0;
-  std::uint32_t fetching = 0;   ///< live entries in the in-flight lane
+  std::uint32_t fetching = 0;   ///< live entries in `inflight`
 
-  // Lane lifecycle (BatchLaneStatus).  The stall fields mirror SimSession's
-  // mid-step suspension: a step's preamble (fetch landing, step count) runs
+  // Mid-step stall: a step's preamble (fetch landing, step count) runs
   // once, cores before resume_core are already served, and the folded
   // fast-forward min accumulated so far is parked in next_time_partial.
-  BatchLaneStatus status = BatchLaneStatus::kRunning;
-  bool closed = true;           ///< No more requests will ever be appended.
-  bool in_step = false;         ///< Parked mid-step; resume at resume_core.
+  bool in_step = false;
   std::uint32_t resume_core = 0;
   Time next_time_partial = 0;
-};
 
-/// The flat lanes.  Invariants (enforced by BatchEngine::validate()):
-///  * cells' lane slices are contiguous, ascending and non-overlapping;
-///  * regions' slot ranges tile the cell's slot range in region order, so a
-///    slot's owning region is implied by its index — the victim scan and the
-///    free stack of region r touch only [region_slot_base[r],
-///    region_slot_base[r] + region_size[r]);
-///  * page_slot and (slot_page, slot_status) are a bijection per cell: a
-///    non-sentinel page_slot entry points into its own cell's slot range at
-///    a non-free slot holding that page, and vice versa;
-///  * region r's free-stack segment holds exactly the region's free slots,
-///    once each;
-///  * in-flight entries are exactly the cell's fetching slots;
-///  * region occupancy equals the count of non-free slots in the region's
-///    slot range.
-struct BatchState {
-  std::vector<BatchCell> cells;
-
-  // Slot lanes (size = sum of cache sizes).
+  // Slot arrays (size K).
   std::vector<PageId> slot_page;
   std::vector<BatchSlotStatus> slot_status;
   std::vector<Time> slot_ready;             ///< fetch completion time
   std::vector<std::uint64_t> slot_stamp;    ///< eviction key: stamp, tagged
                                             ///< while fetching/free
-  std::vector<std::uint32_t> free_stack;    ///< absolute slot ids, segmented
-                                            ///< per region like the slots
-  std::vector<std::uint32_t> inflight;      ///< absolute slot ids
+  std::vector<std::uint32_t> free_stack;    ///< slot ids, segmented per
+                                            ///< region like the slots
+  std::vector<std::uint32_t> inflight;      ///< slot ids
 
-  // Page-index lane (size = sum of page bounds): absolute slot id or
-  // kNoBatchSlot.
+  // Page index (size >= page_bound): slot id or kNoBatchSlot.
   std::vector<std::uint32_t> page_slot;
 
-  // Core lanes (size = sum of core counts).
+  // Core arrays (size p).
   std::vector<Time> core_ready;
   std::vector<Time> core_finish;            ///< last request's finish time
   std::vector<const PageId*> core_seq;
@@ -182,33 +149,11 @@ struct BatchState {
   std::vector<PageId> core_pending;
   std::vector<std::uint8_t> core_flags;
 
-  // Region lanes (size = sum of region counts).
+  // Region arrays (size 1 for shared, p for static partitions).
   std::vector<std::uint32_t> region_size;
   std::vector<std::uint32_t> region_occ;       ///< present + fetching slots
-  std::vector<std::uint32_t> region_slot_base; ///< absolute first slot id
+  std::vector<std::uint32_t> region_slot_base; ///< first slot id
   std::vector<std::uint32_t> region_free_top;  ///< live free-stack entries
-
-  void clear() {
-    cells.clear();
-    slot_page.clear();
-    slot_status.clear();
-    slot_ready.clear();
-    slot_stamp.clear();
-    free_stack.clear();
-    inflight.clear();
-    page_slot.clear();
-    core_ready.clear();
-    core_finish.clear();
-    core_seq.clear();
-    core_len.clear();
-    core_next.clear();
-    core_pending.clear();
-    core_flags.clear();
-    region_size.clear();
-    region_occ.clear();
-    region_slot_base.clear();
-    region_free_top.clear();
-  }
 };
 
 }  // namespace mcp

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
+#include "core/cache_state.hpp"
 #include "core/error.hpp"
 #include "core/sentry.hpp"
 
@@ -10,66 +12,69 @@ namespace mcp {
 
 namespace {
 
-const SimConfig& validated(const SimConfig& config) {
-  MCP_REQUIRE(config.cache_size > 0, "SimConfig.cache_size must be positive");
-  return config;
-}
-
-/// Adapts a (blocking, possibly adaptive) RequestStream to the incremental
-/// RequestSource contract; such a stream never stalls.
-class StreamSource final : public RequestSource {
+/// One run of the step loop: the state a Simulator::run_stream call owns
+/// for its duration.
+class Run {
  public:
-  explicit StreamSource(RequestStream& stream) : stream_(&stream) {}
-
-  [[nodiscard]] std::size_t num_cores() const override {
-    return stream_->num_cores();
-  }
-
-  PullStatus pull(CoreId core, PageId& page) override {
-    const std::optional<PageId> next = stream_->next(core);
-    if (!next.has_value()) return PullStatus::kEnded;
-    page = *next;
-    return PullStatus::kReady;
-  }
-
- private:
-  RequestStream* stream_;
-};
-
-}  // namespace
-
-SimSession::SimSession(const SimConfig& config, std::size_t num_cores,
-                       CacheStrategy& strategy,
-                       const RequestSet* offline_info,
-                       std::span<SimObserver* const> observers)
-    : config_(validated(config)),
-      strategy_(&strategy),
-      observers_(observers.begin(), observers.end()),
-      cache_(config.cache_size),
-      stats_(num_cores),
-      cores_(num_cores),
-      active_(num_cores) {
-  MCP_REQUIRE(num_cores > 0, "request stream has no cores");
-  strategy_->attach(config_, num_cores, offline_info);
-  if (offline_info != nullptr) {
-    cache_.reserve_universe(offline_info->page_bound());
-    if (config_.record_fault_timeline) {
-      // Worst case every request faults; one reserve beats per-fault growth.
-      for (CoreId j = 0; j < num_cores; ++j) {
-        stats_.core(j).fault_times.reserve(offline_info->sequence(j).size());
+  Run(const SimConfig& config, std::size_t num_cores, CacheStrategy& strategy,
+      const RequestSet* offline_info, std::span<SimObserver* const> observers)
+      : config_(config),
+        strategy_(&strategy),
+        observers_(observers),
+        cache_(config.cache_size),
+        stats_(num_cores),
+        cores_(num_cores),
+        active_(num_cores) {
+    MCP_REQUIRE(num_cores > 0, "request stream has no cores");
+    strategy_->attach(config_, num_cores, offline_info);
+    if (offline_info != nullptr) {
+      cache_.reserve_universe(offline_info->page_bound());
+      if (config_.record_fault_timeline) {
+        // Worst case every request faults; one reserve beats per-fault growth.
+        for (CoreId j = 0; j < num_cores; ++j) {
+          stats_.core(j).fault_times.reserve(offline_info->sequence(j).size());
+        }
       }
     }
   }
-}
 
-RunStats SimSession::take_stats() {
-  MCP_REQUIRE(finished_, "SimSession::take_stats before the session finished");
-  return std::move(stats_);
-}
+  RunStats execute(RequestStream& stream);
 
-void SimSession::apply_evictions(const std::vector<PageId>& victims,
-                                 PageId incoming, CoreId cause_core, Time now,
-                                 EvictionCause cause) {
+ private:
+  struct CoreRuntime {
+    Time ready_at = 0;        ///< Earliest step the next request can issue.
+    Time last_finish = 0;     ///< Service-completion time of the last request.
+    std::size_t issued = 0;   ///< Requests issued so far (seq_index of next).
+    bool has_pending = false; ///< A request was pulled but not yet served.
+    PageId pending = kInvalidPage;
+    bool done = false;
+  };
+
+  void serve_request(CoreId core, PageId page, Time now, CoreRuntime& runtime);
+  void apply_evictions(const std::vector<PageId>& victims, PageId incoming,
+                       CoreId cause_core, Time now, EvictionCause cause);
+
+  template <typename Fn>
+  void notify(Fn&& fn) {
+    for (SimObserver* obs : observers_) fn(*obs);
+  }
+
+  const SimConfig& config_;
+  CacheStrategy* strategy_;
+  std::span<SimObserver* const> observers_;
+  CacheState cache_;
+  RunStats stats_;
+  std::vector<CoreRuntime> cores_;
+  std::size_t active_;
+  // Reusable eviction scratch buffers (the allocation-free step-loop
+  // contract): cleared before every strategy call, never reallocated after
+  // the first few faults.
+  std::vector<PageId> fault_evictions_;
+  std::vector<PageId> voluntary_evictions_;
+};
+
+void Run::apply_evictions(const std::vector<PageId>& victims, PageId incoming,
+                          CoreId cause_core, Time now, EvictionCause cause) {
   // Duplicate detection by linear scan over the already-validated prefix:
   // victims are almost always 0 or 1 pages, so this beats building a hash
   // set per fault.
@@ -87,8 +92,8 @@ void SimSession::apply_evictions(const std::vector<PageId>& victims,
   }
 }
 
-void SimSession::serve_request(CoreId core, PageId page, Time now,
-                               CoreRuntime& runtime) {
+void Run::serve_request(CoreId core, PageId page, Time now,
+                        CoreRuntime& runtime) {
   const AccessContext ctx{core, page, now, runtime.issued};
   CoreStats& cstats = stats_.core(core);
   const bool observed = !observers_.empty();
@@ -151,74 +156,59 @@ void SimSession::serve_request(CoreId core, PageId page, Time now,
   runtime.has_pending = false;
 }
 
-bool SimSession::advance(RequestSource& source) {
+RunStats Run::execute(RequestStream& stream) {
   const std::size_t p = cores_.size();
-  MCP_REQUIRE(source.num_cores() == p,
-              "request source core count does not match the session");
-  if (finished_) return true;
   const bool observed = !observers_.empty();
   constexpr Time kMaxStalledSteps = 1 << 20;
+  Time now = 0;
+  Time steps = 0;
+  Time stalled_steps = 0;
 
   while (active_ > 0) {
-    if (!in_step_) {
-      ++steps_;
-      stats_.sim_steps = steps_;
-      if (config_.max_steps != 0 && steps_ > config_.max_steps) {
-        throw ModelError("simulation exceeded SimConfig.max_steps");
-      }
+    ++steps;
+    stats_.sim_steps = steps;
+    if (config_.max_steps != 0 && steps > config_.max_steps) {
+      throw ModelError("simulation exceeded SimConfig.max_steps");
     }
 
     // Allocation sentry: past warm-up, the whole step — engine bookkeeping
     // and strategy callbacks alike — must not touch the heap (§8 claim).
-    // On a resume the guard covers the remainder of the suspended step.
     std::optional<AllocGuard> step_guard;
     if (config_.alloc_guard_after_step != 0 &&
-        steps_ > config_.alloc_guard_after_step) {
+        steps > config_.alloc_guard_after_step) {
       step_guard.emplace("simulator step loop");
     }
 
-    if (!in_step_) {
-      if (observed) notify([&](SimObserver& obs) { obs.on_step_begin(now_); });
+    if (observed) notify([&](SimObserver& obs) { obs.on_step_begin(now); });
 
-      // 1. Land fetches due now, before any request is served this step.
-      for (PageId page : cache_.complete_fetches(now_)) {
-        const CellInfo* info = cache_.find(page);
-        const CoreId by = info != nullptr ? info->fetched_by : kInvalidCore;
-        strategy_->on_fetch_complete(page, by, now_);
-        if (observed) {
-          notify([&](SimObserver& obs) { obs.on_fetch_complete(page, by, now_); });
-        }
+    // 1. Land fetches due now, before any request is served this step.
+    for (PageId page : cache_.complete_fetches(now)) {
+      const CellInfo* info = cache_.find(page);
+      const CoreId by = info != nullptr ? info->fetched_by : kInvalidCore;
+      strategy_->on_fetch_complete(page, by, now);
+      if (observed) {
+        notify([&](SimObserver& obs) { obs.on_fetch_complete(page, by, now); });
       }
-
-      // 2. Voluntary evictions (dynamic-partition shrinks, dishonest moves).
-      voluntary_evictions_.clear();
-      strategy_->on_step_begin(now_, cache_, voluntary_evictions_);
-      apply_evictions(voluntary_evictions_, kInvalidPage, kInvalidCore, now_,
-                      EvictionCause::kVoluntary);
-
-      in_step_ = true;
-      resume_core_ = 0;
-      any_deferred_ = false;
-      any_served_ = false;
     }
 
-    // 3. Serve ready cores in logical (increasing id) order.  On a stall the
-    //    session parks right here: earlier cores of this step are served,
-    //    the stalled core is re-pulled on the next advance().
-    for (CoreId core = resume_core_; core < p; ++core) {
+    // 2. Voluntary evictions (dynamic-partition shrinks, dishonest moves).
+    voluntary_evictions_.clear();
+    strategy_->on_step_begin(now, cache_, voluntary_evictions_);
+    apply_evictions(voluntary_evictions_, kInvalidPage, kInvalidCore, now,
+                    EvictionCause::kVoluntary);
+
+    // 3. Serve ready cores in logical (increasing id) order.
+    bool any_deferred = false;
+    bool any_served = false;
+    for (CoreId core = 0; core < p; ++core) {
       CoreRuntime& rt = cores_[core];
-      if (rt.done || rt.ready_at > now_) continue;
+      if (rt.done || rt.ready_at > now) continue;
       if (!rt.has_pending) {
-        PageId page = kInvalidPage;
-        const PullStatus status = source.pull(core, page);
-        if (status == PullStatus::kStalled) {
-          resume_core_ = core;
-          return false;
-        }
-        if (status == PullStatus::kEnded) {
+        const std::optional<PageId> next = stream.next(core);
+        if (!next.has_value()) {
           rt.done = true;
           stats_.core(core).completion_time = rt.last_finish;
-          strategy_->on_core_done(core, now_);
+          strategy_->on_core_done(core, now);
           if (observed) {
             notify([&](SimObserver& obs) { obs.on_core_done(core, rt.last_finish); });
           }
@@ -226,40 +216,38 @@ bool SimSession::advance(RequestSource& source) {
           continue;
         }
         rt.has_pending = true;
-        rt.pending = page;
+        rt.pending = *next;
       }
-      const AccessContext ctx{core, rt.pending, now_, rt.issued};
+      const AccessContext ctx{core, rt.pending, now, rt.issued};
       if (strategy_->defer_request(ctx, cache_)) {
-        any_deferred_ = true;  // postponed; the core stays ready next step
+        any_deferred = true;  // postponed; the core stays ready next step
         continue;
       }
-      any_served_ = true;
-      serve_request(core, rt.pending, now_, rt);
+      any_served = true;
+      serve_request(core, rt.pending, now, rt);
     }
 
-    if (observed) notify([&](SimObserver& obs) { obs.on_step_end(now_); });
+    if (observed) notify([&](SimObserver& obs) { obs.on_step_end(now); });
 
     // Checked builds revalidate the cache's deep structural invariants at
     // every step boundary (validators carry their own AllocAllow).
     MCP_CHECKED_ONLY(cache_.validate());
 
-    in_step_ = false;
-
     if (active_ == 0) {
-      stats_.end_time = now_;
+      stats_.end_time = now;
       break;
     }
 
     // Deferrals with nothing in flight and nothing served make no progress.
     // Tolerate bounded idle waiting (a strategy may stall until a target
     // time), but call a persistent stall what it is: livelock.
-    if (any_deferred_ && !any_served_ && cache_.fetching_count() == 0) {
-      if (++stalled_steps_ > kMaxStalledSteps) {
+    if (any_deferred && !any_served && cache_.fetching_count() == 0) {
+      if (++stalled_steps > kMaxStalledSteps) {
         throw ModelError("strategy deferred every serviceable request with "
                          "nothing in flight for too long (livelock)");
       }
     } else {
-      stalled_steps_ = 0;
+      stalled_steps = 0;
     }
 
     // 4. Advance time; fast-forward over steps where no core can act —
@@ -269,12 +257,12 @@ bool SimSession::advance(RequestSource& source) {
       if (!rt.done) next_time = std::min(next_time, rt.ready_at);
     }
     MCP_ASSERT(next_time != kTimeNever);
-    now_ = any_deferred_ ? now_ + 1 : std::max(now_ + 1, next_time);
+    now = any_deferred ? now + 1 : std::max(now + 1, next_time);
   }
-
-  finished_ = true;
-  return true;
+  return std::move(stats_);
 }
+
+}  // namespace
 
 Simulator::Simulator(SimConfig config) : config_(config) {
   MCP_REQUIRE(config_.cache_size > 0, "SimConfig.cache_size must be positive");
@@ -299,13 +287,11 @@ RunStats Simulator::run_stream(RequestStream& stream, CacheStrategy& strategy,
   active_observers_.insert(active_observers_.end(), observers_.begin(),
                            observers_.end());
 
-  StreamSource source(stream);
-  SimSession session(config_, stream.num_cores(), strategy, offline_info,
-                     active_observers_);
-  const bool done = session.advance(source);
-  MCP_ASSERT(done);  // a RequestStream never stalls
+  Run run(config_, stream.num_cores(), strategy, offline_info,
+          active_observers_);
+  RunStats stats = run.execute(stream);
   active_observers_.clear();
-  return session.take_stats();
+  return stats;
 }
 
 RunStats simulate(const SimConfig& config, const RequestSet& requests,

@@ -18,10 +18,8 @@
 // accounting.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "core/cache_state.hpp"
 #include "core/events.hpp"
 #include "core/request.hpp"
 #include "core/stats.hpp"
@@ -30,106 +28,6 @@
 #include "core/types.hpp"
 
 namespace mcp {
-
-/// Result of one incremental request pull (RequestSource::pull).
-enum class PullStatus {
-  kReady,    ///< `page` was filled; the request is consumed.
-  kEnded,    ///< The core's sequence is complete (permanent).
-  kStalled,  ///< Not available *yet*; retry after more input arrives.
-};
-
-/// Incremental pull interface for sessions whose input arrives over time
-/// (the mcpd service layer feeds request chunks as clients send them).
-/// Unlike RequestStream, a source may answer "not yet": the session then
-/// suspends exactly where it is — mid-step, before the stalled core — and
-/// resumes bit-identically once data shows up, so a chunked feed produces
-/// the same run as a materialized trace.
-class RequestSource {
- public:
-  virtual ~RequestSource() = default;
-
-  [[nodiscard]] virtual std::size_t num_cores() const = 0;
-  /// Pulls core `core`'s next request.  kReady consumes it (never re-asked);
-  /// kStalled leaves it pending (the same position is re-pulled later).
-  virtual PullStatus pull(CoreId core, PageId& page) = 0;
-};
-
-/// A resumable simulation: the run_stream step loop of the Simulator, made
-/// suspendable at request-pull boundaries.  This is the engine behind both
-/// Simulator::run_stream (which drives it to completion in one advance())
-/// and the mcpd service sessions (which advance() after every ingested
-/// chunk).  Because both paths execute this one loop, a daemon session's
-/// fault accounting is bit-identical to a direct library run by
-/// construction — the shard-determinism contract of docs/MCPD.md.
-///
-/// Suspension semantics: the model serves all ready cores of a timestep in
-/// increasing core order, and online strategies must never observe a later
-/// same-step request before an earlier one.  advance() therefore stalls the
-/// *whole session* the moment the next ready core's request is unavailable,
-/// remembering its mid-step position; earlier cores of that step are
-/// already served and are not re-served on resume.
-class SimSession {
- public:
-  /// Sets up the run and calls strategy.attach (exactly as a Simulator run
-  /// would).  `observers` are not owned and must outlive the session.
-  SimSession(const SimConfig& config, std::size_t num_cores,
-             CacheStrategy& strategy, const RequestSet* offline_info = nullptr,
-             std::span<SimObserver* const> observers = {});
-
-  /// Steps until every core ended (returns true; the session is finished
-  /// and stats() is final) or some ready core's pull stalled (returns
-  /// false; call advance() again once the source has more data).
-  bool advance(RequestSource& source);
-
-  [[nodiscard]] bool finished() const noexcept { return finished_; }
-  /// Live statistics: counts cover exactly the requests served so far.
-  [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
-  /// Moves the final statistics out; requires finished().
-  [[nodiscard]] RunStats take_stats();
-  /// The current simulated timestep.
-  [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-
- private:
-  struct CoreRuntime {
-    Time ready_at = 0;        ///< Earliest step the next request can issue.
-    Time last_finish = 0;     ///< Service-completion time of the last request.
-    std::size_t issued = 0;   ///< Requests issued so far (seq_index of next).
-    bool has_pending = false; ///< A request was pulled but not yet served.
-    PageId pending = kInvalidPage;
-    bool done = false;
-  };
-
-  void serve_request(CoreId core, PageId page, Time now, CoreRuntime& runtime);
-  void apply_evictions(const std::vector<PageId>& victims, PageId incoming,
-                       CoreId cause_core, Time now, EvictionCause cause);
-
-  template <typename Fn>
-  void notify(Fn&& fn) {
-    for (SimObserver* obs : observers_) fn(*obs);
-  }
-
-  SimConfig config_;
-  CacheStrategy* strategy_;
-  std::vector<SimObserver*> observers_;
-  CacheState cache_;
-  RunStats stats_;
-  std::vector<CoreRuntime> cores_;
-  std::size_t active_;
-  Time now_ = 0;
-  Time steps_ = 0;
-  Time stalled_steps_ = 0;
-  CoreId resume_core_ = 0;   ///< Mid-step resume position (valid iff in_step_).
-  bool in_step_ = false;     ///< Step preamble for now_ already executed.
-  bool any_deferred_ = false;
-  bool any_served_ = false;
-  bool finished_ = false;
-  // Reusable eviction scratch buffers (the allocation-free step-loop
-  // contract): cleared before every strategy call, never reallocated after
-  // the first few faults.
-  std::vector<PageId> fault_evictions_;
-  std::vector<PageId> voluntary_evictions_;
-};
 
 class Simulator {
  public:

@@ -40,10 +40,6 @@ namespace mcp {
 
 struct SimJob;  // core/batch_state.hpp
 
-/// Default lanes per batch for run_jobs: wide enough to amortize the batch
-/// load, small enough that a sweep still spreads across pool workers.
-inline constexpr std::size_t kDefaultBatchWidth = 64;
-
 struct SweepOptions {
   /// Root of every cell's RNG stream; two sweeps with equal seeds and equal
   /// cell functions produce equal results.
@@ -104,17 +100,13 @@ class SweepRunner {
     return results;
   }
 
-  /// Executes pre-materialized simulation jobs through the batched lockstep
-  /// engine (core/batch_engine.hpp), `batch_width` lanes per batch, batches
-  /// dispatched over the shared pool.  Results are bit-identical to running
+  /// Executes pre-materialized simulation jobs through the batch kernel
+  /// (core/batch_engine.hpp), one kernel per job, jobs dispatched over the
+  /// shared pool like run()'s cells.  Results are bit-identical to running
   /// each job through mcp::Simulator with the matching strategy object, for
-  /// any worker count AND any batch width: lanes are fully independent and
-  /// each batch writes only its own contiguous slice of the result vector.
-  /// Jobs draw no randomness, so the master seed plays no role here.
-  /// Records last_timing() like run().  Defined in batch_engine.cpp.
-  [[nodiscard]] std::vector<RunStats> run_jobs(
-      std::span<const SimJob> jobs,
-      std::size_t batch_width = kDefaultBatchWidth);
+  /// any worker count.  Records last_timing() like run().  Defined in
+  /// batch_engine.cpp.
+  [[nodiscard]] std::vector<RunStats> run_jobs(std::span<const SimJob> jobs);
 
   [[nodiscard]] const SweepOptions& options() const noexcept { return options_; }
   /// Timing of the most recent run() (zeroed cells before the first run).

@@ -86,8 +86,8 @@ CompetitiveReport measure_competitive_ratio(const BatchStrategySpec& strategy,
         return tc;
       });
 
-  // Phase 2: simulate the strategy on every nonempty instance as lockstep
-  // lanes.  Jobs are built in trial order, so the reduction below walks the
+  // Phase 2: simulate the strategy on every nonempty instance on the batch
+  // kernel.  Jobs are built in trial order, so the reduction below walks the
   // same order as the scalar overload's — bit-identical report.
   std::vector<SimJob> jobs;
   std::vector<std::size_t> trial_of_job;

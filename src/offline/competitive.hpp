@@ -46,10 +46,10 @@ struct CompetitiveReport {
     std::size_t trials);
 
 /// Batched variant: the strategy under test is a BatchStrategySpec, so the
-/// per-trial simulations run as lockstep lanes through the batch engine
-/// (SweepRunner::run_jobs) after the generate + exact-solve phase sweeps on
-/// the pool.  Bit-identical report to the StrategyFactory overload with the
-/// matching strategy object (same trial order in every reduction).  A
+/// per-trial simulations run on the batch kernel (SweepRunner::run_jobs)
+/// after the generate + exact-solve phase sweeps on the pool.
+/// Bit-identical report to the StrategyFactory overload with the matching
+/// strategy object (same trial order in every reduction).  A
 /// static-partition spec requires every generated instance to match its
 /// core count and cache size.
 [[nodiscard]] CompetitiveReport measure_competitive_ratio(

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
+#include "core/thread_pool.hpp"
 #include "core/sentry.hpp"
 
 namespace mcp {
@@ -104,7 +104,7 @@ std::vector<std::vector<Count>> lru_fault_curve_batch(
   std::vector<std::vector<Count>> curves(p);
   const std::size_t chunks =
       (p + kMattsonChunkCores - 1) / kMattsonChunkCores;
-  parallel_for(chunks, [&](std::size_t c) {
+  ThreadPool::global().run_indexed(chunks, [&](std::size_t c) {
     const std::size_t end = std::min(p, (c + 1) * kMattsonChunkCores);
     for (std::size_t j = c * kMattsonChunkCores; j < end; ++j) {
       curves[j] = lru_fault_curve(requests.sequence(static_cast<CoreId>(j)),

@@ -50,8 +50,8 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
   MCP_REQUIRE(config.tenants > 0, "loadgen: need at least one tenant");
   MCP_REQUIRE(config.producers > 0, "loadgen: need at least one producer");
 
-  // Tenant t's session parameters: the homogeneous mix is one cohort per
-  // shard, the mixed mix cycles every wire strategy (several cohorts).
+  // Tenant t's session parameters: the homogeneous mix shares one set, the
+  // mixed mix cycles every wire strategy.
   static constexpr wire::StrategyKind kStrategyCycle[] = {
       wire::StrategyKind::kSharedLru, wire::StrategyKind::kStaticEvenLru,
       wire::StrategyKind::kSharedFifo, wire::StrategyKind::kStaticEvenFifo};
@@ -75,7 +75,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
   core_model.working_set = std::max<std::size_t>(4, config.cache_size /
                                                         config.cores_per_tenant);
   if (config.mix == TenantMix::kHomogeneous) {
-    // The cohort scenario models correctly-provisioned identical tenants:
+    // The homogeneous scenario models correctly-provisioned identical tenants:
     // each core's page universe is exactly its cache share, so past the
     // cold misses the daemon runs at an advisory service's design-point
     // hit rate.  The mixed replay keeps the oversubscribed shape (a
@@ -100,7 +100,6 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
 
   McpdConfig daemon_config;
   daemon_config.num_shards = config.num_shards;
-  daemon_config.enable_batching = config.enable_batching;
   Mcpd daemon(daemon_config);
 
   // Producers own disjoint tenant slices; each submits its documents, then
@@ -161,7 +160,6 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
     result.epochs += stats.epochs;
     result.bad_frames += stats.bad_frames;
     result.batched_sessions += stats.batched_sessions;
-    result.scalar_sessions += stats.scalar_sessions;
     result.lane_steps += stats.lane_steps;
     result.answer_ns += stats.answer_ns;
     result.epoch_latency.merge(stats.epoch_latency);

@@ -5,10 +5,10 @@
 // Tenant documents (open + interleaved request chunks + close + one
 // fault-count query) are pre-encoded outside the timed region, so the
 // measurement covers exactly the daemon path: submit -> shard ingress ->
-// session stepping (cohort lanes or scalar SimSession, see TenantMix and
-// LoadgenConfig::enable_batching) -> response publish.  `producers` client
-// threads submit concurrently, exercising the multi-producer side of the
-// ingress queue, then block until every tenant's reply arrives.
+// session stepping (one batch kernel per session) -> response publish.
+// `producers` client threads submit concurrently, exercising the
+// multi-producer side of the ingress queue, then block until every tenant's
+// reply arrives.
 //
 // Two throughput figures are reported (docs/MCPD.md "Measuring on one
 // CPU"):
@@ -39,11 +39,11 @@ namespace mcp::service {
 
 /// Tenant composition of a loadgen pass.
 enum class TenantMix {
-  /// Tenants cycle through all four wire strategies — several cohorts per
-  /// shard, the representative multi-tenant replay.
+  /// Tenants cycle through all four wire strategies over an oversubscribed
+  /// page universe — the representative multi-tenant replay.
   kMixed,
-  /// Every tenant shares LoadgenConfig::strategy and parameters — one
-  /// cohort per shard, the shape the batched path is built for.
+  /// Every tenant shares LoadgenConfig::strategy and parameters, with each
+  /// core's page universe fitted to its cache share.
   kHomogeneous,
 };
 
@@ -59,7 +59,6 @@ struct LoadgenConfig {
   std::size_t chunk_pairs = 256;    ///< Pairs per kRequestChunk frame.
   wire::StrategyKind strategy = wire::StrategyKind::kSharedLru;
   TenantMix mix = TenantMix::kMixed;
-  bool enable_batching = true;      ///< McpdConfig::enable_batching.
   std::uint64_t seed = 0x10adULL;
 };
 
@@ -73,9 +72,8 @@ struct LoadgenResult {
   std::uint64_t total_faults = 0;   ///< Determinism checksum.
   std::uint64_t epochs = 0;
   std::uint64_t bad_frames = 0;
-  std::uint64_t batched_sessions = 0;  ///< Sessions served by cohort lanes.
-  std::uint64_t scalar_sessions = 0;   ///< Sessions served by SimSession.
-  std::uint64_t lane_steps = 0;        ///< Cohort lockstep iterations.
+  std::uint64_t batched_sessions = 0;  ///< Sessions opened (each on a kernel).
+  std::uint64_t lane_steps = 0;        ///< Kernel step-loop iterations.
   std::uint64_t answer_ns = 0;         ///< Shard CPU ns building replies.
   LatencyHistogram epoch_latency;   ///< Wall ns per shard epoch, merged.
 };

@@ -12,14 +12,10 @@
 // (rep r of every scenario runs back-to-back) so machine-speed drift
 // lands on both sides of any cross-scenario ratio, not on one scenario's
 // whole sample set.  The default scenario, `mcpd_loadgen`, is
-// the mixed-strategy replay (batching on).  `--homogeneous` adds two more:
-// `mcpd_homogeneous` (identical tenants, batching on — the cohort
-// scheduler's best case) and `mcpd_homogeneous_scalar` (same tenants,
-// batching off — the scalar baseline the ≥3x acceptance gate compares
-// against).  The determinism checksum (total_faults) must agree across all
-// runs and shard counts of a tenant mix — in particular the batched and
-// scalar homogeneous scenarios must agree with each other, which is a
-// built-in batched-vs-scalar differential; the tool fails loudly if not.
+// the mixed-strategy replay.  `--homogeneous` adds `mcpd_homogeneous`
+// (identical tenants on a fitted page universe, the design-point hit rate).
+// The determinism checksum (total_faults) must agree across all runs and
+// shard counts of a tenant mix; the tool fails loudly if not.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -68,11 +64,10 @@ using mcp::service::TenantMix;
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-/// One benchmark scenario: a named (tenant mix, batching) combination.
+/// One benchmark scenario: a named tenant mix.
 struct Scenario {
   const char* name;
   TenantMix mix;
-  bool batching;
 };
 
 void print_entry(bool first, const Scenario& scenario, std::size_t shards,
@@ -96,8 +91,6 @@ void print_entry(bool first, const Scenario& scenario, std::size_t shards,
   std::printf("      \"epoch_p99_ns\": %.6e,\n", p99_ns);
   std::printf("      \"batched_sessions\": %llu,\n",
               static_cast<unsigned long long>(last.batched_sessions));
-  std::printf("      \"scalar_sessions\": %llu,\n",
-              static_cast<unsigned long long>(last.scalar_sessions));
   std::printf("      \"lane_steps\": %llu,\n",
               static_cast<unsigned long long>(last.lane_steps));
   std::printf("      \"answer_ns\": %llu,\n",
@@ -150,12 +143,9 @@ int main(int argc, char** argv) {
   }
   if (repetitions == 0) repetitions = 1;
 
-  std::vector<Scenario> scenarios = {
-      {"mcpd_loadgen", TenantMix::kMixed, true}};
+  std::vector<Scenario> scenarios = {{"mcpd_loadgen", TenantMix::kMixed}};
   if (homogeneous) {
-    scenarios.push_back({"mcpd_homogeneous", TenantMix::kHomogeneous, true});
-    scenarios.push_back(
-        {"mcpd_homogeneous_scalar", TenantMix::kHomogeneous, false});
+    scenarios.push_back({"mcpd_homogeneous", TenantMix::kHomogeneous});
   }
 
   std::printf("{\n  \"context\": {\n");
@@ -169,15 +159,15 @@ int main(int argc, char** argv) {
   std::printf("  },\n  \"benchmarks\": [\n");
 
   // One checksum per tenant mix: every run of a mix — any shard count, any
-  // repetition, batched or scalar — must produce identical total faults.
+  // repetition — must produce identical total faults.
   std::uint64_t checksum[2] = {0, 0};
   bool have_checksum[2] = {false, false};
 
   // Repetitions are the outer loop and scenarios the inner one, so rep r
   // of every scenario runs back-to-back: a machine-speed drift (thermal
   // throttle, co-tenant burst) lands on the same repetition of both sides
-  // of a ratio — in particular the batched/scalar homogeneous pair —
-  // instead of depressing one scenario's whole sample set.
+  // of a cross-scenario ratio instead of depressing one scenario's whole
+  // sample set.
   struct Samples {
     std::vector<double> wall, rps, capacity, p50, p99;
     LoadgenResult last;
@@ -191,7 +181,6 @@ int main(int argc, char** argv) {
         LoadgenConfig config = base;
         config.num_shards = shard_counts[si];
         config.mix = scenario.mix;
-        config.enable_batching = scenario.batching;
         LoadgenResult result;
         try {
           result = mcp::service::run_loadgen(config);

@@ -7,17 +7,16 @@
 #include <bit>
 #include <chrono>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "core/batch_engine.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "policies/mattson.hpp"
-#include "policies/policy_registry.hpp"
 #include "strategies/partition.hpp"
 #include "strategies/partition_search.hpp"
-#include "strategies/shared.hpp"
-#include "strategies/static_partition.hpp"
 
 namespace mcp::service {
 
@@ -40,35 +39,9 @@ constexpr std::uint32_t kMaxCurveK = 1u << 16;
           .count());
 }
 
-[[nodiscard]] std::unique_ptr<CacheStrategy> make_strategy(
-    const wire::SessionParams& params) {
-  const bool lru = params.strategy == wire::StrategyKind::kSharedLru ||
-                   params.strategy == wire::StrategyKind::kStaticEvenLru;
-  PolicyFactory factory = make_policy_factory(lru ? "lru" : "fifo");
-  switch (params.strategy) {
-    case wire::StrategyKind::kSharedLru:
-    case wire::StrategyKind::kSharedFifo:
-      return std::make_unique<SharedStrategy>(std::move(factory));
-    case wire::StrategyKind::kStaticEvenLru:
-    case wire::StrategyKind::kStaticEvenFifo:
-      if (params.cache_size < params.num_cores) {
-        throw InputError(
-            "mcpd: static partition session needs cache_size >= num_cores");
-      }
-      return std::make_unique<StaticPartitionStrategy>(
-          even_partition(params.cache_size, params.num_cores),
-          std::move(factory));
-  }
-  throw InputError("mcpd: unknown strategy kind");
-}
-
-/// The batched counterpart of make_strategy.  nullopt means the params are
-/// valid but only the scalar path may serve them: a shared cache smaller
-/// than the core count can legitimately abort with "no evictable page"
-/// (every slot reserved), and that must fail one session, never a cohort.
-/// Invalid params (static partition with K < p, unknown kind) throw the
-/// same InputError the scalar constructor would.
-[[nodiscard]] std::optional<BatchStrategySpec> batchable_spec(
+/// The kernel strategy a session's wire StrategyKind names.  Static
+/// partitions need at least one cell per core.
+[[nodiscard]] BatchStrategySpec strategy_spec(
     const wire::SessionParams& params) {
   const bool lru = params.strategy == wire::StrategyKind::kSharedLru ||
                    params.strategy == wire::StrategyKind::kStaticEvenLru;
@@ -76,7 +49,6 @@ constexpr std::uint32_t kMaxCurveK = 1u << 16;
   switch (params.strategy) {
     case wire::StrategyKind::kSharedLru:
     case wire::StrategyKind::kSharedFifo:
-      if (params.cache_size < params.num_cores) return std::nullopt;
       return BatchStrategySpec::shared(policy);
     case wire::StrategyKind::kStaticEvenLru:
     case wire::StrategyKind::kStaticEvenFifo:
@@ -90,45 +62,16 @@ constexpr std::uint32_t kMaxCurveK = 1u << 16;
   throw InputError("mcpd: unknown strategy kind");
 }
 
+/// Every session simulates with no step limit and no fault timeline.
+[[nodiscard]] SimConfig session_config(const wire::SessionParams& params) {
+  SimConfig config;
+  config.cache_size = params.cache_size;
+  config.fault_penalty = params.fault_penalty;
+  config.record_fault_timeline = false;
+  return config;
+}
+
 }  // namespace
-
-// --- Cohorts ----------------------------------------------------------------
-
-/// Grouping key for batchable sessions: every wire parameter that shapes
-/// the simulation.  (Shared-fetch mode is not on the wire — every daemon
-/// session runs the default kCountsAsFault — so it needs no key field.)
-struct CohortKey {
-  std::uint32_t num_cores = 0;
-  std::uint32_t cache_size = 0;
-  std::uint32_t fault_penalty = 0;
-  wire::StrategyKind strategy = wire::StrategyKind::kSharedLru;
-
-  bool operator==(const CohortKey&) const = default;
-};
-
-struct CohortKeyHash {
-  [[nodiscard]] std::size_t operator()(const CohortKey& key) const noexcept {
-    std::uint64_t state = (std::uint64_t{key.num_cores} << 40) ^
-                          (std::uint64_t{key.cache_size} << 12) ^
-                          (std::uint64_t{key.fault_penalty} << 4) ^
-                          static_cast<std::uint64_t>(key.strategy);
-    return static_cast<std::size_t>(splitmix64(state));
-  }
-};
-
-class Session;
-
-/// One cohort: every session on a shard sharing a CohortKey occupies a lane
-/// of this group's cohort-mode BatchEngine.  `touched` collects the
-/// sessions refreshed in the current epoch, so the post-drain sweep visits
-/// only lanes that could have ended (a lane only ends in an epoch it was
-/// refreshed in — ending requires waking first).
-struct CohortGroup {
-  BatchEngine engine;
-  std::vector<Session*> touched;
-  std::uint64_t steps_seen = 0;  ///< engine.lane_steps() after last drain.
-  bool dirty = false;            ///< Queued in the epoch's drain list.
-};
 
 // --- ResponseMailbox --------------------------------------------------------
 
@@ -189,70 +132,33 @@ struct CurveScan {
   }
 };
 
-/// One tenant session, owned by exactly one shard, on one of two stepping
-/// paths:
-///
-///   scalar   the session *is* the RequestSource feeding its SimSession:
-///            pull() walks the accumulated trace behind a per-core cursor
-///            and reports kStalled past the buffered end until the client
-///            closes — SimSession parks mid-step and resumes on the next
-///            epoch.
-///   batched  the session occupies a lane of its cohort group's
-///            BatchEngine, whose per-core cursors walk the same trace with
-///            the same stall/resume semantics, but p lanes step as one SoA
-///            kernel.
-///
-/// Both paths make per-session results independent of chunk arrival timing
-/// and bit-identical to a direct Simulator::run of the full trace.
-class Session final : public RequestSource {
+/// One tenant session, owned by exactly one shard.  Its batch kernel
+/// (core/batch_engine.hpp), created at open and released at finish, walks
+/// the accumulated trace and parks mid-step past the buffered end until the
+/// client closes, so per-session results are independent of chunk arrival
+/// timing and bit-identical to a direct Simulator::run of the full trace.
+class Session {
  public:
-  /// `cohort == nullptr` selects the scalar path.  A batched session holds
-  /// no strategy object and no SimSession — the cohort engine is the
-  /// simulator.  `answer_ns` is the owning shard's ShardStats::answer_ns.
+  /// Throws InputError on params no kernel can serve (static partition with
+  /// K < p).  `answer_ns` is the owning shard's ShardStats::answer_ns.
   Session(std::uint64_t id, const wire::SessionParams& params,
-          CohortGroup* cohort, std::uint64_t& answer_ns)
+          std::uint64_t& answer_ns)
       : id_(id),
         params_(params),
         trace_(params.num_cores),
-        answer_ns_(&answer_ns) {
-    if (cohort == nullptr) {
-      cursor_.assign(params.num_cores, 0);
-      strategy_ = make_strategy(params);
-      SimConfig config;
-      config.cache_size = params.cache_size;
-      config.fault_penalty = params.fault_penalty;
-      config.record_fault_timeline = false;
-      sim_.emplace(config, params.num_cores, *strategy_);
-      return;
-    }
-    // Attach last: nothing before this line touches the engine, so a throw
-    // earlier in construction cannot leave an orphaned lane behind.
-    cohort_ = cohort;
-    lane_ = cohort->engine.attach_lane();
-  }
-
-  [[nodiscard]] std::size_t num_cores() const override {
-    return params_.num_cores;
-  }
-
-  PullStatus pull(CoreId core, PageId& page) override {
-    const RequestSequence& seq = trace_.sequence(core);
-    if (cursor_[core] < seq.size()) {
-      page = seq[cursor_[core]++];
-      return PullStatus::kReady;
-    }
-    return closed_ ? PullStatus::kEnded : PullStatus::kStalled;
-  }
+        kernel_(std::in_place, session_config(params), params.num_cores,
+                strategy_spec(params)),
+        answer_ns_(&answer_ns) {}
 
   /// Appends a chunk's pairs to the trace (validating core ids).  Returns
   /// the number of pairs ingested.
   std::size_t append_chunk(const wire::ChunkView& chunk) {
     if (closed_) throw InputError("mcpd: request chunk after session close");
+    if (error_) return chunk.size();  // failed: the outcome is settled
     // Encoders emit single-core runs (WireWriter's per-core chunk shape),
     // so pairs are ingested in core-run tiles: one bounds check, one
     // sequence lookup and one bulk append per tile instead of a push_back
-    // per pair.  This loop is on every request's path in both session
-    // modes, scalar and batched alike.
+    // per pair.  This loop is on every request's path.
     const std::size_t n = chunk.size();
     std::array<PageId, 256> tile;
     std::size_t i = 0;
@@ -297,9 +203,10 @@ class Session final : public RequestSource {
   /// PageId array, so the hot path is a max-scan plus one bulk append —
   /// half the wire bytes of a chunk and no per-pair core decode.  This is
   /// what makes the daemon's ingest cost a small constant next to the
-  /// stepping paths (docs/MCPD.md "capacity").
+  /// kernel's stepping (docs/MCPD.md "capacity").
   std::size_t append_run(const wire::RunView& run) {
     if (closed_) throw InputError("mcpd: request run after session close");
+    if (error_) return run.size();  // failed: the outcome is settled
     if (run.core() >= params_.num_cores) {
       throw InputError("mcpd: request run core " +
                        std::to_string(run.core()) + " out of range");
@@ -348,7 +255,7 @@ class Session final : public RequestSource {
     }
     if (finished_) {
       CurveScan scan{curve_k(type, query)};
-      answer(type, query, reply_to, scan);
+      reply(type, query, reply_to, scan);
       return;
     }
     if (parked_.size() >= park_limit) {
@@ -360,41 +267,29 @@ class Session final : public RequestSource {
     parked_.push_back({type, query, std::move(reply_to)});
   }
 
-  /// Scalar path: steps the simulation as far as the buffered trace allows.
-  /// Returns true when the session just finished (close seen and fully
-  /// simulated).
-  bool advance_buffered() {
+  /// Feeds the kernel the grown trace and steps it as far as the buffered
+  /// requests allow, adding the steps run to `lane_steps`.  Returns true
+  /// when the session just finished: its simulation ended, or aborted — a
+  /// shared cache with K < p can find every cell reserved by in-flight
+  /// fetches — which fails the session, so its queries get the abort
+  /// message as a kError reply instead of waiting forever.
+  bool step(std::uint64_t& lane_steps) {
     if (finished_ || !dirty_) return false;
     dirty_ = false;
-    if (!sim_->advance(*this)) return false;
-    stats_ = sim_->take_stats();
+    const Count before = kernel_->steps();
+    try {
+      kernel_->feed(trace_, page_bound_, closed_);
+      const bool ended = kernel_->advance();
+      lane_steps += kernel_->steps() - before;
+      if (!ended) return false;
+      stats_ = kernel_->take_stats();
+    } catch (const std::exception& e) {
+      lane_steps += kernel_->steps() - before;
+      error_ = e.what();
+      trace_ = RequestSet();  // no query reads a failed session's trace
+    }
     finish();
     return true;
-  }
-
-  /// Batched path: re-points the lane at the grown trace and wakes it when
-  /// it can progress.  Returns false when there is nothing to step.
-  bool refresh_lane() {
-    if (finished_ || !dirty_) return false;
-    dirty_ = false;
-    cohort_->engine.refresh_lane(lane_, trace_, page_bound_, closed_);
-    return true;
-  }
-
-  [[nodiscard]] bool batched() const noexcept { return cohort_ != nullptr; }
-  [[nodiscard]] CohortGroup* cohort() const noexcept { return cohort_; }
-
-  /// True once the lane served its last request (post-drain check).
-  [[nodiscard]] bool lane_ended() const {
-    return !finished_ &&
-           cohort_->engine.lane_status(lane_) == BatchLaneStatus::kEnded;
-  }
-
-  /// Collects the ended lane's stats, recycles the lane and answers parked
-  /// queries — the batched counterpart of advance_buffered()'s finish.
-  void finish_batched() {
-    stats_ = cohort_->engine.detach_lane(lane_);
-    finish();
   }
 
   void mark_dirty() { dirty_ = true; }
@@ -418,10 +313,12 @@ class Session final : public RequestSource {
     page_bound_ = std::max(page_bound_, max_page + 1);
   }
 
-  /// Marks the session finished (stats_ must already be final) and answers
-  /// every parked query, the LRU ones from one shared CurveScan.
+  /// Marks the session finished (stats_ final or error_ set), releases the
+  /// kernel and answers every parked query, the LRU ones from one shared
+  /// CurveScan.
   void finish() {
     finished_ = true;
+    kernel_.reset();
     const std::vector<ParkedQuery> parked = std::exchange(parked_, {});
     CurveScan scan;
     for (const ParkedQuery& query : parked) {
@@ -429,9 +326,9 @@ class Session final : public RequestSource {
     }
     for (const ParkedQuery& query : parked) {
       try {
-        answer(query.type, query.query, query.reply_to, scan);
+        reply(query.type, query.query, query.reply_to, scan);
       } catch (const std::exception&) {
-        // answer() turns its own failures into kError replies; landing here
+        // reply() turns its own failures into kError replies; landing here
         // means even that failed (e.g. allocation).  Drop this reply and
         // keep answering the rest — one bad query must not strand the
         // others.
@@ -460,6 +357,17 @@ class Session final : public RequestSource {
                                     const wire::QueryView& query) const {
     if (type == wire::FrameType::kQueryFaultCurve) return query.max_k;
     return type == wire::FrameType::kQueryPartition ? params_.cache_size : 0;
+  }
+
+  /// Answers a query on a finished session: the abort message if it
+  /// failed, else the query's answer.
+  void reply(wire::FrameType type, const wire::QueryView& query,
+             const std::weak_ptr<ResponseMailbox>& reply_to, CurveScan& scan) {
+    if (error_) {
+      answer_error(query.query_id, error_->c_str(), reply_to);
+    } else {
+      answer(type, query, reply_to, scan);
+    }
   }
 
   void answer_error(std::uint64_t query_id, const char* message,
@@ -545,14 +453,9 @@ class Session final : public RequestSource {
   wire::SessionParams params_;
   RequestSet trace_;                 ///< Grows as chunks arrive.
   PageId page_bound_ = 0;            ///< 1 + max page id seen in trace_.
-  // Scalar path only.
-  std::vector<std::size_t> cursor_;  ///< Per-core feed position in trace_.
-  std::unique_ptr<CacheStrategy> strategy_;
-  std::optional<SimSession> sim_;
-  // Batched path only.
-  CohortGroup* cohort_ = nullptr;    ///< Owned by the shard; outlives us.
-  std::uint32_t lane_ = 0;           ///< Valid until finish_batched().
-  RunStats stats_;  ///< Valid once finished_.
+  std::optional<BatchEngine> kernel_;  ///< Released at finish.
+  RunStats stats_;  ///< Valid once finished_ without error_.
+  std::optional<std::string> error_;  ///< The abort that failed the session.
   std::vector<ParkedQuery> parked_;
   std::uint64_t* answer_ns_;  ///< The shard's counter; outlives us.
   bool closed_ = false;
@@ -632,50 +535,16 @@ class Shard {
       }
     }
     if (frames == 0) return false;
-    // Step scalar sessions directly; batched sessions refresh their lanes
-    // and queue their cohort groups, each of which then drains as one SoA
-    // kernel.  Per-session results do not depend on this ordering — lanes
-    // never read each other's state.
-    dirty_groups_.clear();
+    // Sessions never read each other's state, so the stepping order does
+    // not affect any result.
     for (Session* session : dirty_) {
       try {
-        if (session->batched()) {
-          if (!session->refresh_lane()) continue;
-          CohortGroup* group = session->cohort();
-          group->touched.push_back(session);
-          if (!group->dirty) {
-            group->dirty = true;
-            dirty_groups_.push_back(group);
-          }
-        } else if (session->advance_buffered()) {
-          ++stats_.sessions_finished;
-        }
+        if (session->step(stats_.lane_steps)) ++stats_.sessions_finished;
       } catch (const std::exception&) {
+        // step() turns a simulation abort into a failed session; landing
+        // here means even that failed (e.g. allocation).
         ++stats_.bad_frames;
       }
-    }
-    for (CohortGroup* group : dirty_groups_) {
-      try {
-        group->engine.drain();
-      } catch (const std::exception&) {
-        // Accepted cohort shapes cannot abort (batchable_spec screens the
-        // K < p shared case); this is a defensive count, not a live path.
-        ++stats_.bad_frames;
-      }
-      stats_.lane_steps += group->engine.lane_steps() - group->steps_seen;
-      group->steps_seen = group->engine.lane_steps();
-      for (Session* session : group->touched) {
-        try {
-          if (session->lane_ended()) {
-            session->finish_batched();
-            ++stats_.sessions_finished;
-          }
-        } catch (const std::exception&) {
-          ++stats_.bad_frames;
-        }
-      }
-      group->touched.clear();
-      group->dirty = false;
     }
     stats_.frames += frames;
     ++stats_.epochs;
@@ -694,24 +563,14 @@ class Shard {
         if (sessions_.contains(frame.session)) {
           throw InputError("mcpd: duplicate session open");
         }
-        // batchable_spec and the scalar make_strategy reject invalid params
-        // with the same errors, so an open fails identically in both modes.
-        CohortGroup* cohort = nullptr;
-        if (config_.enable_batching) {
-          if (const std::optional<BatchStrategySpec> spec =
-                  batchable_spec(params)) {
-            cohort = &cohort_group(params, *spec);
-          }
-        }
         // Construct before inserting: a throwing Session constructor (e.g.
         // an infeasible strategy/cache combination) must not leave a null
         // map entry behind for later frames to dereference.
-        auto session = std::make_unique<Session>(frame.session, params,
-                                                 cohort, stats_.answer_ns);
+        auto session =
+            std::make_unique<Session>(frame.session, params, stats_.answer_ns);
         sessions_.emplace(frame.session, std::move(session));
         ++stats_.sessions_opened;
-        ++(cohort != nullptr ? stats_.batched_sessions
-                             : stats_.scalar_sessions);
+        ++stats_.batched_sessions;
         break;
       }
       case wire::FrameType::kRequestChunk: {
@@ -763,30 +622,6 @@ class Shard {
     return *mru_session_;
   }
 
-  /// Finds or creates the cohort group for batchable params.  Groups are
-  /// never destroyed while the shard lives: a one-session cohort simply
-  /// keeps its engine (and recycled lanes) warm for the next compatible
-  /// open.
-  CohortGroup& cohort_group(const wire::SessionParams& params,
-                            const BatchStrategySpec& spec) {
-    const CohortKey key{params.num_cores, params.cache_size,
-                        params.fault_penalty, params.strategy};
-    auto it = cohorts_.find(key);
-    if (it == cohorts_.end()) {
-      auto group = std::make_unique<CohortGroup>();
-      CohortShape shape;
-      shape.cache_size = params.cache_size;
-      shape.num_cores = params.num_cores;
-      shape.fault_penalty = params.fault_penalty;
-      shape.strategy = spec;
-      // max_steps 0 (sessions may be arbitrarily long), no fault timeline —
-      // the same SimConfig the scalar path uses.
-      group->engine.init_cohort(shape);
-      it = cohorts_.emplace(key, std::move(group)).first;
-    }
-    return *it->second;
-  }
-
   void mark_dirty(Session& session) {
     if (!session.dirty()) {
       session.mark_dirty();
@@ -801,10 +636,7 @@ class Shard {
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t mru_session_id_ = 0;     ///< 0 = empty (id 0 is reserved).
   Session* mru_session_ = nullptr;
-  std::unordered_map<CohortKey, std::unique_ptr<CohortGroup>, CohortKeyHash>
-      cohorts_;
   std::vector<Session*> dirty_;          ///< Sessions touched this epoch.
-  std::vector<CohortGroup*> dirty_groups_;  ///< Groups touched this epoch.
   ShardStats stats_;
   std::thread worker_;
 };

@@ -15,16 +15,17 @@
 // ingress queue and the response mailboxes.  A shard runs an *epoch* per
 // wakeup: it drains every queued frame, steps each touched session as far
 // as the buffered requests allow, then publishes one batch of responses.
-// Identically-configured sessions (same strategy, p, K, tau) are grouped
-// into per-shard *cohorts* stepped in lockstep by one SoA BatchEngine per
-// group (docs/MCPD.md "Cohort scheduler"); the rest run a scalar
-// SimSession.  Both paths execute the same resumable step semantics the
-// library's Simulator::run uses — per-session results are bit-identical to
-// a direct simulate() of the full trace, regardless of shard count, cohort
-// composition or arrival interleaving.  Queries (fault counts, LRU fault
-// curves via the Mattson kernel, partition advice) are answered when the
-// session finishes — the only point at which the answer is independent of
-// arrival timing — and the LRU ones answered together share one scan.
+// Every session owns a batch kernel (core/batch_engine.hpp) from open to
+// finish, fed the session's growing trace and parked mid-step wherever the
+// buffered requests run out, so per-session results are bit-identical to a
+// direct simulate() of the full trace, regardless of shard count or
+// arrival interleaving.  A simulation that aborts (a shared cache with
+// K < p whose cells are all reserved by in-flight fetches) fails its
+// session: every query on it gets the abort message as a kError reply.
+// Queries (fault counts, LRU fault curves via the Mattson kernel, partition
+// advice) are answered when the session finishes — the only point at which
+// the answer is independent of arrival timing — and the LRU ones answered
+// together share one scan.
 //
 // Transport is in-process loopback: a "frame" is bytes in the mcpwire
 // format (wire_format.hpp) and delivery is a queue push.  A socket front
@@ -33,7 +34,7 @@
 // Static analysis: the daemon is deliberately mutex-free, so Clang's
 // capability analysis has nothing to hold here (core/annotations.hpp
 // documents when that applies).  Its concurrency discipline is checked two
-// other ways: (1) session/cohort maps are *thread-confined* to their
+// other ways: (1) the session map is *thread-confined* to their
 // shard's worker thread — they are looked up, never iterated, and
 // mcp_verify.py rule `unordered-iter` keeps hash order out of the response
 // path; (2) every cross-thread handshake below (ingress pending_, stop_,
@@ -54,8 +55,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/simulator.hpp"
 #include "core/stats.hpp"
+#include "core/types.hpp"
 #include "service/mpsc_queue.hpp"
 #include "service/wire_format.hpp"
 
@@ -112,10 +113,13 @@ struct ShardStats {
   std::uint64_t pairs = 0;          ///< Request pairs ingested.
   std::uint64_t epochs = 0;         ///< Wakeups that processed >= 1 frame.
   std::uint64_t sessions_opened = 0;
+  /// Sessions whose simulation ended or aborted (a failed session).
   std::uint64_t sessions_finished = 0;
-  std::uint64_t batched_sessions = 0;  ///< Opened onto a cohort lane.
-  std::uint64_t scalar_sessions = 0;   ///< Opened onto a scalar SimSession.
-  std::uint64_t lane_steps = 0;        ///< Cohort lockstep iterations run.
+  std::uint64_t batched_sessions = 0;  ///< Opened onto a kernel: every one.
+  /// Always 0: every session runs on a kernel.  Kept because the
+  /// repository benchmark reads it.
+  std::uint64_t scalar_sessions = 0;
+  std::uint64_t lane_steps = 0;        ///< Kernel step-loop iterations run.
   std::uint64_t bad_frames = 0;     ///< Malformed/out-of-protocol, dropped.
   std::uint64_t busy_ns = 0;        ///< CLOCK_THREAD_CPUTIME_ID spent in epochs.
   /// The part of busy_ns spent building query replies: curve scans,
@@ -130,11 +134,6 @@ struct McpdConfig {
   /// Queries arriving before a session finishes park inside the session;
   /// at most this many may be parked (guards a client leak).
   std::size_t max_parked_queries = 1024;
-  /// Group batchable sessions into per-shard cohorts stepped by the SoA
-  /// BatchEngine (docs/MCPD.md "Cohort scheduler").  Per-session results
-  /// are bit-identical either way; off forces the scalar SimSession path
-  /// (the differential oracle and the loadgen baseline).
-  bool enable_batching = true;
 };
 
 class Shard;

@@ -5,9 +5,9 @@
 
 #include "core/batch_state.hpp"
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
+#include "core/thread_pool.hpp"
 #include "policies/belady.hpp"
 #include "policies/mattson.hpp"
 #include "strategies/static_partition.hpp"
@@ -26,11 +26,12 @@ FaultCurves fault_curve_sweep(
   FaultCurves curves(requests.num_cores());
   const std::size_t width = cache_size + 1;
   for (auto& curve : curves) curve.resize(width);
-  parallel_for(requests.num_cores() * width, [&](std::size_t cell) {
-    const CoreId j = static_cast<CoreId>(cell / width);
-    const std::size_t k = cell % width;
-    curves[j][k] = faults(requests.sequence(j), k);
-  });
+  ThreadPool::global().run_indexed(
+      requests.num_cores() * width, [&](std::size_t cell) {
+        const CoreId j = static_cast<CoreId>(cell / width);
+        const std::size_t k = cell % width;
+        curves[j][k] = faults(requests.sequence(j), k);
+      });
   return curves;
 }
 
@@ -58,8 +59,8 @@ FaultCurves policy_fault_curves(const RequestSet& requests,
     return lru_fault_curve_batch(requests, cache_size);
   }
   // FIFO has no stack property, but every (j, k) grid cell is a one-core
-  // simulation the batch engine runs natively: materialize the grid as
-  // SimJobs and run them as lockstep lanes instead of per-cell policy
+  // simulation the batch kernel runs natively: materialize the grid as
+  // SimJobs and run them on the kernel instead of per-cell policy
   // objects.  The k = 0 column is the no-cache limit (every request
   // faults), same as single_core_policy_faults.
   if (const std::optional<BatchPolicy> batched =
@@ -180,9 +181,9 @@ PartitionSearchResult optimal_partition_by_simulation(
   // The candidate runs are independent: sweep them on the shared pool.  The
   // cells are seed-free (the simulation is deterministic), so the sweep is
   // reproducible for any worker count by construction.  LRU and FIFO
-  // partitions are batchable: one SimJob per candidate, run as lockstep
-  // lanes (bit-equal to the per-cell Simulator runs — the differential
-  // battery holds the batch engine to that).
+  // partitions are batchable: one SimJob per candidate, run on the batch
+  // kernel (bit-equal to the per-cell Simulator runs — the differential
+  // battery holds the kernel to that).
   SweepRunner sweep;
   std::vector<Count> faults;
   if (const std::optional<BatchPolicy> batched =

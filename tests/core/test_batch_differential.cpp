@@ -1,18 +1,17 @@
-// Differential test battery for the batched lockstep engine
-// (core/batch_engine.hpp): for every batchable strategy x workload x tau x
-// shared-fetch cell, BatchEngine must produce RunStats bit-equal to the
-// retained scalar Simulator driving the real strategy objects — hits,
-// faults, fault timelines, completion times, end time and step count — at
-// every tested batch width B, including ragged tails where lanes finish at
-// different trace lengths.  Error behaviour (reserved-full cache, max_steps
-// abort) must match too.
+// Differential test battery for the batch kernel (core/batch_engine.hpp):
+// for every batchable strategy x workload x tau x shared-fetch cell, the
+// kernel must produce RunStats bit-equal to the retained scalar Simulator
+// driving the real strategy objects — hits, faults, fault timelines,
+// completion times, end time and step count — whether it simulates a whole
+// job at once or is fed the trace in chunks and parks mid-step wherever the
+// buffered requests run out.  Error behaviour (reserved-full cache,
+// max_steps abort) must match too.
 #include "core/batch_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ void expect_same_stats(const RunStats& batched, const RunStats& scalar,
   }
 }
 
-/// A batchable strategy: the spec the batch engine runs and the factory for
+/// A batchable strategy: the spec the batch kernel runs and the factory for
 /// the equivalent scalar strategy object (rebuilt fresh per run).
 struct BatchableCase {
   std::string label;
@@ -118,8 +117,8 @@ std::vector<WorkloadCase> workload_grid(std::size_t p) {
         {"disjoint_zipf", make_workload(homogeneous_spec(p, core)), true});
   }
   {
-    // Ragged per-core lengths, including an empty sequence: lanes in the
-    // same cell — and cells in the same batch — finish at different times.
+    // Ragged per-core lengths, including an empty sequence: cores of the
+    // same job finish at different times.
     Rng rng(99);
     RequestSet rs;
     rs.add_sequence({});
@@ -136,7 +135,7 @@ std::vector<WorkloadCase> workload_grid(std::size_t p) {
     grid.push_back({"ragged_lengths", std::move(rs), true});
   }
   {
-    // Sparse page ids stress the page->slot index lane sizing.
+    // Sparse page ids stress the page->slot index sizing.
     RequestSet rs;
     rs.add_sequence({5000, 7, 5000, 4321, 7, 5000});
     rs.add_sequence({9, 4999, 9, 4999, 9});
@@ -146,7 +145,15 @@ std::vector<WorkloadCase> workload_grid(std::size_t p) {
   return grid;
 }
 
-TEST(BatchDifferential, BitEqualToScalarEngineAcrossGridAndWidths) {
+/// The scalar oracle: Simulator::run with the case's strategy object.
+RunStats oracle_run(const SimConfig& config, const RequestSet& requests,
+                    const BatchableCase& sc) {
+  const std::unique_ptr<CacheStrategy> scalar = sc.make_scalar();
+  Simulator sim(config);
+  return sim.run(requests, *scalar);
+}
+
+TEST(BatchDifferential, BitEqualToScalarEngineAcrossGrid) {
   const std::size_t p = 3;
   const std::size_t K = 6;
   const std::vector<WorkloadCase> workloads = workload_grid(p);
@@ -172,10 +179,7 @@ TEST(BatchDifferential, BitEqualToScalarEngineAcrossGridAndWidths) {
           job.requests = &wl.requests;
           job.strategy = sc.spec;
           jobs.push_back(std::move(job));
-
-          const std::unique_ptr<CacheStrategy> scalar = sc.make_scalar();
-          Simulator sim(config);
-          expected.push_back(sim.run(wl.requests, *scalar));
+          expected.push_back(oracle_run(config, wl.requests, sc));
           labels.push_back(wl.label + "/" + sc.label +
                            "/tau=" + std::to_string(tau) +
                            (mode == SharedFetchMode::kJoinsFetch ? "/join"
@@ -184,7 +188,7 @@ TEST(BatchDifferential, BitEqualToScalarEngineAcrossGridAndWidths) {
       }
     }
   }
-  // A couple of off-grid shapes so batches mix heterogeneous K and tau.
+  // A couple of off-grid shapes with other K and tau.
   for (const Time tau : {Time{1}, Time{5}}) {
     SimConfig config = testing::sim_config(3, tau);
     SimJob job;
@@ -199,67 +203,53 @@ TEST(BatchDifferential, BitEqualToScalarEngineAcrossGridAndWidths) {
   }
   ASSERT_GT(jobs.size(), 60u);
 
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64}}) {
-    SweepRunner sweep;
-    const std::vector<RunStats> got = sweep.run_jobs(jobs, width);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      expect_same_stats(got[i], expected[i],
-                        labels[i] + "/B=" + std::to_string(width));
-    }
+  SweepRunner sweep;
+  const std::vector<RunStats> got = sweep.run_jobs(jobs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_stats(got[i], expected[i], labels[i]);
   }
 }
 
 TEST(BatchDifferential, PhasedSteppingWithValidationMatchesOneShot) {
+  // mcpd's common shape: the whole trace arrives before the close, so the
+  // kernel first runs until some core drains its buffer and parks there,
+  // and only the close lets it finish.  Validate the state invariants at
+  // both stops (in any build type, not just MCP_CHECKED).
   const std::size_t p = 3;
   const std::size_t K = 6;
   Rng rng(777);
   const RequestSet disjoint = random_disjoint_workload(rng, p, 6, 120);
   const RequestSet shared = random_shared_workload(rng, p, 10, 80);
 
-  std::vector<SimJob> jobs;
   for (const RequestSet* rs : {&disjoint, &shared}) {
     for (const Time tau : {Time{0}, Time{2}}) {
-      SimJob job;
-      job.config = testing::sim_config(K, tau);
-      job.requests = rs;
-      job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-      jobs.push_back(std::move(job));
-      SimJob part_job;
-      part_job.config = testing::sim_config(K, tau);
-      part_job.requests = rs;
-      part_job.strategy = BatchStrategySpec::static_partition(
-          even_partition(K, p), BatchPolicy::kFifo);
-      jobs.push_back(std::move(part_job));
+      for (const BatchStrategySpec& spec :
+           {BatchStrategySpec::shared(BatchPolicy::kLru),
+            BatchStrategySpec::static_partition(even_partition(K, p),
+                                                BatchPolicy::kFifo)}) {
+        SimJob job;
+        job.config = testing::sim_config(K, tau);
+        job.requests = rs;
+        job.strategy = spec;
+        const RunStats direct = BatchEngine::run(job);
+
+        BatchEngine phased(job.config, p, spec);
+        phased.validate();
+        phased.feed(*rs, rs->page_bound(), /*closed=*/false);
+        EXPECT_FALSE(phased.advance());
+        phased.validate();
+        EXPECT_FALSE(phased.ended());
+        EXPECT_THROW((void)phased.take_stats(), ModelError);
+        phased.feed(*rs, rs->page_bound(), /*closed=*/true);
+        EXPECT_TRUE(phased.advance());
+        phased.validate();
+        EXPECT_EQ(phased.steps(), direct.sim_steps);
+        expect_same_stats(phased.take_stats(), direct,
+                          "phased tau=" + std::to_string(tau));
+      }
     }
   }
-
-  BatchEngine one_shot;
-  const std::vector<RunStats> direct = one_shot.run(jobs);
-
-  // Phased: validate the lane/cell invariants after every round (in any
-  // build type, not just MCP_CHECKED).
-  BatchEngine phased(BatchEngineOptions{.alloc_guard = false});
-  std::vector<RunStats> out(jobs.size());
-  phased.load(jobs, out);
-  phased.validate();
-  std::size_t rounds = 0;
-  while (phased.step_round() > 0) {
-    phased.validate();
-    ++rounds;
-  }
-  phased.validate();
-  EXPECT_GT(rounds, 0u);
-  EXPECT_EQ(phased.active_lanes(), 0u);
-
-  Count steps_sum = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_same_stats(out[i], direct[i], "phased job " + std::to_string(i));
-    steps_sum += direct[i].sim_steps;
-  }
-  EXPECT_EQ(phased.lane_steps(), steps_sum);
-  EXPECT_EQ(one_shot.lane_steps(), steps_sum);
 }
 
 TEST(BatchDifferential, AllReservedCacheThrowsLikeScalar) {
@@ -278,8 +268,37 @@ TEST(BatchDifferential, AllReservedCacheThrowsLikeScalar) {
   job.config = config;
   job.requests = &rs;
   job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine engine;
-  EXPECT_THROW((void)engine.run(std::span<const SimJob>(&job, 1)), ModelError);
+  EXPECT_THROW((void)BatchEngine::run(job), ModelError);
+
+  // Error parity across the workload grid at K < p: wherever the scalar
+  // engine aborts the kernel aborts too, and elsewhere they agree.
+  const std::size_t p = 3;
+  for (const WorkloadCase& wl : workload_grid(p)) {
+    for (const BatchableCase& sc : batchable_grid(p, p)) {
+      if (sc.spec.kind != BatchStrategySpec::Kind::kShared) continue;
+      for (const Time tau : {Time{0}, Time{3}}) {
+        const SimConfig narrow = testing::sim_config(2, tau);
+        const std::string label =
+            wl.label + "/" + sc.label + "/K=2/tau=" + std::to_string(tau);
+        SimJob narrow_job;
+        narrow_job.config = narrow;
+        narrow_job.requests = &wl.requests;
+        narrow_job.strategy = sc.spec;
+        bool scalar_threw = false;
+        RunStats want;
+        try {
+          want = oracle_run(narrow, wl.requests, sc);
+        } catch (const ModelError&) {
+          scalar_threw = true;
+        }
+        if (scalar_threw) {
+          EXPECT_THROW((void)BatchEngine::run(narrow_job), ModelError) << label;
+        } else {
+          expect_same_stats(BatchEngine::run(narrow_job), want, label);
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchDifferential, MaxStepsAbortMatchesScalar) {
@@ -296,257 +315,188 @@ TEST(BatchDifferential, MaxStepsAbortMatchesScalar) {
   job.config = config;
   job.requests = &rs;
   job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine engine;
-  EXPECT_THROW((void)engine.run(std::span<const SimJob>(&job, 1)), ModelError);
+  EXPECT_THROW((void)BatchEngine::run(job), ModelError);
 }
 
-// --- Cohort mode (mcpd's per-shard scheduler) -------------------------------
+// --- Chunked feeds (mcpd sessions) ------------------------------------------
 
-/// Reveals a full trace to a cohort lane in chunks, the way mcpd's shard
-/// drains ingress frames into a session's append-only buffer.
-struct CohortFeeder {
-  const RequestSet* full;
-  RequestSet revealed;
-  std::vector<std::size_t> sent;
-  PageId bound = 0;
-  bool closed = false;
-
-  explicit CohortFeeder(const RequestSet& trace)
-      : full(&trace),
-        revealed(trace.num_cores()),
-        sent(trace.num_cores(), 0) {}
-
-  /// Reveals up to `chunk` more pages per core; once the trace is used up
-  /// the feeder marks itself closed.  Returns true while anything moved.
-  bool feed(std::size_t chunk) {
-    bool moved = false;
-    for (CoreId core = 0; core < full->num_cores(); ++core) {
-      const RequestSequence& seq = full->sequence(core);
-      const std::size_t n = std::min(chunk, seq.size() - sent[core]);
-      for (std::size_t i = 0; i < n; ++i) {
-        const PageId page = seq[sent[core] + i];
-        bound = std::max(bound, page + 1);
-        revealed.sequence(core).push_back(page);
-      }
-      sent[core] += n;
-      moved |= n > 0;
-    }
-    if (!moved) closed = true;
-    return moved;
-  }
+/// Which cores a chunked run grants more requests to after each advance().
+enum class Grant {
+  kEveryCore,   ///< `chunk` more to every core, as a client streaming all.
+  kRoundRobin,  ///< `chunk` more to one core, cycling through the cores.
+  kRandom,      ///< `chunk` more to one core picked at random.
 };
 
-/// Feeds every lane in chunks until all end, validating between drains, and
-/// returns each lane's detached RunStats.
-std::vector<RunStats> run_cohort(BatchEngine& engine,
-                                 std::vector<std::uint32_t>& lanes,
-                                 std::vector<CohortFeeder>& feeders,
-                                 std::size_t chunk) {
-  bool all_ended = false;
-  while (!all_ended) {
-    all_ended = true;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (engine.lane_status(lanes[i]) == BatchLaneStatus::kEnded) continue;
-      all_ended = false;
-      // Stagger chunk sizes across lanes so refreshes interleave unevenly.
-      feeders[i].feed(chunk + i % 2);
-      engine.refresh_lane(lanes[i], feeders[i].revealed, feeders[i].bound,
-                          feeders[i].closed);
+/// Runs `job` on one kernel whose feed reveals the trace in grants, the
+/// way mcpd's shard appends ingress frames to a session's buffer; the feed
+/// closes once the whole trace is revealed.  Validates the kernel state
+/// after every advance().
+RunStats run_chunked(const SimJob& job, std::size_t chunk, Grant grant,
+                     Rng* rng = nullptr) {
+  const RequestSet& full = *job.requests;
+  const std::size_t p = full.num_cores();
+  BatchEngine engine(job.config, p, job.strategy);
+  RequestSet revealed(p);
+  PageId bound = 0;
+  std::size_t sent = 0;
+  const auto reveal = [&](CoreId core) {
+    const RequestSequence& seq = full.sequence(core);
+    RequestSequence& out = revealed.sequence(core);
+    const std::size_t n = std::min(chunk, seq.size() - out.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const PageId page = seq[out.size()];
+      bound = std::max(bound, page + 1);
+      out.push_back(page);
     }
-    engine.drain();
+    sent += n;
+  };
+  CoreId next = 0;
+  const std::size_t round_limit = 16 * (full.total_requests() + 16);
+  for (std::size_t round = 0;; ++round) {
+    if (round > round_limit) {
+      throw ModelError("chunked run failed to make progress");
+    }
+    switch (grant) {
+      case Grant::kEveryCore:
+        for (CoreId core = 0; core < p; ++core) reveal(core);
+        break;
+      case Grant::kRoundRobin:
+        reveal(next);
+        next = static_cast<CoreId>((next + 1) % p);
+        break;
+      case Grant::kRandom:
+        reveal(static_cast<CoreId>(rng->below(p)));
+        break;
+    }
+    engine.feed(revealed, bound, sent == full.total_requests());
+    const bool ended = engine.advance();
     engine.validate();
+    if (ended) break;
   }
-  std::vector<RunStats> got;
-  got.reserve(lanes.size());
-  for (const std::uint32_t lane : lanes) {
-    got.push_back(engine.detach_lane(lane));
-  }
-  return got;
+  return engine.take_stats();
 }
 
 TEST(BatchDifferential, CohortChunkedFeedsBitEqualToScalar) {
+  // Every strategy x workload x tau cell, streamed to every core at once in
+  // chunks of {1, 7, 1000} requests.
   const std::size_t p = 3;
   const std::size_t K = 6;
   const std::vector<WorkloadCase> workloads = workload_grid(p);
-  const std::vector<BatchableCase> strategies = batchable_grid(p, K);
-
-  for (const BatchableCase& sc : strategies) {
+  for (const BatchableCase& sc : batchable_grid(p, K)) {
     for (const Time tau : {Time{0}, Time{3}}) {
       SimConfig config = testing::sim_config(K, tau);
       config.record_fault_timeline = true;
-      std::vector<RunStats> expected;
       for (const WorkloadCase& wl : workloads) {
-        const std::unique_ptr<CacheStrategy> scalar = sc.make_scalar();
-        Simulator sim(config);
-        expected.push_back(sim.run(wl.requests, *scalar));
-      }
-
-      for (const std::size_t chunk :
-           {std::size_t{1}, std::size_t{7}, std::size_t{1000}}) {
-        CohortShape shape;
-        shape.cache_size = K;
-        shape.num_cores = p;
-        shape.fault_penalty = tau;
-        shape.record_fault_timeline = true;
-        shape.strategy = sc.spec;
-        BatchEngine engine;
-        engine.init_cohort(shape);
-
-        std::vector<CohortFeeder> feeders;
-        std::vector<std::uint32_t> lanes;
-        feeders.reserve(workloads.size());
-        for (const WorkloadCase& wl : workloads) {
-          feeders.emplace_back(wl.requests);
-          lanes.push_back(engine.attach_lane());
+        const RunStats want = oracle_run(config, wl.requests, sc);
+        const SimJob job{config, &wl.requests, sc.spec};
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{7}, std::size_t{1000}}) {
+          expect_same_stats(run_chunked(job, chunk, Grant::kEveryCore), want,
+                            wl.label + "/" + sc.label +
+                                "/tau=" + std::to_string(tau) +
+                                "/chunk=" + std::to_string(chunk));
         }
-        const std::vector<RunStats> got =
-            run_cohort(engine, lanes, feeders, chunk);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          expect_same_stats(got[i], expected[i],
-                            workloads[i].label + "/" + sc.label + "/tau=" +
-                                std::to_string(tau) + "/chunk=" +
-                                std::to_string(chunk));
-        }
-        EXPECT_EQ(engine.active_lanes(), 0u);
       }
     }
   }
 }
 
-TEST(BatchDifferential, CohortLateAttachAndSlotReuse) {
-  const std::size_t p = 2;
-  const std::size_t K = 4;
-  Rng rng(31337);
-  const RequestSet trace_a = random_disjoint_workload(rng, p, 6, 120);
-  const RequestSet trace_b = random_shared_workload(rng, p, 8, 90);
-  const RequestSet trace_c = random_disjoint_workload(rng, p, 5, 150);
-  const RequestSet trace_d = random_shared_workload(rng, p, 7, 60);
+TEST(BatchDifferential, OneCoreGrantsBitEqualToScalar) {
+  // Grants to one core at a time, so the kernel parks mid-step on a core
+  // whose buffer is empty while later cores of that step have requests
+  // waiting: grant sizes {1, 3, 7, 64} in core order, then 6 random orders.
+  Rng rng(0xA5A5);
+  const std::size_t p = 3;
+  const std::size_t K = 12;
+  const std::vector<BatchableCase> strategies = batchable_grid(p, K);
+  for (int trial = 0; trial < 4; ++trial) {
+    const RequestSet requests = random_disjoint_workload(rng, p, 16, 120);
+    for (const BatchableCase& sc : strategies) {
+      const SimConfig config = testing::sim_config(K, 3);
+      const RunStats want = oracle_run(config, requests, sc);
+      const SimJob job{config, &requests, sc.spec};
+      for (const std::size_t grant : {1u, 3u, 7u, 64u}) {
+        expect_same_stats(run_chunked(job, grant, Grant::kRoundRobin), want,
+                          sc.label + "/trial=" + std::to_string(trial) +
+                              "/grant=" + std::to_string(grant));
+      }
+    }
+  }
 
-  SimConfig config = testing::sim_config(K, 2);
-  config.record_fault_timeline = true;
-  const auto oracle = [&config](const RequestSet& trace) {
-    SharedStrategy scalar(make_policy_factory("lru"));
-    Simulator sim(config);
-    return sim.run(trace, scalar);
-  };
-
-  CohortShape shape;
-  shape.cache_size = K;
-  shape.num_cores = p;
-  shape.fault_penalty = 2;
-  shape.record_fault_timeline = true;
-  shape.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine engine;
-  engine.init_cohort(shape);
-
-  // Two lanes start and park mid-flight on a partial feed.
-  CohortFeeder fa(trace_a);
-  CohortFeeder fb(trace_b);
-  const std::uint32_t la = engine.attach_lane();
-  const std::uint32_t lb = engine.attach_lane();
-  fa.feed(20);
-  fb.feed(15);
-  engine.refresh_lane(la, fa.revealed, fa.bound, fa.closed);
-  engine.refresh_lane(lb, fb.revealed, fb.bound, fb.closed);
-  engine.drain();
-  engine.validate();
-  EXPECT_EQ(engine.lane_status(la), BatchLaneStatus::kStalled);
-  EXPECT_EQ(engine.lane_status(lb), BatchLaneStatus::kStalled);
-
-  // A third session joins the live cohort; all three then run to the end.
-  CohortFeeder fc(trace_c);
-  const std::uint32_t lc = engine.attach_lane();
-  EXPECT_EQ(lc, 2u);
-  std::vector<std::uint32_t> lanes = {la, lb, lc};
-  std::vector<CohortFeeder> feeders;
-  feeders.push_back(std::move(fa));
-  feeders.push_back(std::move(fb));
-  feeders.push_back(std::move(fc));
-  const std::vector<RunStats> got = run_cohort(engine, lanes, feeders, 9);
-  expect_same_stats(got[0], oracle(trace_a), "late_attach/a");
-  expect_same_stats(got[1], oracle(trace_b), "late_attach/b");
-  expect_same_stats(got[2], oracle(trace_c), "late_attach/c");
-  const Count steps_after_first_wave = engine.lane_steps();
-  EXPECT_EQ(steps_after_first_wave, got[0].sim_steps + got[1].sim_steps +
-                                        got[2].sim_steps);
-
-  // A fourth session reuses a detached slot; earlier lanes' steps stay in
-  // the monotonic counter.
-  CohortFeeder fd(trace_d);
-  const std::uint32_t ld = engine.attach_lane();
-  EXPECT_LT(ld, 3u);
-  std::vector<std::uint32_t> lanes2 = {ld};
-  std::vector<CohortFeeder> feeders2;
-  feeders2.push_back(std::move(fd));
-  const std::vector<RunStats> got2 = run_cohort(engine, lanes2, feeders2, 4);
-  expect_same_stats(got2[0], oracle(trace_d), "slot_reuse/d");
-  EXPECT_EQ(engine.lane_steps(),
-            steps_after_first_wave + got2[0].sim_steps);
+  const RequestSet shared = random_shared_workload(rng, p, 24, 150);
+  const SimConfig config = testing::sim_config(K, 2);
+  for (const BatchableCase& sc : strategies) {
+    const RunStats want = oracle_run(config, shared, sc);
+    const SimJob job{config, &shared, sc.spec};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng order(seed);
+      expect_same_stats(run_chunked(job, 5, Grant::kRandom, &order), want,
+                        sc.label + "/random order seed=" +
+                            std::to_string(seed));
+    }
+  }
 }
 
 TEST(BatchDifferential, CohortRefreshContract) {
-  CohortShape shape;
-  shape.cache_size = 4;
-  shape.num_cores = 2;
-  shape.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine engine;
-  engine.init_cohort(shape);
-  const std::uint32_t lane = engine.attach_lane();
+  const SimConfig config = testing::sim_config(4, 0);
+  const BatchStrategySpec lru = BatchStrategySpec::shared(BatchPolicy::kLru);
+  BatchEngine engine(config, 2, lru);
 
   // Core-count mismatch.
   RequestSet wrong(std::size_t{3});
-  EXPECT_THROW(engine.refresh_lane(lane, wrong, 0, false), ModelError);
+  EXPECT_THROW(engine.feed(wrong, 0, false), ModelError);
 
-  // A closed lane cannot reopen, and a feed may only grow.
+  // A feed may only grow, and a closed feed cannot reopen.
   RequestSet trace(std::size_t{2});
   trace.sequence(0).push_back(1);
-  engine.refresh_lane(lane, trace, 2, true);
-  EXPECT_THROW(engine.refresh_lane(lane, trace, 2, false), ModelError);
-  engine.drain();
-  EXPECT_EQ(engine.lane_status(lane), BatchLaneStatus::kEnded);
+  trace.sequence(0).push_back(2);
+  engine.feed(trace, 3, false);
+  RequestSet shrunk(std::size_t{2});
+  shrunk.sequence(0).push_back(1);
+  EXPECT_THROW(engine.feed(shrunk, 3, false), ModelError);
+  engine.feed(trace, 3, true);
+  EXPECT_THROW(engine.feed(trace, 3, false), ModelError);
+  EXPECT_TRUE(engine.advance());
+  // An ended kernel's advance() is idempotent.
+  EXPECT_TRUE(engine.advance());
+  EXPECT_EQ(engine.take_stats().core(0).requests, 2u);
 
-  // Detaching a not-ended lane is rejected; ended lanes detach cleanly.
-  const std::uint32_t parked = engine.attach_lane();
-  EXPECT_THROW((void)engine.detach_lane(parked), ModelError);
-  const RunStats stats = engine.detach_lane(lane);
-  EXPECT_EQ(stats.core(0).requests, 1u);
+  // Empty sequences on a closed feed end in the first step.
+  BatchEngine empty(config, 3, lru);
+  empty.feed(RequestSet(std::size_t{3}), 0, true);
+  EXPECT_TRUE(empty.advance());
+  const RunStats stats = empty.take_stats();
+  EXPECT_EQ(stats.total_requests(), 0u);
+  EXPECT_EQ(stats.end_time, 0u);
 
-  // Shared cohorts with K < p may deadlock on reserved slots; the shape is
-  // rejected up front (such sessions belong on the scalar path).
-  CohortShape narrow;
-  narrow.cache_size = 1;
-  narrow.num_cores = 2;
-  narrow.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine rejected;
-  EXPECT_THROW(rejected.init_cohort(narrow), ModelError);
+  // A shared cache smaller than the core count is a valid shape: only a
+  // step that finds every cell reserved aborts (see
+  // AllReservedCacheThrowsLikeScalar).
+  EXPECT_NO_THROW(BatchEngine(testing::sim_config(1, 0), 2, lru));
 }
 
 TEST(BatchDifferential, RejectsMalformedJobs) {
   RequestSet rs;
   rs.add_sequence({1, 2, 3});
   rs.add_sequence({4, 5});
-  BatchEngine engine;
 
   SimJob no_requests;
   no_requests.config = testing::sim_config(2, 0);
-  EXPECT_THROW((void)engine.run(std::span<const SimJob>(&no_requests, 1)),
-               ModelError);
+  EXPECT_THROW((void)BatchEngine::run(no_requests), ModelError);
 
   SimJob bad_partition;
   bad_partition.config = testing::sim_config(4, 0);
   bad_partition.requests = &rs;
   bad_partition.strategy =
       BatchStrategySpec::static_partition({3, 2}, BatchPolicy::kLru);
-  EXPECT_THROW((void)engine.run(std::span<const SimJob>(&bad_partition, 1)),
-               ModelError);
+  EXPECT_THROW((void)BatchEngine::run(bad_partition), ModelError);
 
   SimJob starved;
   starved.config = testing::sim_config(4, 0);
   starved.requests = &rs;
   starved.strategy =
       BatchStrategySpec::static_partition({4, 0}, BatchPolicy::kLru);
-  EXPECT_THROW((void)engine.run(std::span<const SimJob>(&starved, 1)),
-               ModelError);
+  EXPECT_THROW((void)BatchEngine::run(starved), ModelError);
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 // threads run under ThreadSanitizer in the tsan-full CI job.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
@@ -33,8 +37,12 @@ struct Tenant {
   SessionParams params;
 };
 
+/// `count` mixed tenants plus one shared tenant with fewer cells than
+/// cores (K < p).  Its cores request identical sequences, so they fault on
+/// the same page in the same step and at most one page is ever in flight:
+/// the run cannot find every cell reserved, and the oracle finishes it.
 std::vector<Tenant> make_tenants(std::size_t count, Rng& rng) {
-  std::vector<Tenant> tenants(count);
+  std::vector<Tenant> tenants(count + 1);
   for (std::size_t t = 0; t < count; ++t) {
     const std::size_t cores = 1 + t % 4;
     tenants[t].session = t + 1;
@@ -45,6 +53,13 @@ std::vector<Tenant> make_tenants(std::size_t count, Rng& rng) {
                       t % 2 == 0 ? StrategyKind::kSharedLru
                                  : StrategyKind::kStaticEvenLru};
   }
+  Tenant& narrow = tenants[count];
+  narrow.session = count + 1;
+  const RequestSet one = testing::random_disjoint_workload(rng, 1, 6, 90);
+  for (int core = 0; core < 3; ++core) {
+    narrow.trace.add_sequence(one.sequence(0));
+  }
+  narrow.params = SessionParams{3, 2, 2, StrategyKind::kSharedLru};
   return tenants;
 }
 
@@ -66,8 +81,8 @@ RunStats oracle_run(const Tenant& tenant) {
   return sim.run(tenant.trace, strategy);
 }
 
-/// Identically-configured tenants (one cohort per shard under the batched
-/// path) with traces of different lengths, so lanes end raggedly.
+/// Identically-configured tenants with traces of different lengths, so
+/// sessions end raggedly.
 std::vector<Tenant> make_homogeneous_tenants(std::size_t count, Rng& rng) {
   std::vector<Tenant> tenants(count);
   for (std::size_t t = 0; t < count; ++t) {
@@ -85,11 +100,9 @@ std::vector<Tenant> make_homogeneous_tenants(std::size_t count, Rng& rng) {
 ShardStats expect_shard_determinism(std::size_t shards,
                                     const std::vector<Tenant>& tenants,
                                     std::size_t chunk_pairs,
-                                    bool enable_batching = true,
                                     bool use_run_frames = false) {
   McpdConfig daemon_config;
   daemon_config.num_shards = shards;
-  daemon_config.enable_batching = enable_batching;
   Mcpd daemon(daemon_config);
   McpdClient client(daemon);
   for (const Tenant& tenant : tenants) {
@@ -162,10 +175,10 @@ TEST(Mcpd, ShardCountNeverChangesResults) {
 }
 
 TEST(Mcpd, HomogeneousCohortMatchesOracleAtEveryShardAndChunkSize) {
-  // The cohort scheduler's home turf: identical tenants, one cohort per
-  // shard.  Every reply is checked against the direct Simulator oracle, so
-  // passing at all grid points proves the batched path bit-identical to the
-  // library regardless of sharding or arrival chunking.
+  // A cohort of identical tenants.  Every reply is checked against the
+  // direct Simulator oracle, so passing at all grid points proves the
+  // per-session kernels bit-identical to the library regardless of sharding
+  // or arrival chunking.
   Rng rng(0xBEEF);
   const std::vector<Tenant> tenants = make_homogeneous_tenants(10, rng);
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -180,45 +193,25 @@ TEST(Mcpd, HomogeneousCohortMatchesOracleAtEveryShardAndChunkSize) {
   }
 }
 
-TEST(Mcpd, RunFramesIngestIdenticallyOnBothSteppingPaths) {
+TEST(Mcpd, RunFramesIngestIdenticallyToChunkFrames) {
   // The compact kRequestRun framing must be indistinguishable from
-  // kRequestChunk once ingested: every reply is oracle-checked on the
-  // batched and the scalar path, at run lengths that do and do not hit the
-  // alignment pad.
+  // kRequestChunk once ingested: every reply is oracle-checked, at run
+  // lengths that do and do not hit the alignment pad.
   Rng rng(0xF00D);
   const std::vector<Tenant> mixed = make_tenants(9, rng);
   const std::vector<Tenant> cohort = make_homogeneous_tenants(10, rng);
   for (const std::size_t chunk : {1u, 7u, 1000u}) {
-    expect_shard_determinism(2, mixed, chunk, /*enable_batching=*/true,
-                             /*use_run_frames=*/true);
-    const ShardStats batched =
-        expect_shard_determinism(2, cohort, chunk, /*enable_batching=*/true,
-                                 /*use_run_frames=*/true);
-    EXPECT_EQ(batched.batched_sessions, cohort.size());
-    const ShardStats scalar =
-        expect_shard_determinism(2, cohort, chunk, /*enable_batching=*/false,
-                                 /*use_run_frames=*/true);
-    EXPECT_EQ(scalar.scalar_sessions, cohort.size());
+    expect_shard_determinism(2, mixed, chunk, /*use_run_frames=*/true);
+    const ShardStats total =
+        expect_shard_determinism(2, cohort, chunk, /*use_run_frames=*/true);
+    EXPECT_EQ(total.batched_sessions, cohort.size());
   }
 }
 
-TEST(Mcpd, BatchingOffForcesTheScalarPathWithIdenticalResults) {
-  // enable_batching=false is the differential baseline: same replies (both
-  // sides are oracle-checked), none of the cohort counters move.
-  Rng rng(0xBEEF);
-  const std::vector<Tenant> tenants = make_homogeneous_tenants(10, rng);
-  const ShardStats scalar =
-      expect_shard_determinism(2, tenants, 7, /*enable_batching=*/false);
-  EXPECT_EQ(scalar.batched_sessions, 0u);
-  EXPECT_EQ(scalar.scalar_sessions, tenants.size());
-  EXPECT_EQ(scalar.lane_steps, 0u);
-}
-
 TEST(Mcpd, CohortHandlesMidStreamFinishersAndLateJoiners) {
-  // Sessions that finish while the rest of their cohort is mid-flight must
-  // detach cleanly (their lane slot is recycled), and a session opened
-  // after the cohort has been stepping must attach to the live group and
-  // still produce oracle-exact results.
+  // Sessions that finish while the rest of their cohort is parked
+  // mid-flight release their kernels, and a session opened after the
+  // others have been stepping still produces oracle-exact results.
   Rng rng(0xACE1);
   std::vector<Tenant> tenants = make_homogeneous_tenants(6, rng);
   McpdConfig daemon_config;
@@ -435,13 +428,12 @@ TEST(Mcpd, ProtocolErrorsAreCountedNotFatal) {
 TEST(Mcpd, OutOfRangePageIdIsABadFrameNotACohortStall) {
   // Page ids at or above kMaxWirePageId, kInvalidPage among them, are
   // rejected at ingest.  Unchecked, 0xFFFFFFFF wrapped the session's page
-  // bound to 0, the cohort kernel's bounds check then failed every drain,
-  // and the well-behaved session sharing the cohort never finished.
+  // bound to 0 and the kernel's bounds check then failed every step.
   Rng rng(0xBAD1D);
   const std::vector<Tenant> tenants = make_homogeneous_tenants(2, rng);
   const Tenant& good = tenants[0];
   const Tenant& hostile = tenants[1];
-  Mcpd daemon(McpdConfig{1});  // one shard, one cohort
+  Mcpd daemon(McpdConfig{1});  // one shard
   McpdClient client(daemon);
   for (const Tenant& tenant : tenants) {
     client.open(tenant.session, tenant.params);
@@ -500,6 +492,102 @@ TEST(Mcpd, FailedSessionOpenDoesNotPoisonTheShard) {
   daemon.stop();
   EXPECT_EQ(daemon.total_stats().bad_frames, 2u);  // bad open + orphan chunk
   EXPECT_EQ(daemon.total_stats().sessions_opened, 1u);
+}
+
+/// Pops replies from `mailbox` until `count` arrived or 10 s passed, so a
+/// reply the daemon never sends fails the test instead of hanging it.
+std::vector<std::vector<std::byte>> poll_replies(ResponseMailbox& mailbox,
+                                                 std::size_t count) {
+  std::vector<std::vector<std::byte>> replies;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (replies.size() < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (std::optional<std::vector<std::byte>> doc = mailbox.try_pop()) {
+      replies.push_back(*std::move(doc));
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return replies;
+}
+
+TEST(Mcpd, AbortedSessionAnswersItsQueriesWithTheAbortError) {
+  // Shared cache, K = 1 < p = 2: core 0's fault on page 10 reserves the
+  // only cell, so core 1's fault on page 20 in the same step finds no
+  // evictable page and the simulation aborts.  The session fails: its
+  // parked and later queries get kError replies carrying the abort, and a
+  // healthy session on the same shard is unaffected.
+  Rng rng(0xAB0);
+  Tenant healthy;
+  healthy.session = 1;
+  healthy.trace = testing::random_disjoint_workload(rng, 2, 6, 70);
+  healthy.params = SessionParams{2, 4, 1, StrategyKind::kSharedLru};
+  const std::uint64_t doomed = 2;
+  const PageId core0[] = {10, 11};
+  const PageId core1[] = {20, 21};
+
+  Mcpd daemon(McpdConfig{1});  // both sessions on the one shard
+  const auto mailbox = std::make_shared<ResponseMailbox>();
+  wire::WireWriter writer;
+  writer.session_open(doomed, SessionParams{2, 1, 1, StrategyKind::kSharedLru});
+  writer.session_open(healthy.session, healthy.params);
+  writer.request_chunk(doomed, 0, core0);
+  writer.request_chunk(doomed, 1, core1);
+  for (CoreId core = 0; core < 2; ++core) {
+    writer.request_chunk(healthy.session, core,
+                         healthy.trace.sequence(core).pages());
+  }
+  writer.session_close(doomed);
+  writer.session_close(healthy.session);
+  writer.query_faults(doomed, 21);
+  writer.query_faults(healthy.session, 11);
+  daemon.submit_document(
+      std::make_shared<const std::vector<std::byte>>(std::move(writer).take()),
+      mailbox);
+
+  std::vector<std::vector<std::byte>> replies = poll_replies(*mailbox, 2);
+  // A query posted after the failure is answered the same way.
+  wire::WireWriter later;
+  later.query_fault_curve(doomed, 22, 4);
+  daemon.submit_document(
+      std::make_shared<const std::vector<std::byte>>(std::move(later).take()),
+      mailbox);
+  for (std::vector<std::byte>& doc : poll_replies(*mailbox, 1)) {
+    replies.push_back(std::move(doc));
+  }
+  ASSERT_EQ(replies.size(), 3u);
+
+  std::size_t errors = 0;
+  for (const std::vector<std::byte>& doc : replies) {
+    wire::WireReader reader(doc);
+    wire::FrameView frame;
+    ASSERT_TRUE(reader.next(frame));
+    if (frame.session == doomed) {
+      ASSERT_EQ(frame.type, wire::FrameType::kError);
+      const wire::ErrorReply error = wire::decode_error(frame);
+      EXPECT_TRUE(error.query_id == 21 || error.query_id == 22);
+      EXPECT_NE(error.message.find("no evictable page"), std::string::npos)
+          << error.message;
+      ++errors;
+      continue;
+    }
+    ASSERT_EQ(frame.type, wire::FrameType::kFaultCounts);
+    const wire::FaultCountsReply reply = wire::decode_fault_counts(frame);
+    EXPECT_EQ(reply.query_id, 11u);
+    const RunStats want = oracle_run(healthy);
+    EXPECT_EQ(reply.requests_served, want.total_requests());
+    EXPECT_EQ(reply.end_time, want.end_time);
+    ASSERT_EQ(reply.per_core_faults.size(), want.num_cores());
+    for (CoreId j = 0; j < want.num_cores(); ++j) {
+      EXPECT_EQ(reply.per_core_faults[j], want.core(j).faults) << "core " << j;
+    }
+  }
+  EXPECT_EQ(errors, 2u);
+  daemon.stop();
+  const ShardStats total = daemon.total_stats();
+  EXPECT_EQ(total.sessions_finished, 2u);
+  EXPECT_EQ(total.bad_frames, 0u);
 }
 
 TEST(Mcpd, InfeasiblePartitionQueryFailsInsteadOfHanging) {

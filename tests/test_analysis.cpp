@@ -1,13 +1,10 @@
 // Tests for trace analysis (workload/analysis.hpp): stack-distance
 // histograms and the Mattson one-pass LRU miss-ratio curve, cross-checked
-// against the direct LRU runner; plus the parallel_for helper.
+// against the direct LRU runner.
 #include "workload/analysis.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "policies/belady.hpp"
 #include "policies/policy_registry.hpp"
@@ -93,40 +90,6 @@ TEST(StackDistance, DominatedByBelady) {
   for (std::size_t k = 1; k <= 12; ++k) {
     EXPECT_GE(hist.lru_faults(k), belady_faults(seq, k)) << "k=" << k;
   }
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<int>> touched(kCount);
-  parallel_for(kCount, [&](std::size_t i) { touched[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(touched[i].load(), 1) << "i=" << i;
-  }
-}
-
-TEST(ParallelFor, EmptyAndTinyRanges) {
-  int calls = 0;
-  parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  parallel_for(2, [&](std::size_t) { ++calls; });  // serial fallback
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100,
-                   [](std::size_t i) {
-                     if (i == 57) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, MaxThreadsOneIsSerial) {
-  std::vector<int> order;
-  parallel_for(
-      8, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, 1);
-  const std::vector<int> expected = {0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(order, expected);
 }
 
 }  // namespace

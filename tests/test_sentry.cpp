@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -302,53 +303,53 @@ TEST(AllocSentry, PifPackedSteadyStateLayersAreAllocationFree) {
 }
 
 TEST(AllocSentry, BatchEngineStepLoopIsAllocationFree) {
-  // The batch engine's contract is stronger than steady-state: after load()
-  // the ENTIRE lockstep loop — cold faults, evictions, fetch landings,
-  // fault-timeline appends (pre-reserved: <= 1 fault per request) and lane
-  // retirement — performs zero allocations.  Arm our own guard around
-  // step_round() and count.
+  // The batch kernel's contract is stronger than steady-state: after the
+  // constructor and feed() the ENTIRE step loop — cold faults, evictions,
+  // fetch landings, fault-timeline appends (reserved at feed time: <= 1
+  // fault per request), mid-step stalls, resumes and the end — performs
+  // zero allocations.  The trace arrives in three slices, so advance()
+  // parks on an exhausted open feed twice; arm our own guard around every
+  // advance() (nested outside the kernel's own) and count.
   Rng rng(0xBEEF);
   const RequestSet wide = random_disjoint_workload(rng, 2, 6, 400);
   const RequestSet tall = random_disjoint_workload(rng, 3, 5, 250);
-  std::vector<SimJob> jobs;
+  std::uint64_t attempts = 0;
+  Count faults = 0;
   for (const RequestSet* rs : {&wide, &tall}) {
+    const std::size_t p = rs->num_cores();
     for (const Time tau : {Time{0}, Time{2}}) {
-      SimJob shared_job;
-      shared_job.config = sim_config(2 * rs->num_cores(), tau);
-      shared_job.requests = rs;
-      shared_job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-      jobs.push_back(std::move(shared_job));
-      SimJob part_job;
-      part_job.config = sim_config(2 * rs->num_cores(), tau);
-      part_job.requests = rs;
-      part_job.strategy = BatchStrategySpec::static_partition(
-          std::vector<std::size_t>(rs->num_cores(), 2), BatchPolicy::kFifo);
-      jobs.push_back(std::move(part_job));
+      for (const BatchStrategySpec& spec :
+           {BatchStrategySpec::shared(BatchPolicy::kLru),
+            BatchStrategySpec::static_partition(std::vector<std::size_t>(p, 2),
+                                                BatchPolicy::kFifo)}) {
+        BatchEngine engine(sim_config(2 * p, tau), p, spec);
+        RequestSet fed(p);
+        const std::size_t slices = 3;
+        for (std::size_t slice = 1; slice <= slices; ++slice) {
+          for (CoreId core = 0; core < p; ++core) {
+            const std::span<const PageId> pages = rs->sequence(core).pages();
+            RequestSequence& seq = fed.sequence(core);
+            const std::size_t upto = pages.size() * slice / slices;
+            seq.append(pages.subspan(seq.size(), upto - seq.size()));
+          }
+          engine.feed(fed, rs->page_bound(), slice == slices);
+          AllocGuard guard("batch engine step loop (test-armed)");
+          (void)engine.advance();
+          attempts += guard.allocations();
+        }
+        faults += engine.take_stats().total_faults();
+      }
     }
   }
-
-  BatchEngine engine(BatchEngineOptions{.alloc_guard = false});
-  std::vector<RunStats> out(jobs.size());
-  engine.load(jobs, out);
-  std::uint64_t attempts = 0;
-  std::size_t rounds = 0;
-  {
-    AllocGuard guard("batch engine lockstep loop (test-armed)");
-    while (engine.step_round() > 0) ++rounds;
-    attempts = guard.allocations();
-  }
 #ifdef MCP_CHECKED_BUILD
-  // Checked builds run the deep validator every round; its scratch is a
-  // declared AllocAllow growth point — permitted (no throw above), but
-  // counted — so the zero-attempt claim is asserted in unchecked builds.
+  // Checked builds run the deep validator after every advance(); its
+  // scratch is a declared AllocAllow growth point — permitted (no throw
+  // above), but counted — so the zero-attempt claim is asserted in
+  // unchecked builds.
   (void)attempts;
 #else
   EXPECT_EQ(attempts, 0u);
 #endif
-  EXPECT_GT(rounds, 0u);
-  EXPECT_EQ(engine.active_lanes(), 0u);
-  Count faults = 0;
-  for (const RunStats& stats : out) faults += stats.total_faults();
   EXPECT_GT(faults, 0u);  // the guarded loop really exercised the fault path
 }
 
@@ -399,23 +400,19 @@ TEST(CacheStateValidate, CatchesFetchHeapDisorder) {
 }
 
 TEST(BatchStateValidate, CatchesInjectedLaneSwap) {
-  // Corrupt the page lane mid-run — swap the pages held by two present
-  // slots without fixing the page->slot backpointers — and the lane/cell
+  // Corrupt the page array mid-run — swap the pages held by two present
+  // slots without fixing the page->slot backpointers — and the page/slot
   // bijection check in BatchEngine::validate() must throw.
   Rng rng(0x5107);
   const RequestSet rs = random_disjoint_workload(rng, 2, 5, 120);
-  std::vector<SimJob> jobs(2);
-  for (SimJob& job : jobs) {
-    job.config = sim_config(6, 0);
-    job.requests = &rs;
-    job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
+  BatchEngine engine(sim_config(6, 0), 2,
+                     BatchStrategySpec::shared(BatchPolicy::kLru));
+  RequestSet half(std::size_t{2});
+  for (CoreId core = 0; core < 2; ++core) {
+    half.sequence(core).append(rs.sequence(core).pages().first(60));
   }
-
-  BatchEngine engine(BatchEngineOptions{.alloc_guard = false});
-  std::vector<RunStats> out(jobs.size());
-  engine.load(jobs, out);
-  for (int round = 0; round < 8; ++round) (void)engine.step_round();
-  ASSERT_GT(engine.active_lanes(), 0u);
+  engine.feed(half, rs.page_bound(), /*closed=*/false);
+  ASSERT_FALSE(engine.advance());
   EXPECT_NO_THROW(engine.validate());
 
   BatchState& state = BatchEngineTestAccess::state(engine);
@@ -438,128 +435,48 @@ TEST(BatchStateValidate, CatchesInjectedLaneSwap) {
 }
 
 namespace {
-/// A one-lane cohort engine parked mid-step: the feed is revealed and
-/// drained dry but left open, so the lane stalls at the cursor pull with a
-/// parked step (in_step set) — the state the new cohort invariants guard.
-struct CohortFixture {
-  BatchEngine engine{BatchEngineOptions{.alloc_guard = false}};
+/// A kernel parked mid-step: the feed is revealed and stepped dry but left
+/// open, so it stalls at the cursor pull with a parked step (in_step set)
+/// — the state the stall invariants guard.
+struct ParkedFixture {
+  BatchEngine engine{sim_config(4, 1), 2,
+                     BatchStrategySpec::shared(BatchPolicy::kLru)};
   RequestSet trace{std::size_t{2}};
-  std::uint32_t lane = 0;
 
-  CohortFixture() {
-    CohortShape shape;
-    shape.cache_size = 4;
-    shape.num_cores = 2;
-    shape.fault_penalty = 1;
-    shape.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-    engine.init_cohort(shape);
-    lane = engine.attach_lane();
+  ParkedFixture() {
     const PageId pages_a[] = {1, 2, 1, 3};
     const PageId pages_b[] = {5, 6, 5};
     trace.sequence(0).append(pages_a);
     trace.sequence(1).append(pages_b);
-    engine.refresh_lane(lane, trace, 8, /*closed=*/false);
-    engine.drain();
+    engine.feed(trace, 8, /*closed=*/false);
+    (void)engine.advance();
   }
 };
 }  // namespace
 
 TEST(BatchStateValidate, CatchesCohortCursorPastFeed) {
-  CohortFixture fx;
-  ASSERT_EQ(fx.engine.lane_status(fx.lane), BatchLaneStatus::kStalled);
+  ParkedFixture fx;
+  ASSERT_FALSE(fx.engine.ended());
   EXPECT_NO_THROW(fx.engine.validate());
   BatchState& state = BatchEngineTestAccess::state(fx.engine);
-  // A desynced refresh would leave the cursor past the feed it borrowed.
+  // A desynced feed would leave the cursor past the requests it borrowed.
   state.core_next[0] = state.core_len[0] + 1;
   EXPECT_THROW(fx.engine.validate(), ModelError);
 }
 
 TEST(BatchStateValidate, CatchesStalledLaneWithNoLiveCores) {
-  CohortFixture fx;
+  ParkedFixture fx;
   BatchState& state = BatchEngineTestAccess::state(fx.engine);
-  state.cells[fx.lane].active_cores = 0;
+  state.active_cores = 0;
   EXPECT_THROW(fx.engine.validate(), ModelError);
 }
 
 TEST(BatchStateValidate, CatchesParkedStepResumeCoreOutOfRange) {
-  CohortFixture fx;
+  ParkedFixture fx;
   BatchState& state = BatchEngineTestAccess::state(fx.engine);
-  BatchCell& cell = state.cells[fx.lane];
-  ASSERT_TRUE(cell.in_step);
-  cell.resume_core = cell.num_cores;
+  ASSERT_TRUE(state.in_step);
+  state.resume_core = state.num_cores;
   EXPECT_THROW(fx.engine.validate(), ModelError);
-}
-
-TEST(BatchStateValidate, CatchesLaneStatusActiveListDesync) {
-  CohortFixture fx;
-  BatchState& state = BatchEngineTestAccess::state(fx.engine);
-  // Claim the parked lane is running without putting it on the active list.
-  state.cells[fx.lane].in_step = false;
-  state.cells[fx.lane].status = BatchLaneStatus::kRunning;
-  EXPECT_THROW(fx.engine.validate(), ModelError);
-  // And the inverse: active list entry for a non-running lane.
-  state.cells[fx.lane].status = BatchLaneStatus::kStalled;
-  BatchEngineTestAccess::active(fx.engine).push_back(fx.lane);
-  EXPECT_THROW(fx.engine.validate(), ModelError);
-}
-
-TEST(AllocSentry, CohortDrainIsAllocationFree) {
-  // The cohort epoch loop's contract: attach_lane() and refresh_lane() are
-  // where ALL allocation happens (lane growth, page-index doubling,
-  // fault-timeline reserves) — drain() itself, across chunk arrivals,
-  // stalls, resumes and lane endings, performs zero allocations.
-  Rng rng(0xC0C0);
-  const RequestSet full_a = random_disjoint_workload(rng, 2, 6, 300);
-  const RequestSet full_b = random_disjoint_workload(rng, 2, 6, 210);
-
-  CohortShape shape;
-  shape.cache_size = 4;
-  shape.num_cores = 2;
-  shape.fault_penalty = 2;
-  shape.record_fault_timeline = true;
-  shape.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
-  BatchEngine engine(BatchEngineOptions{.alloc_guard = false});
-  engine.init_cohort(shape);
-  const std::uint32_t lane_a = engine.attach_lane();
-  const std::uint32_t lane_b = engine.attach_lane();
-
-  RequestSet fed_a(std::size_t{2});
-  RequestSet fed_b(std::size_t{2});
-  std::uint64_t attempts = 0;
-  const std::size_t slices = 3;
-  for (std::size_t slice = 1; slice <= slices; ++slice) {
-    PageId bound = 0;
-    for (RequestSet* fed : {&fed_a, &fed_b}) {
-      const RequestSet& full = fed == &fed_a ? full_a : full_b;
-      for (CoreId core = 0; core < 2; ++core) {
-        const std::span<const PageId> pages = full.sequence(core).pages();
-        const std::size_t upto = pages.size() * slice / slices;
-        RequestSequence& seq = fed->sequence(core);
-        seq.append(pages.subspan(seq.size(), upto - seq.size()));
-        for (const PageId page : seq) bound = std::max(bound, page + 1);
-      }
-    }
-    const bool last = slice == slices;
-    engine.refresh_lane(lane_a, fed_a, bound, last);
-    engine.refresh_lane(lane_b, fed_b, bound, last);
-    {
-      AllocGuard guard("cohort drain (test-armed)");
-      engine.drain();
-      attempts += guard.allocations();
-    }
-  }
-  EXPECT_EQ(engine.lane_status(lane_a), BatchLaneStatus::kEnded);
-  EXPECT_EQ(engine.lane_status(lane_b), BatchLaneStatus::kEnded);
-#ifdef MCP_CHECKED_BUILD
-  // Checked builds run the deep validator inside the round loop; its
-  // scratch is a declared AllocAllow growth point.
-  (void)attempts;
-#else
-  EXPECT_EQ(attempts, 0u);
-#endif
-  const RunStats stats_a = engine.detach_lane(lane_a);
-  const RunStats stats_b = engine.detach_lane(lane_b);
-  EXPECT_GT(stats_a.total_faults() + stats_b.total_faults(), 0u);
 }
 
 TEST(InternerValidate, PassesAfterInterning) {

@@ -111,10 +111,9 @@ TEST(SweepCellRng, CellStreamIndependentOfConsumptionElsewhere) {
   EXPECT_EQ(cell5_again(), expected);
 }
 
-// The batched job path (run_jobs) extends the contract: results must be
-// bit-identical for any worker count AND any batch width B — lanes are
-// fully independent, so how jobs are tiled into engines is unobservable.
-TEST(SweepDeterminism, RunJobsBitIdenticalAcrossWorkersAndBatchWidths) {
+// The batch-kernel job path (run_jobs) extends the contract: results must
+// be bit-identical for any worker count.
+TEST(SweepDeterminism, RunJobsBitIdenticalAcrossWorkers) {
   Rng rng(0xBA7C4);
   std::vector<RequestSet> workloads;
   workloads.push_back(random_disjoint_workload(rng, 2, 6, 150));
@@ -142,21 +141,18 @@ TEST(SweepDeterminism, RunJobsBitIdenticalAcrossWorkersAndBatchWidths) {
   std::vector<std::vector<std::uint64_t>> baseline;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    for (const std::size_t width : {std::size_t{1}, std::size_t{32}}) {
-      SweepOptions opts;
-      opts.max_threads = workers;
-      SweepRunner sweep(opts);
-      const std::vector<RunStats> stats = sweep.run_jobs(jobs, width);
-      std::vector<std::vector<std::uint64_t>> prints;
-      prints.reserve(stats.size());
-      for (const RunStats& s : stats) prints.push_back(fingerprint(s));
-      if (baseline.empty()) {
-        baseline = std::move(prints);
-        ASSERT_EQ(baseline.size(), jobs.size());
-      } else {
-        EXPECT_EQ(prints, baseline)
-            << "workers=" << workers << " B=" << width;
-      }
+    SweepOptions opts;
+    opts.max_threads = workers;
+    SweepRunner sweep(opts);
+    const std::vector<RunStats> stats = sweep.run_jobs(jobs);
+    std::vector<std::vector<std::uint64_t>> prints;
+    prints.reserve(stats.size());
+    for (const RunStats& s : stats) prints.push_back(fingerprint(s));
+    if (baseline.empty()) {
+      baseline = std::move(prints);
+      ASSERT_EQ(baseline.size(), jobs.size());
+    } else {
+      EXPECT_EQ(prints, baseline) << "workers=" << workers;
     }
   }
 }

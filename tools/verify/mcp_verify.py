@@ -4,9 +4,9 @@
 Part of the checked-build analysis matrix (DESIGN.md section 10).  Generic
 tools (clang-tidy, -Wthread-safety) check generic properties; mcp-verify
 enforces the *repo-specific* invariants behind the bit-identical-results
-guarantee, plus the four original project lint rules it absorbed from
-scripts/lint_project.py (which now delegates here, so the rule sets cannot
-drift apart).
+guarantee, plus the four original project lint rules (the CI `lint` job
+runs those four with --rules rng,builtin,hot-path,console, so the rule
+sets cannot drift apart).
 
 Rules (exemptions and scopes live in tools/verify/rules.toml — an
 exemption is checked-in data reviewed like code, not a lint tweak):
