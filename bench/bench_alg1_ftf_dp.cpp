@@ -30,12 +30,9 @@ OfflineInstance random_instance(std::size_t p, std::size_t pages_per_core,
   return inst;
 }
 
-double solve_ms(const OfflineInstance& inst, OfflineEngine engine,
-                FtfResult* out) {
-  FtfOptions options;
-  options.engine = engine;
+double solve_ms(const OfflineInstance& inst, FtfResult* out) {
   const auto start = std::chrono::steady_clock::now();
-  *out = solve_ftf(inst, options);
+  *out = solve_ftf(inst);
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
@@ -55,7 +52,7 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   for (std::size_t n : {8u, 16u, 32u, 64u, 128u}) {
     const OfflineInstance inst = random_instance(2, 3, n, 2, 1, 77);
     FtfResult result;
-    const double ms = solve_ms(inst, OfflineEngine::kPacked, &result);
+    const double ms = solve_ms(inst, &result);
     const double nn = static_cast<double>(n);
     per_n2.push_back(static_cast<double>(result.states_stored) / (nn * nn));
     n_table.row(static_cast<std::uint64_t>(n), result.min_faults,
@@ -70,34 +67,11 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   for (std::size_t K : {2u, 3u, 4u, 5u}) {
     const OfflineInstance inst = random_instance(2, 5, 16, K, 1, 78);
     FtfResult result;
-    const double ms = solve_ms(inst, OfflineEngine::kPacked, &result);
+    const double ms = solve_ms(inst, &result);
     states_by_k.push_back(result.states_stored);
     k_table.row(static_cast<std::uint64_t>(K), result.min_faults,
                 static_cast<std::uint64_t>(result.states_stored), ms,
                 kstates_per_sec(result.states_stored, ms));
-  }
-
-  // Packed vs reference: same optimum, states/sec ratio (BENCH_OFFLINE.json
-  // carries the regression-gated medians; these are single-shot).
-  auto& engine_table = b.series(
-      "engine_speedup",
-      "Packed (interned bitsets + Dial) vs reference (heap Dijkstra):",
-      {"n/core", "ref_ms", "packed_ms", "ref_kst/s", "packed_kst/s",
-       "speedup"});
-  bool engines_agree = true;
-  for (std::size_t n : {40u, 48u, 64u}) {
-    // Denser instances than the scaling series (5 pages/core, K=4, tau=2):
-    // wide victim branching is where the packed encoding pays off most.
-    const OfflineInstance inst = random_instance(2, 5, n, 4, 2, 78);
-    FtfResult packed;
-    FtfResult ref;
-    const double packed_ms = solve_ms(inst, OfflineEngine::kPacked, &packed);
-    const double ref_ms = solve_ms(inst, OfflineEngine::kReference, &ref);
-    engines_agree = engines_agree && packed.min_faults == ref.min_faults;
-    engine_table.row(static_cast<std::uint64_t>(n), ref_ms, packed_ms,
-                     kstates_per_sec(ref.states_stored, ref_ms),
-                     kstates_per_sec(packed.states_stored, packed_ms),
-                     packed_ms <= 0.0 ? 0.0 : ref_ms / packed_ms);
   }
 
   // Bucket-synchronous parallel expansion: schedules are bit-identical at
@@ -110,8 +84,7 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   // same measured split at that row's W — busy is CPU time, so the split
   // does not depend on the executing worker count — making the w=1 row the
   // engine's own single-worker projection, the Amdahl denominator of
-  // speedup8.  The w=1 wall columns show the serial reference path for
-  // scale.
+  // speedup8.  The w=1 wall columns show the serial path for scale.
   auto& par_table = b.series(
       "ftf_parallel_speedup",
       "Chunked-wave expansion (3 cores, 20 req/core, 5 pages/core, K=5, "
@@ -122,7 +95,6 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   {
     const OfflineInstance inst = random_instance(3, 5, 20, 5, 2, 78);
     FtfOptions options;
-    options.engine = OfflineEngine::kPacked;
     options.workers = 1;
     const auto s0 = std::chrono::steady_clock::now();
     const FtfResult serial = solve_ftf(inst, options);
@@ -185,7 +157,6 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   for (std::size_t n : {32u, 48u}) {
     const OfflineInstance inst = random_instance(2, 5, n, 4, 2, 78);
     FtfOptions clean_options;
-    clean_options.engine = OfflineEngine::kPacked;
     clean_options.workers = 1;
     const FtfResult clean = solve_ftf(inst, clean_options);
     FtfOptions budget_options = clean_options;
@@ -232,9 +203,8 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   // perf-smoke --speedup gate enforces on BENCH_OFFLINE.json.
   const bool parallel_ok = parallel_agrees && speedup8 >= 3.0;
   return std::move(b).finish(
-      poly_n && grows_k && exact && engines_agree && parallel_ok &&
-          spill_agrees,
-      "poly-in-n, exponential-in-K scaling; exact optimum; engines agree; "
+      poly_n && grows_k && exact && parallel_ok && spill_agrees,
+      "poly-in-n, exponential-in-K scaling; exact optimum; "
       "parallel waves bit-equal with >=3x projected capacity at 8 workers; "
       "quarter-budget spill bit-equal");
 }

@@ -38,8 +38,8 @@ double solve_ms(const PifInstance& inst, const PifOptions& options,
 
 lab::ExperimentResult run(const lab::RunContext& ctx) {
   lab::ResultBuilder b;
-  PifOptions packed_opts;
-  packed_opts.workers = ctx.workers;
+  PifOptions options;
+  options.workers = ctx.workers;
 
   auto& deadline_table = b.series(
       "width_vs_deadline",
@@ -50,7 +50,7 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
     const PifInstance inst =
         random_pif(/*per_core=*/deadline, deadline, deadline, 31);
     PifResult result;
-    const double ms = solve_ms(inst, packed_opts, &result);
+    const double ms = solve_ms(inst, options, &result);
     widths.push_back(result.peak_layer_width);
     deadline_table.row(
         static_cast<std::uint64_t>(deadline), result.feasible ? "yes" : "no",
@@ -59,35 +59,7 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
         ms <= 0.0 ? 0.0 : static_cast<double>(result.states_expanded) / ms);
   }
 
-  // Packed layer-parallel vs reference serial engine, and the determinism
-  // contract: bit-identical witnesses at any worker count.
-  auto& engine_table = b.series(
-      "engine_speedup",
-      "Packed (interned bitsets, layer-parallel) vs reference (serial):",
-      {"deadline", "ref_ms", "packed_ms", "ref_kst/s", "packed_kst/s",
-       "speedup"});
-  bool engines_agree = true;
-  for (Time deadline : {Time{32}, Time{64}, Time{128}}) {
-    const PifInstance inst =
-        random_pif(/*per_core=*/deadline, deadline, deadline, 31);
-    PifOptions ref_opts;
-    ref_opts.engine = OfflineEngine::kReference;
-    PifResult packed;
-    PifResult ref;
-    const double packed_ms = solve_ms(inst, packed_opts, &packed);
-    const double ref_ms = solve_ms(inst, ref_opts, &ref);
-    engines_agree = engines_agree && packed.feasible == ref.feasible &&
-                    packed.decided_at == ref.decided_at &&
-                    packed.peak_layer_width == ref.peak_layer_width;
-    const auto rate = [](std::size_t states, double ms) {
-      return ms <= 0.0 ? 0.0 : static_cast<double>(states) / ms;
-    };
-    engine_table.row(static_cast<std::uint64_t>(deadline), ref_ms, packed_ms,
-                     rate(ref.states_expanded, ref_ms),
-                     rate(packed.states_expanded, packed_ms),
-                     packed_ms <= 0.0 ? 0.0 : ref_ms / packed_ms);
-  }
-
+  // The determinism contract: bit-identical witnesses at any worker count.
   bool deterministic = true;
   {
     PifInstance inst = random_pif(48, 48, 12, 33);
@@ -136,8 +108,8 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
   const double growth = static_cast<double>(widths.back()) /
                         static_cast<double>(widths.front());
   return std::move(b).finish(
-      agreements == total && growth < 256.0 && engines_agree && deterministic,
-      "decisions exact; layer width stays polynomial; engines agree; "
+      agreements == total && growth < 256.0 && deterministic,
+      "decisions exact; layer width stays polynomial; "
       "worker-count independent");
 }
 

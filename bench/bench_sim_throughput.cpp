@@ -108,9 +108,8 @@ void BM_SharedFitf(benchmark::State& state) {
                           static_cast<std::int64_t>(rs.total_requests()));
 }
 
-void BM_FtfSolver(benchmark::State& state, OfflineEngine engine) {
-  // states_per_sec is the offline perf-smoke gate (BENCH_OFFLINE.json):
-  // packed must stay well ahead of the retained reference engine.
+void BM_FtfSolver(benchmark::State& state) {
+  // states_per_sec is the offline perf-smoke gate (BENCH_OFFLINE.json).
   const std::size_t per_core = static_cast<std::size_t>(state.range(0));
   CoreWorkload core;
   core.pattern = AccessPattern::kUniform;
@@ -121,7 +120,6 @@ void BM_FtfSolver(benchmark::State& state, OfflineEngine engine) {
   inst.cache_size = 4;
   inst.tau = 2;
   FtfOptions options;
-  options.engine = engine;
   options.workers = 1;  // serial path: comparable to pre-parallel baselines
   std::size_t states = 0;
   for (auto _ : state) {
@@ -151,7 +149,7 @@ void BM_FtfSolverParallel(benchmark::State& state) {
   // engine's own single-worker projection — the Amdahl denominator.  The
   // perf-smoke job gates parallel/8 capacity >= 3x parallel/1 within the
   // same run, so the gate is immune to machine-speed drift.  (The serial
-  // reference path is benchmarked separately as BM_FtfSolver.)
+  // path is benchmarked separately as BM_FtfSolver.)
   const std::size_t workers = static_cast<std::size_t>(state.range(0));
   CoreWorkload core;
   core.pattern = AccessPattern::kUniform;
@@ -162,7 +160,6 @@ void BM_FtfSolverParallel(benchmark::State& state) {
   inst.cache_size = 5;
   inst.tau = 2;
   FtfOptions options;
-  options.engine = OfflineEngine::kPacked;
   options.workers = 8;
   std::size_t states = 0;
   std::uint64_t wall_ns = 0;
@@ -191,7 +188,7 @@ void BM_FtfSolverParallel(benchmark::State& state) {
                          : 0.0;
 }
 
-void BM_PifSolver(benchmark::State& state, OfflineEngine engine) {
+void BM_PifSolver(benchmark::State& state) {
   const Time deadline = static_cast<Time>(state.range(0));
   CoreWorkload core;
   core.pattern = AccessPattern::kUniform;
@@ -204,7 +201,6 @@ void BM_PifSolver(benchmark::State& state, OfflineEngine engine) {
   inst.deadline = deadline;
   inst.bounds = {deadline, deadline};
   PifOptions options;
-  options.engine = engine;
   std::size_t states = 0;
   for (auto _ : state) {
     const PifResult result = solve_pif(inst, options);
@@ -376,21 +372,15 @@ BENCHMARK_CAPTURE(BM_SharedPolicy, mark, "mark")->Arg(4);
 BENCHMARK(BM_StaticPartition)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_Lemma3Dynamic)->Arg(4);
 BENCHMARK(BM_SharedFitf);
-// Arg = requests per core; the instance family matches E8's engine_speedup
+// Arg = requests per core; the instance family matches E8's bytes_per_state
 // series (5 pages/core, K=4, tau=2 — wide victim branching).
-BENCHMARK_CAPTURE(BM_FtfSolver, packed, mcp::OfflineEngine::kPacked)
-    ->Arg(24)->Arg(40)->Arg(48);
-BENCHMARK_CAPTURE(BM_FtfSolver, reference, mcp::OfflineEngine::kReference)
-    ->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK(BM_FtfSolver)->Arg(24)->Arg(40)->Arg(48);
 // Arg = worker count for the projected-capacity pair (48 requests/core
 // instance, same family as above): the perf-smoke --speedup gate requires
 // parallel/8 capacity_states_per_sec >= 3x parallel/1.
 BENCHMARK(BM_FtfSolverParallel)->Arg(1)->Arg(8);
-// Arg = deadline; matches E9's engine_speedup series.
-BENCHMARK_CAPTURE(BM_PifSolver, packed, mcp::OfflineEngine::kPacked)
-    ->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_PifSolver, reference, mcp::OfflineEngine::kReference)
-    ->Arg(32)->Arg(64)->Arg(128);
+// Arg = deadline; matches E9's width_vs_deadline series.
+BENCHMARK(BM_PifSolver)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_BigFleetThroughput);
 BENCHMARK(BM_LruFaultCurve)->Arg(64);
 // Arg = sweep worker cap: serial, two workers, all hardware workers (0).

@@ -3,9 +3,10 @@
 #
 #   bench/baseline/BENCH_E13.json     — simulator/sweep counters (steps/sec,
 #                                       fault-curve cells/sec, sweep cells/sec)
-#   bench/baseline/BENCH_OFFLINE.json — offline solver engines (states/sec for
-#                                       the packed and reference FTF/PIF
-#                                       engines, the packed-speedup record)
+#   bench/baseline/BENCH_OFFLINE.json — offline solvers (states/sec for the
+#                                       FTF and PIF searches, the parallel
+#                                       FTF capacity projection at 1 and 8
+#                                       workers)
 #   bench/baseline/BENCH_MCPD.json    — mcpd service layer (mcpd-loadgen
 #                                       requests/sec, capacity_rps and epoch
 #                                       latency quantiles across shard counts;
@@ -28,7 +29,7 @@ OFFLINE_OUT=${2:-bench/baseline/BENCH_OFFLINE.json}
 MCPD_OUT=${3:-bench/baseline/BENCH_MCPD.json}
 BUILD=${BUILD_DIR:-build-bench}
 FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0$|BM_BatchSweep$|BM_McpdIngest/(1|4)$'}
-OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(packed|reference)/(24|40|48)$|BM_FtfSolverParallel/(1|8)$|BM_PifSolver/(packed|reference)/(32|64|128)$'}
+OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(24|40|48)$|BM_FtfSolverParallel/(1|8)$|BM_PifSolver/(32|64|128)$'}
 LOADGEN_ARGS=${LOADGEN_ARGS:---shards=1,2,4,8 --tenants=64 --producers=2 --repetitions=5 --homogeneous}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release \

@@ -14,10 +14,10 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
   scripts/check_perf_regression.py CURRENT.json \
       --speedup 'BM_BatchSweep:cells_per_sec' \
                 'BM_PartitionSweep/0:cells_per_sec' 3.0
-  # offline engine gate (BENCH_OFFLINE.json)
+  # offline solver gate (BENCH_OFFLINE.json)
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_OFFLINE.json \
-      --gate 'BM_FtfSolver/packed/48:states_per_sec' \
-      --gate 'BM_PifSolver/packed/128:states_per_sec'
+      --gate 'BM_FtfSolver/48:states_per_sec' \
+      --gate 'BM_PifSolver/128:states_per_sec'
   # mcpd service gate (BENCH_MCPD.json, mcpd-loadgen output: daemon ingest
   # throughput at 1 shard plus aggregate shard capacity at 8 shards)
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_MCPD.json \

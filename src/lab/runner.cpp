@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -214,22 +213,6 @@ std::size_t check_against_reference(const std::vector<RunReport>& reports,
     for (const std::string& m : mismatches) diag << "  " << m << '\n';
   }
   return mismatches.size();
-}
-
-int standalone_main(const char* id) {
-  try {
-    const Experiment* experiment = ExperimentRegistry::instance().find(id);
-    if (experiment == nullptr) {
-      std::cerr << "experiment '" << id << "' is not registered\n";
-      return 2;
-    }
-    const auto reports =
-        run_experiments({experiment}, RunContext{}, std::cout);
-    return any_failed(reports) ? 1 : 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
-  }
 }
 
 }  // namespace mcp::lab

@@ -49,9 +49,4 @@ void write_records(const std::string& path,
     const std::vector<RunReport>& reports, const std::string& reference_path,
     std::ostream& diag);
 
-/// Entry point for the per-experiment standalone shim binaries: runs `id`
-/// with default parameters, renders to stdout, returns the process exit code
-/// (0 pass, 1 fail, 2 unknown id / internal error).
-[[nodiscard]] int standalone_main(const char* id);
-
 }  // namespace mcp::lab

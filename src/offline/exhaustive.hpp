@@ -1,6 +1,7 @@
 // Exhaustive offline searches driven through the *simulator* — reference
-// implementations that are deliberately independent of the TransitionSystem
-// used by the DP solvers, so the two can cross-validate each other.
+// implementations that are deliberately independent of the
+// PackedTransitionSystem used by the DP solvers, so the two can
+// cross-validate each other.
 //
 // The search tree is over eviction decisions: a branch is fixed by the list
 // of victims chosen at the faults that required one.  Each tree node is

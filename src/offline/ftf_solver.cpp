@@ -9,10 +9,8 @@
 #include <iomanip>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 
 #include "core/error.hpp"
 #include "core/sentry.hpp"
@@ -24,14 +22,8 @@ namespace mcp {
 
 namespace {
 
-[[noreturn]] void throw_state_limit(std::size_t expanded, std::size_t stored) {
-  throw ModelError("solve_ftf: state limit exceeded (states_expanded=" +
-                   std::to_string(expanded) +
-                   ", states_stored=" + std::to_string(stored) + ")");
-}
-
-/// Packed-engine variant: the interner knows its memory story, so capacity
-/// failures are diagnosable from the message alone.
+/// The interner knows its memory story, so capacity failures are
+/// diagnosable from the message alone.
 [[noreturn]] void throw_state_limit(std::size_t expanded,
                                     const StateInterner& interner) {
   std::ostringstream os;
@@ -60,95 +52,7 @@ namespace {
 }
 
 // ---------------------------------------------------------------------------
-// Reference engine: binary-heap Dijkstra over heap-backed OfflineState nodes
-// keyed in an unordered_map.  Retained as the differential-testing oracle for
-// the packed engine below.
-// ---------------------------------------------------------------------------
-
-struct NodeInfo {
-  Count dist = 0;
-  // Parent pointer for schedule reconstruction (only when requested).
-  const OfflineState* parent = nullptr;
-  std::vector<PageId> step_evictions;
-};
-
-struct QueueEntry {
-  Count dist;
-  const OfflineState* state;
-  bool operator>(const QueueEntry& other) const { return dist > other.dist; }
-};
-
-FtfResult solve_ftf_reference(const OfflineInstance& instance,
-                              const FtfOptions& options) {
-  const TransitionSystem system(instance, options.victim_rule);
-
-  // Node ownership: the map's keys are the canonical state objects; queue
-  // entries and parent pointers reference them (stable across rehashing —
-  // unordered_map never moves its nodes).
-  std::unordered_map<OfflineState, NodeInfo, OfflineStateHash> nodes;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-
-  const OfflineState start = system.initial();
-  nodes.emplace(start, NodeInfo{});
-  queue.push(QueueEntry{0, &nodes.find(start)->first});
-
-  FtfResult result;
-  const OfflineState* goal = nullptr;
-
-  while (!queue.empty()) {
-    const QueueEntry top = queue.top();
-    queue.pop();
-    const auto it = nodes.find(*top.state);
-    MCP_ASSERT(it != nodes.end());
-    if (top.dist > it->second.dist) continue;  // stale entry
-    if (system.is_terminal(*top.state)) {
-      goal = top.state;
-      result.min_faults = top.dist;
-      break;
-    }
-    if (options.max_states != 0 && nodes.size() > options.max_states) {
-      throw_state_limit(result.states_expanded, nodes.size());
-    }
-    ++result.states_expanded;
-
-    system.expand(*top.state, [&](StepOutcome&& outcome) {
-      const Count dist = top.dist + outcome.fault_count();
-      auto [node_it, inserted] = nodes.try_emplace(std::move(outcome.next));
-      if (!inserted && node_it->second.dist <= dist) return;
-      node_it->second.dist = dist;
-      if (options.build_schedule) {
-        node_it->second.parent = top.state;
-        node_it->second.step_evictions = std::move(outcome.evictions);
-      }
-      queue.push(QueueEntry{dist, &node_it->first});
-    });
-  }
-
-  MCP_REQUIRE(goal != nullptr, "solve_ftf: no terminal state reachable");
-  result.states_stored = nodes.size();
-
-  if (options.build_schedule) {
-    // Walk parents back to the start, collecting per-step eviction lists;
-    // flatten in forward order.  Entries are per *fault*; steps without
-    // faults contributed empty lists.
-    std::vector<const std::vector<PageId>*> steps;
-    for (const OfflineState* cur = goal; cur != nullptr;) {
-      const NodeInfo& info = nodes.find(*cur)->second;
-      if (info.parent == nullptr) break;
-      steps.push_back(&info.step_evictions);
-      cur = info.parent;
-    }
-    std::reverse(steps.begin(), steps.end());
-    for (const auto* step : steps) {
-      result.schedule.insert(result.schedule.end(), step->begin(), step->end());
-    }
-    MCP_ASSERT(result.schedule.size() == result.min_faults);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Packed engine: Dial's algorithm (bucket queue) over interned packed ids.
+// Dial's algorithm (bucket queue) over interned packed ids.
 // One timestep costs 0..p faults, so distances are dense small integers and
 // buckets replace the binary heap: O(1) push, monotone non-decreasing pops.
 // All per-node metadata is flat vectors indexed by interned id.
@@ -265,8 +169,9 @@ constexpr std::uint32_t kSecEvictOff = 7;
 constexpr std::uint32_t kSecEvictLen = 8;
 constexpr std::uint32_t kSecEvictPool = 9;
 
-FtfResult solve_ftf_packed(const OfflineInstance& instance,
-                           const FtfOptions& options) {
+}  // namespace
+
+FtfResult solve_ftf(const OfflineInstance& instance, const FtfOptions& options) {
   const PackedTransitionSystem system(instance, options.victim_rule);
   const std::size_t stride = system.state_words();
   const bool schedule = options.build_schedule;
@@ -763,16 +668,6 @@ FtfResult solve_ftf_packed(const OfflineInstance& instance,
     MCP_ASSERT(result.schedule.size() == result.min_faults);
   }
   return result;
-}
-
-}  // namespace
-
-FtfResult solve_ftf(const OfflineInstance& instance, const FtfOptions& options) {
-  if (options.engine == OfflineEngine::kPacked &&
-      PackedTransitionSystem::supports(instance)) {
-    return solve_ftf_packed(instance, options);
-  }
-  return solve_ftf_reference(instance, options);
 }
 
 }  // namespace mcp

@@ -1,10 +1,10 @@
 // Optimal FINAL-TOTAL-FAULTS solver — the paper's Algorithm 1.
 //
 // The paper fills a (p+1)-dimensional table over (cache configuration,
-// position vector); we run the equivalent search as Dijkstra over the
-// TransitionSystem (cost = faults per step), which visits only *reachable*
-// configurations — typically a tiny fraction of the full table — while
-// computing the same optimum.  Complexity is the paper's
+// position vector); we run the equivalent search as a shortest-path search
+// over the PackedTransitionSystem (cost = faults per step), which visits
+// only *reachable* configurations — typically a tiny fraction of the full
+// table — while computing the same optimum.  Complexity is the paper's
 // O(n^{K+p} (tau+1)^p) in the worst case (Theorem 6): polynomial in the
 // sequence length for constant K and p, exponential in K and p.
 //
@@ -22,7 +22,6 @@
 #include "offline/checkpoint.hpp"
 #include "offline/instance.hpp"
 #include "offline/spill_arena.hpp"
-#include "offline/state_space.hpp"
 
 namespace mcp {
 
@@ -32,13 +31,8 @@ struct FtfOptions {
   bool build_schedule = false;
   /// Abort (throw ModelError) after storing this many states; 0 = no limit.
   std::size_t max_states = 0;
-  /// Search implementation.  kPacked runs Dial's bucket-queue shortest path
-  /// over interned bitset states (edge weights are 0..p faults per step, so
-  /// distances are dense); kReference is the retained binary-heap Dijkstra
-  /// over OfflineState nodes.  Both compute the same optimum.
-  OfflineEngine engine = OfflineEngine::kPacked;
-  /// Worker cap for the packed engine's bucket-synchronous parallel
-  /// expansion (0 = all pool workers, 1 = the serial reference path).
+  /// Worker cap for the bucket-synchronous parallel expansion (0 = all
+  /// pool workers, 1 = the serial path).
   /// Results are bit-identical at any worker count: each settled bucket is
   /// expanded as chunked waves whose emissions are recorded in serial sink
   /// order and merged in chunk order regardless of which worker ran them
@@ -48,17 +42,16 @@ struct FtfOptions {
   /// (0 = a small default).  Right-sizing it eliminates the early
   /// arena/table doubling churn inside guarded hot loops.
   std::size_t expected_states = 0;
-  /// Spill budget for the interner arena (packed engine).  Active budgets
-  /// make the state store file-backed — "instance too big" becomes
-  /// "instance takes longer" — and force the serial expansion path (the
-  /// spill layer's residency accounting is not concurrency-safe).
+  /// Spill budget for the interner arena.  Active budgets make the state
+  /// store file-backed — "instance too big" becomes "instance takes
+  /// longer" — and force the serial expansion path (the spill layer's
+  /// residency accounting is not concurrency-safe).
   StorageBudget storage;
-  /// Bucket-boundary checkpointing (packed engine); resume produces results
-  /// bit-equal to an uninterrupted solve.
+  /// Bucket-boundary checkpointing; resume produces results bit-equal to
+  /// an uninterrupted solve.
   CheckpointOptions checkpoint;
-  /// Allocation sentry (DESIGN.md §10, packed engine only): arm an
-  /// AllocGuard over every state expansion after the first (the first call
-  /// warms the step scratch).  Enforces the §9 claim that the packed
+  /// Allocation sentry (DESIGN.md §10): arm an AllocGuard over every state
+  /// expansion after the first (the first call warms the step scratch).  Enforces the §9 claim that the packed
   /// expansion kernel is allocation-free: only the relaxation sink's
   /// declared amortized growth (interner arena/table, distance/bucket
   /// arrays) may allocate; anything inside the kernel throws ModelError.
@@ -81,17 +74,17 @@ struct FtfResult {
   std::vector<PageId> schedule;
   std::size_t states_expanded = 0;
   std::size_t states_stored = 0;
-  /// Storage accounting (packed engine): logical state-arena bytes (the
-  /// spillable quantity — states * stride words; what a StorageBudget is
-  /// sized against), interner high-water resident bytes (arena segments +
-  /// hashes + table), and cumulative bytes written back to the spill file
-  /// (0 without a StorageBudget).
+  /// Storage accounting: logical state-arena bytes (the spillable quantity
+  /// — states * stride words; what a StorageBudget is sized against),
+  /// interner high-water resident bytes (arena segments + hashes + table),
+  /// and cumulative bytes written back to the spill file (0 without a
+  /// StorageBudget).
   std::size_t arena_bytes = 0;
   std::size_t peak_bytes_in_ram = 0;
   std::size_t bytes_spilled = 0;
-  /// Parallel-expansion work decomposition (packed engine, chunked path):
-  /// wall ns spent inside the parallel expansion passes and the summed
-  /// per-chunk CLOCK_THREAD_CPUTIME_ID ns.  BENCH_OFFLINE's
+  /// Parallel-expansion work decomposition (chunked path): wall ns spent
+  /// inside the parallel expansion passes and the summed per-chunk
+  /// CLOCK_THREAD_CPUTIME_ID ns.  BENCH_OFFLINE's
   /// capacity_states_per_sec projects the solve rate at W workers as
   /// states / (serial_ns + expand_busy_ns / W) — the oversubscription-
   /// immune convention capacity_rps established for mcpd.
@@ -101,7 +94,10 @@ struct FtfResult {
   bool resumed = false;
 };
 
-/// Minimum total faults to serve the instance (exact).
+/// Minimum total faults to serve the instance (exact), by Dial's
+/// bucket-queue shortest path over interned packed states (edge weights
+/// are 0..p faults per step, so distances are dense).  Throws InputError
+/// for an instance outside the packed encoding (packed_space.hpp).
 [[nodiscard]] FtfResult solve_ftf(const OfflineInstance& instance,
                                   const FtfOptions& options = {});
 

@@ -15,6 +15,13 @@
 
 namespace mcp {
 
+/// Which victims a fault may choose from in the offline searches.
+enum class VictimRule {
+  kAllPages,          ///< any present (non-reserved) page — the full optimum
+  kFitfPerSequence,   ///< per Theorem 5: for each core c, only the page of
+                      ///< R_c whose next request is furthest in R_c
+};
+
 /// Shared data of FTF / PIF instances.
 struct OfflineInstance {
   RequestSet requests;

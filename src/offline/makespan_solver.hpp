@@ -7,16 +7,17 @@
 // objectives can be compared on the same instances (bench E15).
 //
 // Implementation: breadth-first search over timesteps on the same
-// TransitionSystem as Algorithms 1 and 2.  A terminal state reached at the
-// start of step t finished its last service at t-1 plus any residual fetch;
-// the search stops once no future layer can beat the incumbent.
+// PackedTransitionSystem as Algorithms 1 and 2, states interned in one
+// StateInterner and each layer kept as a list of distinct ids.  A terminal
+// state reached at the start of step t finished its last service at t-1
+// plus any residual fetch; the search stops once no future layer can beat
+// the incumbent.
 #pragma once
 
 #include <cstddef>
 
 #include "core/types.hpp"
 #include "offline/instance.hpp"
-#include "offline/state_space.hpp"
 
 namespace mcp {
 
@@ -33,6 +34,8 @@ struct MakespanResult {
 };
 
 /// Exact minimum makespan over honest eviction schedules (disjoint inputs).
+/// Throws InputError for an instance outside the packed encoding
+/// (packed_space.hpp).
 [[nodiscard]] MakespanResult solve_min_makespan(
     const OfflineInstance& instance, const MakespanOptions& options = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -12,23 +13,43 @@ namespace {
 
 constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
 
-using detail::clear_bit;
 using detail::set_bit;
-using detail::test_bit;
+
+/// The first packed-encoding bound `instance` exceeds, with the instance's
+/// value; empty when the instance fits.
+std::string encoding_violation(const OfflineInstance& instance) {
+  using PTS = PackedTransitionSystem;
+  const std::size_t p = instance.requests.num_cores();
+  if (p > PTS::kMaxCores) {
+    return std::to_string(p) + " cores exceed the core-count bound " +
+           std::to_string(PTS::kMaxCores);
+  }
+  const PageId page_bound = instance.requests.page_bound();
+  if (page_bound > PTS::kMaxUniverse) {
+    return "page id " + std::to_string(page_bound - 1) +
+           " is not below the page-id bound " +
+           std::to_string(PTS::kMaxUniverse);
+  }
+  if (instance.tau > PTS::kMaxTau) {
+    return "tau " + std::to_string(instance.tau) + " exceeds the tau bound " +
+           std::to_string(PTS::kMaxTau);
+  }
+  for (CoreId j = 0; j < p; ++j) {
+    const std::size_t n = instance.requests.sequence(j).size();
+    if (n > PTS::kMaxPosition) {
+      return "core " + std::to_string(j) + " has " + std::to_string(n) +
+             " requests, not below the sequence-length bound " +
+             std::to_string(PTS::kMaxPosition + 1);
+    }
+  }
+  return {};
+}
 
 }  // namespace
 
 bool PackedTransitionSystem::supports(const OfflineInstance& instance) {
-  if (instance.requests.num_cores() == 0 ||
-      instance.requests.num_cores() > kMaxCores) {
-    return false;
-  }
-  if (instance.requests.page_bound() > kMaxUniverse) return false;
-  if (instance.tau > kMaxTau) return false;
-  for (const RequestSequence& seq : instance.requests) {
-    if (seq.size() > kMaxPosition) return false;
-  }
-  return true;
+  return instance.requests.num_cores() > 0 &&
+         encoding_violation(instance).empty();
 }
 
 PackedTransitionSystem::PackedTransitionSystem(const OfflineInstance& instance,
@@ -39,9 +60,9 @@ PackedTransitionSystem::PackedTransitionSystem(const OfflineInstance& instance,
       tau_(static_cast<std::uint32_t>(instance.tau)),
       cache_size_(instance.cache_size) {
   instance.validate();
-  MCP_REQUIRE(supports(instance),
-              "PackedTransitionSystem: instance exceeds the packed encoding "
-              "(universe <= 128 pages, tau <= 255, n < 2^24, p <= 32)");
+  if (std::string why = encoding_violation(instance); !why.empty()) {
+    throw InputError("offline instance outside the packed encoding: " + why);
+  }
   universe_size_ = instance.requests.page_bound();
   cache_words_ = std::max<std::size_t>(1, (universe_size_ + 63) / 64);
   stride_ = cache_words_ + (p_ + 1) / 2;
@@ -73,41 +94,6 @@ std::uint32_t PackedTransitionSystem::next_occurrence(PageId page,
   const auto& occ = occurrences_[page];
   const auto it = std::lower_bound(occ.begin(), occ.end(), from);
   return it == occ.end() ? kNever : *it;
-}
-
-void PackedTransitionSystem::pack(const OfflineState& state,
-                                  std::uint64_t* out) const {
-  std::fill(out, out + stride_, 0);
-  for (PageId page : state.cache) {
-    MCP_REQUIRE(page < universe_size_, "pack: page outside the universe");
-    set_bit(out, page);
-  }
-  MCP_REQUIRE(state.pos.size() == p_ && state.fetch.size() == p_,
-              "pack: core-vector sizes mismatch the instance");
-  for (CoreId j = 0; j < p_; ++j) {
-    MCP_REQUIRE(state.pos[j] <= kMaxPosition && state.fetch[j] <= 0xFFu,
-                "pack: position/fetch out of encoding range");
-    set_core_word(out, cache_words_, j, (state.pos[j] << 8) | state.fetch[j]);
-  }
-}
-
-OfflineState PackedTransitionSystem::unpack(const std::uint64_t* state) const {
-  OfflineState out;
-  for (std::size_t w = 0; w < cache_words_; ++w) {
-    std::uint64_t bits = state[w];
-    while (bits != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      out.cache.push_back(static_cast<PageId>(w * 64 + b));
-    }
-  }
-  out.pos.resize(p_);
-  out.fetch.resize(p_);
-  for (CoreId j = 0; j < p_; ++j) {
-    out.pos[j] = position(state, j);
-    out.fetch[j] = fetch_left(state, j);
-  }
-  return out;
 }
 
 void PackedTransitionSystem::victim_bits(const StepScratch& scratch,

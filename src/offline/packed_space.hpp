@@ -1,26 +1,30 @@
-// Packed transition system — the cache-friendly expansion kernel behind the
-// offline searches (the default `OfflineEngine::kPacked` engine).
+// Packed transition system — the expansion kernel behind every offline
+// search (FTF, PIF and makespan): src/offline's one implementation of the
+// paper's step rule.
 //
 // State layout, `state_words()` `uint64_t` words per state:
 //
 //   words[0 .. cache_words)             cache-contents bitset over the page
 //                                       universe (present + in flight);
-//                                       universe <= 128 pages, so 1–2 words
+//                                       page ids < 128, so 1–2 words
 //   words[cache_words + j/2], lane j%2  core j's word, one uint32 per core:
 //                                       (pos << 8) | fetch
 //
 // `pos` is the core's next request index (< 2^24) and `fetch` the remaining
-// blocked steps (<= tau <= 255); supports() validates all three bounds.
+// blocked steps (<= tau <= 255).  The constructor checks these bounds and
+// the core count, and throws InputError naming the bound an instance
+// exceeds; no solver falls back to another search.
 //
-// expand() mirrors TransitionSystem::expand (state_space.cpp) branch for
-// branch — cores in logical order, victims in ascending page order — but
-// with zero allocation in steady state: the caller provides a reusable
-// StepScratch (PR 3's caller-provided-buffer contract), membership tests are
-// bitset probes, victim enumeration iterates set bits of an on-stack word
-// snapshot, and outcomes are emitted into a sink the expansion is templated
-// over, so the per-outcome relaxation inlines into the kernel (expansion is
-// the searches' innermost loop, where even a function_ref's indirect call
-// per outcome is measurable).
+// expand() mirrors the heap-backed oracle's expansion
+// (tests/reference_offline.hpp) branch for branch — cores in logical order,
+// victims in ascending page order — but with zero allocation in steady
+// state: the caller provides a reusable StepScratch (the library's
+// caller-provided-buffer contract), membership tests are bitset probes,
+// victim enumeration iterates set bits of an on-stack word snapshot, and
+// outcomes are emitted into a sink the expansion is templated over, so the
+// per-outcome relaxation inlines into the kernel (expansion is the
+// searches' innermost loop, where even a function_ref's indirect call per
+// outcome is measurable).
 #pragma once
 
 #include <array>
@@ -32,7 +36,6 @@
 #include "core/error.hpp"
 #include "core/types.hpp"
 #include "offline/instance.hpp"
-#include "offline/state_space.hpp"
 
 namespace mcp {
 
@@ -69,11 +72,13 @@ class PackedTransitionSystem {
   static constexpr Time kMaxTau = 255;
   static constexpr std::size_t kMaxCores = 32;       ///< faulted_cores mask
 
-  /// True iff the instance fits the packed encoding (universe, sequence
-  /// length, tau, core-count bounds).  The solvers fall back to the
-  /// reference engine when this is false.
+  /// True iff the instance fits the packed encoding (page-id, sequence
+  /// length, tau and core-count bounds).
   [[nodiscard]] static bool supports(const OfflineInstance& instance);
 
+  /// Throws ModelError for a malformed instance (OfflineInstance::validate)
+  /// and InputError, naming the bound and the instance's value, for one
+  /// outside the packed encoding.
   PackedTransitionSystem(const OfflineInstance& instance, VictimRule rule);
 
   /// Words per packed state.
@@ -121,11 +126,6 @@ class PackedTransitionSystem {
     }
     expand_core(0, scratch, /*faulted=*/0, fill, sink);
   }
-
-  /// Conversions to/from the reference representation (tests, differential
-  /// harness).  pack() requires the state to fit the encoding.
-  void pack(const OfflineState& state, std::uint64_t* out) const;
-  [[nodiscard]] OfflineState unpack(const std::uint64_t* state) const;
 
   /// Core-word accessors, exposed for the solvers and tests.
   [[nodiscard]] std::uint32_t position(const std::uint64_t* state,

@@ -1,14 +1,14 @@
-// Interned packed states for the offline search engine.
+// Interned packed states for the offline searches.
 //
-// The offline searches (ftf_solver, pif_solver) explore state spaces whose
-// nodes were heap-heavy `OfflineState` objects — three vectors per node,
-// hashed field by field, owned by `unordered_map` nodes.  The packed engine
-// instead encodes a state as a fixed-width block of `uint64_t` words (cache
-// bitset + one `uint32_t` per core, see packed_space.hpp for the layout) and
-// interns every block in a StateInterner: an arena of contiguous blocks
-// addressed by dense `uint32_t` ids, deduplicated through an open-addressing
-// hash table.  Search structures (distances, parents, bucket queues, layer
-// fronts) become flat arrays indexed by id instead of pointer-chasing maps.
+// The offline searches (ftf_solver, pif_solver, makespan_solver) encode a
+// state as a fixed-width block of `uint64_t` words (cache bitset + one
+// `uint32_t` per core, see packed_space.hpp for the layout) rather than as
+// heap-backed vectors hashed field by field in `unordered_map` nodes (the
+// test oracle, tests/reference_offline.hpp, keeps that form).  Every block
+// is interned in a StateInterner: an arena of contiguous blocks addressed by
+// dense `uint32_t` ids, deduplicated through an open-addressing hash table.
+// Search structures (distances, parents, bucket queues, layer fronts) are
+// flat arrays indexed by id instead of pointer-chasing maps.
 //
 // The arena is a `SpillArena` (spill_arena.hpp): segmented, so block
 // pointers are stable across interns, and — given a `StorageBudget` —

@@ -1,13 +1,11 @@
 #include "offline/pif_solver.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <iomanip>
 #include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 
 #include "core/error.hpp"
 #include "core/sentry.hpp"
@@ -23,162 +21,8 @@ namespace mcp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference engine: serial layered BFS over heap-backed OfflineState nodes
-// with linear-scan Pareto fronts.  Retained as the differential oracle.
-// ---------------------------------------------------------------------------
-
-using FaultVec = std::vector<std::uint32_t>;
-
-/// true iff a[i] <= b[i] for all i.
-bool dominates(const FaultVec& a, const FaultVec& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-  }
-  return true;
-}
-
-/// One Pareto-frontier member of a state, with its provenance (provenance
-/// fields stay empty unless a witness schedule was requested).
-struct VecEntry {
-  FaultVec faults;
-  const OfflineState* parent_state = nullptr;
-  std::uint32_t parent_vec = 0;
-  std::vector<PageId> evictions;
-};
-
-/// Inserts `entry` unless dominated; removes entries it dominates.
-bool pareto_insert(std::vector<VecEntry>& front, VecEntry&& entry) {
-  for (const VecEntry& existing : front) {
-    if (dominates(existing.faults, entry.faults)) return false;
-  }
-  std::erase_if(front, [&entry](const VecEntry& existing) {
-    return dominates(entry.faults, existing.faults);
-  });
-  front.push_back(std::move(entry));
-  return true;
-}
-
-using Layer =
-    std::unordered_map<OfflineState, std::vector<VecEntry>, OfflineStateHash>;
-
-std::size_t layer_width(const Layer& layer) {
-  std::size_t width = 0;
-  for (const auto& [state, entries] : layer) width += entries.size();
-  return width;
-}
-
-/// Walks provenance back to layer 0 and flattens the per-step eviction
-/// lists into the global fault-order schedule.
-std::vector<PageId> reconstruct(const std::deque<Layer>& history,
-                                std::size_t layer_index,
-                                const OfflineState* state,
-                                std::uint32_t vec_index) {
-  std::vector<const std::vector<PageId>*> steps;
-  while (layer_index > 0) {
-    const auto it = history[layer_index].find(*state);
-    MCP_ASSERT(it != history[layer_index].end());
-    const VecEntry& entry = it->second[vec_index];
-    steps.push_back(&entry.evictions);
-    state = entry.parent_state;
-    vec_index = entry.parent_vec;
-    --layer_index;
-  }
-  std::reverse(steps.begin(), steps.end());
-  std::vector<PageId> schedule;
-  for (const auto* step : steps) {
-    schedule.insert(schedule.end(), step->begin(), step->end());
-  }
-  return schedule;
-}
-
-PifResult solve_pif_reference(const PifInstance& instance,
-                              const PifOptions& options) {
-  const TransitionSystem system(instance.base, options.victim_rule);
-  const std::size_t p = system.num_cores();
-
-  PifResult result;
-  // history[t] = layer at the start of step t.  Without schedule building we
-  // only ever keep the last two layers alive (the deque is pruned).
-  std::deque<Layer> history;
-  history.emplace_back();
-  {
-    VecEntry start;
-    start.faults.assign(p, 0);
-    history.back()[system.initial()].push_back(std::move(start));
-  }
-
-  for (Time t = 0; t < instance.deadline; ++t) {
-    const Layer& layer = history.back();
-    // Early success: a finished state's fault vector is frozen, and every
-    // vector still alive satisfies the bounds by construction.
-    for (const auto& [state, entries] : layer) {
-      if (system.is_terminal(state) && !entries.empty()) {
-        result.feasible = true;
-        result.decided_at = t;
-        if (options.build_schedule) {
-          result.schedule = reconstruct(history, history.size() - 1, &state, 0);
-        }
-        return result;
-      }
-    }
-
-    Layer next;
-    for (const auto& [state, entries] : layer) {
-      ++result.states_expanded;
-      const OfflineState* state_ptr = &state;
-      system.expand(state, [&](StepOutcome&& outcome) {
-        for (std::uint32_t v = 0; v < entries.size(); ++v) {
-          VecEntry advanced;
-          advanced.faults = entries[v].faults;
-          bool alive = true;
-          for (std::size_t j = 0; j < p; ++j) {
-            if ((outcome.faulted_cores >> j) & 1u) {
-              if (++advanced.faults[j] > instance.bounds[j]) {
-                alive = false;
-                break;
-              }
-            }
-          }
-          if (!alive) continue;
-          if (options.build_schedule) {
-            advanced.parent_state = state_ptr;
-            advanced.parent_vec = v;
-            advanced.evictions = outcome.evictions;
-          }
-          pareto_insert(next[outcome.next], std::move(advanced));
-        }
-      });
-    }
-    history.push_back(std::move(next));
-    if (!options.build_schedule && history.size() > 2) history.pop_front();
-
-    result.peak_layer_width =
-        std::max(result.peak_layer_width, layer_width(history.back()));
-    if (options.max_layer_width != 0 &&
-        result.peak_layer_width > options.max_layer_width) {
-      throw ModelError("solve_pif: layer width limit exceeded");
-    }
-    if (history.back().empty()) {  // every branch blew a bound
-      result.feasible = false;
-      result.decided_at = t + 1;
-      return result;
-    }
-  }
-
-  result.feasible = !history.back().empty();
-  result.decided_at = instance.deadline;
-  if (result.feasible && options.build_schedule) {
-    const auto& final_layer = history.back();
-    const auto it = final_layer.begin();
-    result.schedule =
-        reconstruct(history, history.size() - 1, &it->first, 0);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Packed engine: layered DP over interned packed states, expanded
-// layer-parallel on mcp::ThreadPool.
+// Layered DP over interned packed states, expanded layer-parallel on
+// mcp::ThreadPool.
 //
 // Determinism contract (bit-identical results at any worker count): each
 // layer's states — sorted ascending by interned id — are partitioned into
@@ -189,7 +33,7 @@ PifResult solve_pif_reference(const PifInstance& instance,
 // *when* a chunk's buffer is filled, never what it contains or when it is
 // merged.  Pareto front contents are insertion-order independent anyway
 // (the front is the set of minimal vectors seen), so the merge yields the
-// same fronts the reference engine computes.
+// same fronts the test oracle (tests/reference_offline.hpp) computes.
 // ---------------------------------------------------------------------------
 
 /// States per expansion chunk.  Fixed — it shapes the deterministic merge
@@ -359,8 +203,10 @@ constexpr std::uint32_t kSecPastWords = 16;
   throw ModelError(os.str());
 }
 
-PifResult solve_pif_packed(const PifInstance& instance,
-                           const PifOptions& options) {
+}  // namespace
+
+PifResult solve_pif(const PifInstance& instance, const PifOptions& options) {
+  instance.validate();
   const PackedTransitionSystem system(instance.base, options.victim_rule);
   const std::size_t p = system.num_cores();
   const std::size_t stride = system.state_words();
@@ -891,17 +737,6 @@ PifResult solve_pif_packed(const PifInstance& instance,
   }
   finalize();
   return result;
-}
-
-}  // namespace
-
-PifResult solve_pif(const PifInstance& instance, const PifOptions& options) {
-  instance.validate();
-  if (options.engine == OfflineEngine::kPacked &&
-      PackedTransitionSystem::supports(instance.base)) {
-    return solve_pif_packed(instance, options);
-  }
-  return solve_pif_reference(instance, options);
 }
 
 bool verify_pif_witness(const PifInstance& instance,

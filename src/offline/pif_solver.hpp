@@ -25,7 +25,6 @@
 #include "offline/checkpoint.hpp"
 #include "offline/instance.hpp"
 #include "offline/spill_arena.hpp"
-#include "offline/state_space.hpp"
 
 namespace mcp {
 
@@ -38,31 +37,27 @@ struct PifOptions {
   /// eviction schedule replayable through the simulator (costs memory
   /// proportional to deadline x layer width).
   bool build_schedule = false;
-  /// Search implementation.  kPacked runs the layered DP over interned
-  /// bitset states with layer expansion fanned out on mcp::ThreadPool;
-  /// kReference is the retained serial unordered_map implementation.
-  OfflineEngine engine = OfflineEngine::kPacked;
-  /// Worker cap for the packed engine's layer-parallel expansion (0 = all
-  /// pool workers).  Results are bit-identical at any worker count: states
-  /// are partitioned into fixed-size chunks by layer index, each chunk's
-  /// emissions are produced in serial order, and chunks merge in index
-  /// order regardless of which worker ran them.
+  /// Worker cap for the layer-parallel expansion (0 = all pool workers).
+  /// Results are bit-identical at any worker count: states are partitioned
+  /// into fixed-size chunks by layer index, each chunk's emissions are
+  /// produced in serial order, and chunks merge in index order regardless
+  /// of which worker ran them.
   std::size_t workers = 0;
   /// Interner pre-sizing hint: expected distinct states of the solve
   /// (0 = a small default).  Right-sizing it eliminates the early
   /// arena/table doubling churn inside guarded hot loops.
   std::size_t expected_states = 0;
-  /// Spill budget (packed engine): makes the interner arena file-backed and
-  /// moves finished schedule-mode layer history into a spill file, so the
-  /// DP can exceed RAM.  Active budgets force the serial expansion path
-  /// (the spill layer's residency accounting is not concurrency-safe).
+  /// Spill budget: makes the interner arena file-backed and moves finished
+  /// schedule-mode layer history into a spill file, so the DP can exceed
+  /// RAM.  Active budgets force the serial expansion path (the spill
+  /// layer's residency accounting is not concurrency-safe).
   StorageBudget storage;
-  /// Layer-boundary checkpointing (packed engine); resume produces results
-  /// bit-equal to an uninterrupted solve.
+  /// Layer-boundary checkpointing; resume produces results bit-equal to an
+  /// uninterrupted solve.
   CheckpointOptions checkpoint;
-  /// Allocation sentry (DESIGN.md §10, packed engine only): arm an
-  /// AllocGuard over every DP layer with index >= this value (0 = disabled),
-  /// on the merging thread and inside each expansion chunk.  Enforces the §9
+  /// Allocation sentry (DESIGN.md §10): arm an AllocGuard over every DP
+  /// layer with index >= this value (0 = disabled), on the merging thread
+  /// and inside each expansion chunk.  Enforces the §9
   /// steady-state claim: past warm-up, a layer allocates only at the
   /// declared amortized growth points (interner arena/table, layer/front
   /// recycling pools, chunk emission buffers, pool dispatch) — anything
@@ -82,9 +77,9 @@ struct PifResult {
   /// verification replays it with an LRU fallback for the remainder (see
   /// verify_pif_witness).
   std::vector<PageId> schedule;
-  /// Storage accounting (packed engine): interner high-water resident bytes
-  /// plus the layer-history log, and cumulative bytes written to spill
-  /// files (0 without a StorageBudget).
+  /// Storage accounting: interner high-water resident bytes plus the
+  /// layer-history log, and cumulative bytes written to spill files (0
+  /// without a StorageBudget).
   std::size_t peak_bytes_in_ram = 0;
   std::size_t bytes_spilled = 0;
   /// True when the solve continued from PifOptions::checkpoint.
@@ -96,7 +91,10 @@ struct PifResult {
 [[nodiscard]] bool verify_pif_witness(const PifInstance& instance,
                                       const std::vector<PageId>& schedule);
 
-/// Decides the PIF instance exactly (within honest schedules).
+/// Decides the PIF instance exactly (within honest schedules) by the
+/// layered DP over interned packed states, layer expansion fanned out on
+/// mcp::ThreadPool.  Throws InputError for an instance outside the packed
+/// encoding (packed_space.hpp).
 [[nodiscard]] PifResult solve_pif(const PifInstance& instance,
                                   const PifOptions& options = {});
 

@@ -1,10 +1,10 @@
-// Differential tests pinning the packed offline engines (packed_space.hpp,
-// OfflineEngine::kPacked) to the retained reference implementations: both
-// solvers run on a seeded grid over p x K x tau x victim rule, and every
-// observable the two engines share must agree.  Schedules themselves may
-// differ (the bucket queue and the binary heap break ties differently), so
-// schedule agreement is checked semantically — replay through the simulator
-// must charge exactly min_faults either way.
+// Differential tests pinning the packed offline searches (packed_space.hpp,
+// packed_state.hpp) to the heap-backed test oracle (reference_offline.hpp):
+// FTF, PIF and makespan run on a seeded grid over p x K x tau x victim rule,
+// and every observable the two implementations share must agree.  Schedules
+// themselves may differ (the bucket queue and the binary heap break ties
+// differently), so schedule agreement is checked semantically — replay
+// through the simulator must charge exactly min_faults either way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,17 +12,24 @@
 
 #include "core/error.hpp"
 #include "offline/ftf_solver.hpp"
+#include "offline/makespan_solver.hpp"
 #include "offline/packed_space.hpp"
 #include "offline/packed_state.hpp"
 #include "offline/pif_solver.hpp"
 #include "offline/replay.hpp"
-#include "offline/state_space.hpp"
+#include "reference_offline.hpp"
 #include "test_support.hpp"
 
 namespace mcp {
 namespace {
 
+using testing::OfflineState;
 using testing::random_disjoint_workload;
+using testing::solve_ftf_reference;
+using testing::solve_min_makespan_reference;
+using testing::solve_pif_reference;
+using testing::StepOutcome;
+using testing::TransitionSystem;
 
 OfflineInstance make_instance(RequestSet rs, std::size_t k, Time tau) {
   OfflineInstance inst;
@@ -88,8 +95,8 @@ TEST(PackedTransitionSystem, PackUnpackRoundTripsReachableStates) {
   for (int depth = 0; depth < 3; ++depth) {
     std::vector<OfflineState> next;
     for (const OfflineState& state : frontier) {
-      packed.pack(state, words.data());
-      EXPECT_EQ(packed.unpack(words.data()), state);
+      testing::pack(packed, state, words.data());
+      EXPECT_EQ(testing::unpack(packed, words.data()), state);
       EXPECT_EQ(ref.is_terminal(state), packed.is_terminal(words.data()));
       ref.expand(state, [&next](StepOutcome&& outcome) {
         next.push_back(std::move(outcome.next));
@@ -120,14 +127,14 @@ TEST(PackedTransitionSystem, ExpansionMatchesReferenceBranchForBranch) {
             ref_out.push_back(std::move(outcome));
           });
 
-          packed.pack(state, words.data());
+          testing::pack(packed, state, words.data());
           std::size_t i = 0;
           packed.expand(words.data(), scratch,
                         [&](const PackedOutcome& outcome) {
             ASSERT_LT(i, ref_out.size());
             // Same emission order: cores in logical order, victims in
             // ascending page order.
-            EXPECT_EQ(packed.unpack(outcome.next), ref_out[i].next);
+            EXPECT_EQ(testing::unpack(packed, outcome.next), ref_out[i].next);
             EXPECT_EQ(outcome.faulted_cores, ref_out[i].faulted_cores);
             EXPECT_TRUE(std::equal(outcome.evictions.begin(),
                                    outcome.evictions.end(),
@@ -147,7 +154,7 @@ TEST(PackedTransitionSystem, ExpansionMatchesReferenceBranchForBranch) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver grids: packed vs reference on seeded instances.
+// Solver grids: packed searches vs the oracle on seeded instances.
 // ---------------------------------------------------------------------------
 
 TEST(OfflineDifferential, FtfGridAgreesAcrossEngines) {
@@ -160,24 +167,22 @@ TEST(OfflineDifferential, FtfGridAgreesAcrossEngines) {
           const OfflineInstance inst = make_instance(rs, k, tau);
           ASSERT_TRUE(PackedTransitionSystem::supports(inst));
 
-          FtfOptions packed_opts;
-          packed_opts.victim_rule = rule;
-          packed_opts.build_schedule = true;
-          FtfOptions ref_opts = packed_opts;
-          ref_opts.engine = OfflineEngine::kReference;
+          FtfOptions opts;
+          opts.victim_rule = rule;
+          opts.build_schedule = true;
 
           if (k < p) {
             // With fewer cells than cores every first-step branch dies (all
             // cells are locked by in-flight fetches when the last core
             // faults): no terminal is reachable.  Both engines must agree on
             // that verdict too.
-            EXPECT_THROW((void)solve_ftf(inst, packed_opts), ModelError);
-            EXPECT_THROW((void)solve_ftf(inst, ref_opts), ModelError);
+            EXPECT_THROW((void)solve_ftf(inst, opts), ModelError);
+            EXPECT_THROW((void)solve_ftf_reference(inst, opts), ModelError);
             continue;
           }
 
-          const FtfResult packed = solve_ftf(inst, packed_opts);
-          const FtfResult ref = solve_ftf(inst, ref_opts);
+          const FtfResult packed = solve_ftf(inst, opts);
+          const FtfResult ref = solve_ftf_reference(inst, opts);
           const auto label = [&] {
             return ::testing::Message()
                    << "p=" << p << " k=" << k << " tau=" << tau
@@ -215,14 +220,12 @@ TEST(OfflineDifferential, PifGridAgreesAcrossEngines) {
           }
           ASSERT_TRUE(PackedTransitionSystem::supports(inst.base));
 
-          PifOptions packed_opts;
-          packed_opts.victim_rule = rule;
-          packed_opts.build_schedule = true;
-          PifOptions ref_opts = packed_opts;
-          ref_opts.engine = OfflineEngine::kReference;
+          PifOptions opts;
+          opts.victim_rule = rule;
+          opts.build_schedule = true;
 
-          const PifResult packed = solve_pif(inst, packed_opts);
-          const PifResult ref = solve_pif(inst, ref_opts);
+          const PifResult packed = solve_pif(inst, opts);
+          const PifResult ref = solve_pif_reference(inst, opts);
           const auto label = [&] {
             return ::testing::Message()
                    << "p=" << p << " k=" << k << " tau=" << tau
@@ -249,6 +252,46 @@ TEST(OfflineDifferential, PifGridAgreesAcrossEngines) {
   // The grid must exercise both verdicts or it proves too little.
   EXPECT_GT(feasible_seen, 0);
   EXPECT_GT(infeasible_seen, 0);
+}
+
+TEST(OfflineDifferential, MakespanMatchesReferenceAcrossGrid) {
+  // Both searches build the same per-layer state sets, so the optimum and
+  // both search counters must be identical, not merely equivalent.
+  Rng rng(271828);
+  for (std::size_t p : kCores) {
+    for (std::size_t k : kCacheSizes) {
+      for (Time tau : kTaus) {
+        for (VictimRule rule : kRules) {
+          const RequestSet rs = random_disjoint_workload(rng, p, 3, 6);
+          const OfflineInstance inst = make_instance(rs, k, tau);
+          MakespanOptions opts;
+          opts.victim_rule = rule;
+          const auto label = [&] {
+            return ::testing::Message()
+                   << "p=" << p << " k=" << k << " tau=" << tau
+                   << " rule=" << (rule == VictimRule::kAllPages ? "all" : "fitf");
+          };
+
+          if (k < p) {
+            // Every first-step branch dies, as in the FTF grid: both
+            // searches must report the dead end.
+            EXPECT_THROW((void)solve_min_makespan(inst, opts), ModelError)
+                << label();
+            EXPECT_THROW((void)solve_min_makespan_reference(inst, opts),
+                         ModelError)
+                << label();
+            continue;
+          }
+
+          const MakespanResult packed = solve_min_makespan(inst, opts);
+          const MakespanResult ref = solve_min_makespan_reference(inst, opts);
+          EXPECT_EQ(packed.min_makespan, ref.min_makespan) << label();
+          EXPECT_EQ(packed.states_expanded, ref.states_expanded) << label();
+          EXPECT_EQ(packed.peak_layer_width, ref.peak_layer_width) << label();
+        }
+      }
+    }
+  }
 }
 
 TEST(OfflineDifferential, PifBitIdenticalAcrossWorkerCounts) {
@@ -340,40 +383,93 @@ TEST(OfflineDifferential, FtfStateLimitReportsCounters) {
   Rng rng(5150);
   const RequestSet rs = random_disjoint_workload(rng, 2, 3, 8);
   const OfflineInstance inst = make_instance(rs, 2, 2);
-  for (OfflineEngine engine : {OfflineEngine::kPacked, OfflineEngine::kReference}) {
-    FtfOptions opts;
-    opts.engine = engine;
-    opts.max_states = 5;
-    try {
-      (void)solve_ftf(inst, opts);
-      FAIL() << "expected ModelError";
-    } catch (const ModelError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("states_expanded="), std::string::npos) << what;
-      EXPECT_NE(what.find("states_stored="), std::string::npos) << what;
-      if (engine == OfflineEngine::kPacked) {
-        // The packed engine knows its memory story: the abort message alone
-        // must be enough to size the retry (budget, reserve hint, or limit).
-        EXPECT_NE(what.find("arena_bytes="), std::string::npos) << what;
-        EXPECT_NE(what.find("peak_bytes_in_ram="), std::string::npos) << what;
-        EXPECT_NE(what.find("table_load_factor="), std::string::npos) << what;
-        EXPECT_NE(what.find("bytes_spilled="), std::string::npos) << what;
-      }
-    }
+  FtfOptions opts;
+  opts.max_states = 5;
+  try {
+    (void)solve_ftf(inst, opts);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("states_expanded="), std::string::npos) << what;
+    EXPECT_NE(what.find("states_stored="), std::string::npos) << what;
+    // The interner knows its memory story: the abort message alone must be
+    // enough to size the retry (budget, reserve hint, or limit).
+    EXPECT_NE(what.find("arena_bytes="), std::string::npos) << what;
+    EXPECT_NE(what.find("peak_bytes_in_ram="), std::string::npos) << what;
+    EXPECT_NE(what.find("table_load_factor="), std::string::npos) << what;
+    EXPECT_NE(what.find("bytes_spilled="), std::string::npos) << what;
   }
 }
 
-TEST(OfflineDifferential, UnsupportedInstanceFallsBackToReference) {
-  // 140 distinct pages blow the 128-page packed universe; the packed engine
-  // must silently fall back rather than fail.
-  RequestSequence seq;
-  for (PageId page = 0; page < 140; ++page) seq.push_back(page);
-  RequestSet rs;
-  rs.add_sequence(std::move(seq));
-  const OfflineInstance inst = make_instance(std::move(rs), 2, 1);
-  ASSERT_FALSE(PackedTransitionSystem::supports(inst));
-  const FtfResult result = solve_ftf(inst);  // default engine = kPacked
-  EXPECT_EQ(result.min_faults, 140u);        // cold faults only
+TEST(OfflineDifferential, UnsupportedInstanceIsAnInputError) {
+  // Page ids must stay below the 128-id bitset universe.  The bound is on
+  // page ids, not on distinct pages: the 2-core instance below uses only
+  // four distinct pages, but one of them has id 200.  Every solver refuses both
+  // instances up front instead of running some slower search.
+  RequestSequence wide;
+  for (PageId page = 0; page < 140; ++page) wide.push_back(page);
+  RequestSet wide_rs;
+  wide_rs.add_sequence(std::move(wide));
+  RequestSet sparse_rs;
+  sparse_rs.add_sequence(RequestSequence{1, 2, 1});
+  sparse_rs.add_sequence(RequestSequence{200, 3, 200});
+  ASSERT_EQ(sparse_rs.total_requests(), 6u);
+
+  for (const RequestSet* rs : {&wide_rs, &sparse_rs}) {
+    const OfflineInstance inst = make_instance(*rs, 2, 1);
+    ASSERT_FALSE(PackedTransitionSystem::supports(inst));
+    PifInstance pif;
+    pif.base = inst;
+    pif.deadline = 4;
+    pif.bounds.assign(rs->num_cores(), 2);
+    const std::string largest = std::to_string(rs->page_bound() - 1);
+    const auto expect_page_id_error = [&largest](const char* solver,
+                                                 const auto& solve) {
+      try {
+        solve();
+        ADD_FAILURE() << solver << ": expected InputError";
+      } catch (const InputError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("page-id bound 128"), std::string::npos)
+            << solver << ": " << what;
+        EXPECT_NE(what.find("page id " + largest), std::string::npos)
+            << solver << ": " << what;
+      }
+    };
+    expect_page_id_error("solve_ftf", [&] { (void)solve_ftf(inst); });
+    expect_page_id_error("solve_pif", [&] { (void)solve_pif(pif); });
+    expect_page_id_error("solve_min_makespan",
+                         [&] { (void)solve_min_makespan(inst); });
+  }
+}
+
+TEST(PackedTransitionSystem, ConstructorNamesTheViolatedBound) {
+  RequestSet one_core;
+  one_core.add_sequence(RequestSequence{1, 2, 1});
+  const OfflineInstance slow = make_instance(one_core, 2, 256);
+  try {
+    (void)PackedTransitionSystem(slow, VictimRule::kAllPages);
+    ADD_FAILURE() << "expected InputError for tau 256";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("tau 256 exceeds the tau bound 255"),
+              std::string::npos)
+        << e.what();
+  }
+
+  RequestSet many;
+  for (PageId core = 0; core < 33; ++core) {
+    many.add_sequence(RequestSequence{core});
+  }
+  const OfflineInstance wide = make_instance(many, 40, 1);
+  try {
+    (void)PackedTransitionSystem(wide, VictimRule::kAllPages);
+    ADD_FAILURE() << "expected InputError for 33 cores";
+  } catch (const InputError& e) {
+    EXPECT_NE(
+        std::string(e.what()).find("33 cores exceed the core-count bound 32"),
+        std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

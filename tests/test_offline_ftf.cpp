@@ -1,7 +1,9 @@
 // Tests for the optimal FTF solver (offline/ftf_solver.hpp): agreement with
 // the independent simulator-driven exhaustive search, Theorem 5's restricted
 // search, schedule replay through the simulator, and dominance over online
-// strategies.
+// strategies; plus the step rule of the heap-backed test oracle
+// (reference_offline.hpp) that the differential battery checks the packed
+// kernel against.
 #include "offline/ftf_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "offline/replay.hpp"
 #include "policies/belady.hpp"
 #include "policies/policy_registry.hpp"
+#include "reference_offline.hpp"
 #include "strategies/shared.hpp"
 #include "strategies/static_partition.hpp"
 #include "test_support.hpp"
@@ -19,7 +22,10 @@
 namespace mcp {
 namespace {
 
+using testing::OfflineState;
 using testing::random_disjoint_workload;
+using testing::StepOutcome;
+using testing::TransitionSystem;
 
 OfflineInstance make_instance(RequestSet rs, std::size_t k, Time tau) {
   OfflineInstance inst;
