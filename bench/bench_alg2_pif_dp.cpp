@@ -28,18 +28,15 @@ PifInstance random_pif(std::size_t per_core, Time deadline, Count bound,
   return inst;
 }
 
-double solve_ms(const PifInstance& inst, const PifOptions& options,
-                PifResult* out) {
+double solve_ms(const PifInstance& inst, PifResult* out) {
   const auto start = std::chrono::steady_clock::now();
-  *out = solve_pif(inst, options);
+  *out = solve_pif(inst);
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-lab::ExperimentResult run(const lab::RunContext& ctx) {
+lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   lab::ResultBuilder b;
-  PifOptions options;
-  options.workers = ctx.workers;
 
   auto& deadline_table = b.series(
       "width_vs_deadline",
@@ -50,32 +47,13 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
     const PifInstance inst =
         random_pif(/*per_core=*/deadline, deadline, deadline, 31);
     PifResult result;
-    const double ms = solve_ms(inst, options, &result);
+    const double ms = solve_ms(inst, &result);
     widths.push_back(result.peak_layer_width);
     deadline_table.row(
         static_cast<std::uint64_t>(deadline), result.feasible ? "yes" : "no",
         static_cast<std::uint64_t>(result.peak_layer_width),
         static_cast<std::uint64_t>(result.states_expanded), ms,
         ms <= 0.0 ? 0.0 : static_cast<double>(result.states_expanded) / ms);
-  }
-
-  // The determinism contract: bit-identical witnesses at any worker count.
-  bool deterministic = true;
-  {
-    PifInstance inst = random_pif(48, 48, 12, 33);
-    PifOptions base;
-    base.build_schedule = true;
-    base.workers = 1;
-    const PifResult serial = solve_pif(inst, base);
-    for (std::size_t workers : {2u, 8u}) {
-      base.workers = workers;
-      const PifResult parallel = solve_pif(inst, base);
-      deterministic = deterministic && parallel.feasible == serial.feasible &&
-                      parallel.schedule == serial.schedule &&
-                      parallel.peak_layer_width == serial.peak_layer_width;
-    }
-    b.notef("Worker determinism (workers 1/2/8): %s",
-            deterministic ? "bit-identical" : "MISMATCH");
   }
 
   auto& bounds_table =
@@ -107,10 +85,8 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
   // pruning is doing its job (worst case is much larger).
   const double growth = static_cast<double>(widths.back()) /
                         static_cast<double>(widths.front());
-  return std::move(b).finish(
-      agreements == total && growth < 256.0 && deterministic,
-      "decisions exact; layer width stays polynomial; "
-      "worker-count independent");
+  return std::move(b).finish(agreements == total && growth < 256.0,
+                             "decisions exact; layer width stays polynomial");
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Experiment E13 — engine microbenchmarks (google-benchmark): simulator
 // request throughput across core counts, cache sizes, eviction policies and
 // strategy families, plus the victim-selection ablation (list-backed LRU vs
-// scan-based LFU), the offline solver's cost per state, and the parallel
-// sweep engine's cells/sec across worker counts (the repo's perf baseline;
+// scan-based LFU), the offline solvers' cost per state and independent
+// FTF solves across sweep runners, and the parallel sweep engine's
+// cells/sec across worker counts (the repo's perf baseline;
 // pass --benchmark_format=json to capture the counters machine-readably).
 #include <benchmark/benchmark.h>
-
-#include <chrono>
 
 #include "core/batch_state.hpp"
 #include "core/simulator.hpp"
@@ -119,11 +118,9 @@ void BM_FtfSolver(benchmark::State& state) {
   inst.requests = make_workload(homogeneous_spec(2, core, true, 78));
   inst.cache_size = 4;
   inst.tau = 2;
-  FtfOptions options;
-  options.workers = 1;  // serial path: comparable to pre-parallel baselines
   std::size_t states = 0;
   for (auto _ : state) {
-    const FtfResult result = solve_ftf(inst, options);
+    const FtfResult result = solve_ftf(inst);
     benchmark::DoNotOptimize(result.min_faults);
     states += result.states_stored;
     state.counters["states"] = static_cast<double>(result.states_stored);
@@ -135,57 +132,38 @@ void BM_FtfSolver(benchmark::State& state) {
       static_cast<double>(states), benchmark::Counter::kIsRate);
 }
 
-void BM_FtfSolverParallel(benchmark::State& state) {
-  // Bucket-synchronous parallel FTF expansion, projected at W workers
-  // (Arg).  The wall clock cannot show the parallel speedup on an
-  // oversubscribed or small machine, so the gated counter is
-  // capacity_states_per_sec — the solve rate projected at W dedicated
-  // workers, states / (serial_ns + expand_busy_ns / W), the same
-  // oversubscription-immune convention as mcpd's capacity_rps.  Every Arg
-  // runs the *same* instrumented chunked solve (workers = 8) and projects
-  // its measured split at Arg workers: serial_ns is the solve wall minus
-  // the parallel expansion/dedup passes, expand_busy_ns sums those passes'
-  // thread CPU time (worker-count independent), so Arg(1) is the chunked
-  // engine's own single-worker projection — the Amdahl denominator.  The
-  // perf-smoke job gates parallel/8 capacity >= 3x parallel/1 within the
-  // same run, so the gate is immune to machine-speed drift.  (The serial
-  // path is benchmarked separately as BM_FtfSolver.)
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
+void BM_FtfSolverSweep(benchmark::State& state) {
+  // Offline parallelism runs across independent solves: sixteen serial FTF
+  // solves of BM_FtfSolver's instance family (40 requests/core, seeds
+  // 100..115) as SweepRunner cells.  Arg = runner cap (1 = serial, 0 = all
+  // hardware workers).  Registered with UseRealTime, so solves_per_sec is a
+  // wall-clock rate; the perf-smoke --speedup gate compares /0 against /1
+  // within one run.
+  constexpr std::size_t kSolves = 16;
+  const std::size_t max_threads = static_cast<std::size_t>(state.range(0));
   CoreWorkload core;
   core.pattern = AccessPattern::kUniform;
   core.num_pages = 5;
-  core.length = 20;
-  OfflineInstance inst;
-  inst.requests = make_workload(homogeneous_spec(3, core, true, 78));
-  inst.cache_size = 5;
-  inst.tau = 2;
-  FtfOptions options;
-  options.workers = 8;
-  std::size_t states = 0;
-  std::uint64_t wall_ns = 0;
-  std::uint64_t expand_wall_ns = 0;
-  std::uint64_t busy_ns = 0;
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const FtfResult result = solve_ftf(inst, options);
-    const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(result.min_faults);
-    states += result.states_stored;
-    wall_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-            .count());
-    expand_wall_ns += result.expand_wall_ns;
-    busy_ns += result.expand_busy_ns;
+  core.length = 40;
+  std::vector<OfflineInstance> instances(kSolves);
+  for (std::size_t i = 0; i < kSolves; ++i) {
+    instances[i].requests =
+        make_workload(homogeneous_spec(2, core, true, 100 + i));
+    instances[i].cache_size = 4;
+    instances[i].tau = 2;
   }
-  const double serial_ns =
-      static_cast<double>(wall_ns) - static_cast<double>(expand_wall_ns);
-  const double projected_ns =
-      serial_ns + static_cast<double>(busy_ns) / static_cast<double>(workers);
-  state.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(states), benchmark::Counter::kIsRate);
-  state.counters["capacity_states_per_sec"] =
-      projected_ns > 0.0 ? static_cast<double>(states) * 1e9 / projected_ns
-                         : 0.0;
+  std::size_t solves = 0;
+  for (auto _ : state) {
+    SweepRunner sweep(SweepOptions{/*master_seed=*/13, max_threads});
+    const std::vector<Count> faults =
+        sweep.run(kSolves, [&](std::size_t i, Rng& /*rng*/) {
+          return solve_ftf(instances[i]).min_faults;
+        });
+    benchmark::DoNotOptimize(faults.data());
+    solves += kSolves;
+  }
+  state.counters["solves_per_sec"] = benchmark::Counter(
+      static_cast<double>(solves), benchmark::Counter::kIsRate);
 }
 
 void BM_PifSolver(benchmark::State& state) {
@@ -324,8 +302,8 @@ void BM_McpdIngest(benchmark::State& state) {
   // pre-encoded tenant documents (open + chunks + close + fault query) and
   // wait for every reply.  Measures wire decode, shard routing, session
   // stepping and response publication together; encoding is hoisted out of
-  // the loop.  Arg = shard count.  pairs_per_sec is the perf-smoke gate for
-  // the service layer (BENCH_MCPD.json holds the loadgen-side baseline).
+  // the loop.  Arg = shard count.  pairs_per_sec is context only: the
+  // service layer's perf-smoke gate is mcpd-loadgen (BENCH_MCPD.json).
   const std::size_t shards = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kTenants = 8;
   std::vector<std::shared_ptr<const std::vector<std::byte>>> traces;
@@ -375,18 +353,19 @@ BENCHMARK(BM_SharedFitf);
 // Arg = requests per core; the instance family matches E8's bytes_per_state
 // series (5 pages/core, K=4, tau=2 — wide victim branching).
 BENCHMARK(BM_FtfSolver)->Arg(24)->Arg(40)->Arg(48);
-// Arg = worker count for the projected-capacity pair (48 requests/core
-// instance, same family as above): the perf-smoke --speedup gate requires
-// parallel/8 capacity_states_per_sec >= 3x parallel/1.
-BENCHMARK(BM_FtfSolverParallel)->Arg(1)->Arg(8);
+// Arg = SweepRunner cap: the perf-smoke --speedup gate requires /0
+// solves_per_sec >= 1.5x /1.
+BENCHMARK(BM_FtfSolverSweep)->Arg(1)->Arg(0)->UseRealTime();
 // Arg = deadline; matches E9's width_vs_deadline series.
 BENCHMARK(BM_PifSolver)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_BigFleetThroughput);
 BENCHMARK(BM_LruFaultCurve)->Arg(64);
 // Arg = sweep worker cap: serial, two workers, all hardware workers (0).
-BENCHMARK(BM_PartitionSweep)->Arg(1)->Arg(2)->Arg(0);
-BENCHMARK(BM_BatchSweep);
+// Multi-threaded benchmarks run on real time: a kIsRate counter divides by
+// the calling thread's CPU time otherwise, which overstates the rate.
+BENCHMARK(BM_PartitionSweep)->Arg(1)->Arg(2)->Arg(0)->UseRealTime();
+BENCHMARK(BM_BatchSweep)->UseRealTime();
 // Arg = shard count: single-shard baseline vs the sharded daemon.
-BENCHMARK(BM_McpdIngest)->Arg(1)->Arg(4);
+BENCHMARK(BM_McpdIngest)->Arg(1)->Arg(4)->UseRealTime();
 
 BENCHMARK_MAIN();

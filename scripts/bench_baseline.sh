@@ -4,9 +4,10 @@
 #   bench/baseline/BENCH_E13.json     — simulator/sweep counters (steps/sec,
 #                                       fault-curve cells/sec, sweep cells/sec)
 #   bench/baseline/BENCH_OFFLINE.json — offline solvers (states/sec for the
-#                                       FTF and PIF searches, the parallel
-#                                       FTF capacity projection at 1 and 8
-#                                       workers)
+#                                       FTF and PIF searches, and solves/sec
+#                                       of sixteen independent FTF solves as
+#                                       SweepRunner cells at 1 and at all
+#                                       runners)
 #   bench/baseline/BENCH_MCPD.json    — mcpd service layer (mcpd-loadgen
 #                                       requests/sec, capacity_rps and epoch
 #                                       latency quantiles across shard counts;
@@ -14,7 +15,10 @@
 #                                       fitted-tenant scenario)
 #
 # Builds the google-benchmark suite and the loadgen in Release and captures
-# the benchmarks that gate the perf-smoke CI job.  Usage:
+# the benchmarks that gate the perf-smoke CI job.  Every output's `context`
+# object also records git_sha, cmake_build_type, compiler and mcp_options
+# (the build's MCP_* CMake options), read from git and the build's
+# CMakeCache.txt.  Usage:
 #
 #   scripts/bench_baseline.sh [e13_output.json [offline_output.json [mcpd_output.json]]]
 #
@@ -28,8 +32,10 @@ OUT=${1:-bench/baseline/BENCH_E13.json}
 OFFLINE_OUT=${2:-bench/baseline/BENCH_OFFLINE.json}
 MCPD_OUT=${3:-bench/baseline/BENCH_MCPD.json}
 BUILD=${BUILD_DIR:-build-bench}
-FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0$|BM_BatchSweep$|BM_McpdIngest/(1|4)$'}
-OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(24|40|48)$|BM_FtfSolverParallel/(1|8)$|BM_PifSolver/(32|64|128)$'}
+# Multi-threaded benchmarks run on real time, which google-benchmark marks
+# with a /real_time name suffix.
+FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0/real_time$|BM_BatchSweep/real_time$|BM_McpdIngest/(1|4)/real_time$'}
+OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(24|40|48)$|BM_FtfSolverSweep/(1|0)/real_time$|BM_PifSolver/(32|64|128)$'}
 LOADGEN_ARGS=${LOADGEN_ARGS:---shards=1,2,4,8 --tenants=64 --producers=2 --repetitions=5 --homogeneous}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release \
@@ -37,21 +43,65 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$BUILD" --target bench_sim_throughput mcpd-loadgen \
   -j "$(nproc)" >/dev/null
 
+# Build context.  google-benchmark splits --benchmark_context on ',' and
+# '=', so neither may appear inside a value.
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "$BUILD/CMakeCache.txt"
+}
+context_value() {
+  tr ',=\n' ';: ' | sed 's/ *$//'
+}
+# A tree with uncommitted changes is recorded as "<HEAD>-dirty"; a copy
+# without git history as "unknown".
+if GIT_SHA=$(git rev-parse HEAD 2>/dev/null); then
+  git diff --quiet HEAD || GIT_SHA="$GIT_SHA-dirty"
+else
+  GIT_SHA=unknown
+fi
+BUILD_TYPE=$(cache_value CMAKE_BUILD_TYPE | context_value)
+COMPILER=$("$(cache_value CMAKE_CXX_COMPILER)" --version | sed -n 1p |
+  context_value)
+MCP_OPTIONS=$(grep -E '^MCP_[A-Z_]+:' "$BUILD/CMakeCache.txt" |
+  sed -E 's/^([A-Z_]+):[A-Z]+=/\1:/' | context_value)
+CONTEXT="git_sha=$GIT_SHA,cmake_build_type=$BUILD_TYPE,compiler=$COMPILER,mcp_options=$MCP_OPTIONS"
+
 mkdir -p "$(dirname "$OUT")" "$(dirname "$OFFLINE_OUT")" "$(dirname "$MCPD_OUT")"
 
 # The previous baselines are in git history: diff against them there.
 "$BUILD"/bench/bench_sim_throughput \
   --benchmark_filter="$FILTER" \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
+  --benchmark_context="$CONTEXT" \
   --benchmark_format=json >"$OUT"
 echo "wrote $OUT"
 
 "$BUILD"/bench/bench_sim_throughput \
   --benchmark_filter="$OFFLINE_FILTER" \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
+  --benchmark_context="$CONTEXT" \
   --benchmark_format=json >"$OFFLINE_OUT"
 echo "wrote $OFFLINE_OUT"
 
 # shellcheck disable=SC2086  # LOADGEN_ARGS is intentionally word-split.
 "$BUILD"/src/service/mcpd-loadgen $LOADGEN_ARGS >"$MCPD_OUT"
+# mcpd-loadgen has no --benchmark_context: insert the same keys at the top
+# of its context object, keeping the rest of its output byte for byte.
+python3 - "$MCPD_OUT" "$CONTEXT" <<'EOF'
+import json
+import sys
+
+path, context = sys.argv[1], sys.argv[2]
+with open(path, encoding="utf-8") as f:
+    text = f.read()
+anchor = '"context": {\n'
+at = text.index(anchor) + len(anchor)
+fields = "".join(
+    f"    {json.dumps(key)}: {json.dumps(value)},\n"
+    for key, value in (pair.split("=", 1) for pair in context.split(","))
+)
+merged = text[:at] + fields + text[at:]
+json.loads(merged)  # still valid JSON
+with open(path, "w", encoding="utf-8") as f:
+    f.write(merged)
+EOF
 echo "wrote $MCPD_OUT"

@@ -11,13 +11,17 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
 
   # E13 simulator gate (the default when no --gate is given), plus the
   # within-run kernel-vs-strategy-objects ratio on the same sweep grid
+  # (real-time benchmarks carry google-benchmark's /real_time suffix)
   scripts/check_perf_regression.py CURRENT.json \
-      --speedup 'BM_BatchSweep:cells_per_sec' \
-                'BM_PartitionSweep/0:cells_per_sec' 3.0
-  # offline solver gate (BENCH_OFFLINE.json)
+      --speedup 'BM_BatchSweep/real_time:cells_per_sec' \
+                'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0
+  # offline solver gate (BENCH_OFFLINE.json), plus the within-run ratio of
+  # independent FTF solves at all SweepRunner runners vs one
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_OFFLINE.json \
       --gate 'BM_FtfSolver/48:states_per_sec' \
-      --gate 'BM_PifSolver/128:states_per_sec'
+      --gate 'BM_PifSolver/128:states_per_sec' \
+      --speedup 'BM_FtfSolverSweep/0/real_time:solves_per_sec' \
+                'BM_FtfSolverSweep/1/real_time:solves_per_sec' 1.5
   # mcpd service gate (BENCH_MCPD.json, mcpd-loadgen output: daemon ingest
   # throughput at 1 shard plus aggregate shard capacity at 8 shards)
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_MCPD.json \
@@ -38,7 +42,7 @@ DEFAULT_GATES = (
     "BM_SharedPolicy/lru/4:steps_per_sec",
     # The batch kernel's sweep throughput (BatchEngine under
     # SweepRunner::run_jobs); 25% default tolerance like every other gate.
-    "BM_BatchSweep:cells_per_sec",
+    "BM_BatchSweep/real_time:cells_per_sec",
 )
 CONTEXT_COUNTERS = (
     "steps_per_sec",
@@ -47,11 +51,10 @@ CONTEXT_COUNTERS = (
     "cells_per_sec",
     "lane_steps_per_sec",
     "states_per_sec",
-    # Offline solver storage/parallel counters (BENCH_OFFLINE.json): the
-    # projected W-worker solve rate (states / (serial_ns + busy_ns / W))
-    # gated by the perf-smoke --speedup pair, and the interner's peak
-    # resident bytes per stored state.
-    "capacity_states_per_sec",
+    # Offline solver counters (BENCH_OFFLINE.json): independent FTF solves
+    # per wall second through SweepRunner (the perf-smoke --speedup pair),
+    # and the interner's peak resident bytes per stored state.
+    "solves_per_sec",
     "bytes_per_state",
     # Service layer (BM_McpdIngest and the mcpd-loadgen BENCH_MCPD.json):
     # daemon ingest pairs/sec, loadgen wall throughput, aggregate per-shard

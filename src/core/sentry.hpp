@@ -16,7 +16,7 @@
 //
 // Guards nest (the innermost region is reported) and are strictly
 // per-thread: a guard on the main thread says nothing about pool workers —
-// parallel regions arm a guard inside each worker task (see pif_solver.cpp).
+// a parallel region must arm a guard inside each worker task.
 // All sentry state is thread_local (sentry.cpp), so there is no shared
 // capability for the thread-safety analysis to track; the *coverage*
 // invariant — every declared hot kernel still arms its guard and is
@@ -89,7 +89,7 @@ class AllocGuard {
 };
 
 /// Scoped suspension of the innermost AllocGuard: marks a *declared*
-/// amortized growth point (arena append, index doubling, pool dispatch)
+/// amortized growth point (arena append, index doubling)
 /// inside an otherwise allocation-free region.  Nesting is counted.
 class AllocAllow {
  public:

@@ -31,12 +31,11 @@ struct FtfOptions {
   bool build_schedule = false;
   /// Abort (throw ModelError) after storing this many states; 0 = no limit.
   std::size_t max_states = 0;
-  /// Worker cap for the bucket-synchronous parallel expansion (0 = all
-  /// pool workers, 1 = the serial path).
-  /// Results are bit-identical at any worker count: each settled bucket is
-  /// expanded as chunked waves whose emissions are recorded in serial sink
-  /// order and merged in chunk order regardless of which worker ran them
-  /// (see the determinism note in ftf_solver.cpp).
+  /// No effect: the search is serial, and parallelism runs across
+  /// independent solves (SweepRunner cells).  Kept only because the
+  /// repository benchmark (perfbench/src/offline.cpp) still assigns it;
+  /// the next change to that benchmark drops the assignment, then this
+  /// field.
   std::size_t workers = 0;
   /// Interner pre-sizing hint: expected distinct states of the solve
   /// (0 = a small default).  Right-sizing it eliminates the early
@@ -44,8 +43,7 @@ struct FtfOptions {
   std::size_t expected_states = 0;
   /// Spill budget for the interner arena.  Active budgets make the state
   /// store file-backed — "instance too big" becomes "instance takes
-  /// longer" — and force the serial expansion path (the spill layer's
-  /// residency accounting is not concurrency-safe).
+  /// longer".
   StorageBudget storage;
   /// Bucket-boundary checkpointing; resume produces results bit-equal to
   /// an uninterrupted solve.
@@ -82,14 +80,6 @@ struct FtfResult {
   std::size_t arena_bytes = 0;
   std::size_t peak_bytes_in_ram = 0;
   std::size_t bytes_spilled = 0;
-  /// Parallel-expansion work decomposition (chunked path): wall ns spent
-  /// inside the parallel expansion passes and the summed per-chunk
-  /// CLOCK_THREAD_CPUTIME_ID ns.  BENCH_OFFLINE's
-  /// capacity_states_per_sec projects the solve rate at W workers as
-  /// states / (serial_ns + expand_busy_ns / W) — the oversubscription-
-  /// immune convention capacity_rps established for mcpd.
-  std::uint64_t expand_wall_ns = 0;
-  std::uint64_t expand_busy_ns = 0;
   /// True when the solve continued from FtfOptions::checkpoint.
   bool resumed = false;
 };

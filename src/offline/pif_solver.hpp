@@ -37,11 +37,10 @@ struct PifOptions {
   /// eviction schedule replayable through the simulator (costs memory
   /// proportional to deadline x layer width).
   bool build_schedule = false;
-  /// Worker cap for the layer-parallel expansion (0 = all pool workers).
-  /// Results are bit-identical at any worker count: states are partitioned
-  /// into fixed-size chunks by layer index, each chunk's emissions are
-  /// produced in serial order, and chunks merge in index order regardless
-  /// of which worker ran them.
+  /// No effect: the DP is serial, and parallelism runs across independent
+  /// solves (SweepRunner cells).  Kept only because the repository
+  /// benchmark (perfbench/src/offline.cpp) still assigns it; the next
+  /// change to that benchmark drops the assignment, then this field.
   std::size_t workers = 0;
   /// Interner pre-sizing hint: expected distinct states of the solve
   /// (0 = a small default).  Right-sizing it eliminates the early
@@ -49,19 +48,17 @@ struct PifOptions {
   std::size_t expected_states = 0;
   /// Spill budget: makes the interner arena file-backed and moves finished
   /// schedule-mode layer history into a spill file, so the DP can exceed
-  /// RAM.  Active budgets force the serial expansion path (the spill
-  /// layer's residency accounting is not concurrency-safe).
+  /// RAM.
   StorageBudget storage;
   /// Layer-boundary checkpointing; resume produces results bit-equal to an
   /// uninterrupted solve.
   CheckpointOptions checkpoint;
   /// Allocation sentry (DESIGN.md §10): arm an AllocGuard over every DP
-  /// layer with index >= this value (0 = disabled), on the merging thread
-  /// and inside each expansion chunk.  Enforces the §9
+  /// layer with index >= this value (0 = disabled).  Enforces the §9
   /// steady-state claim: past warm-up, a layer allocates only at the
   /// declared amortized growth points (interner arena/table, layer/front
-  /// recycling pools, chunk emission buffers, pool dispatch) — anything
-  /// else, e.g. a reintroduced per-emission temporary, throws ModelError.
+  /// recycling pools) — anything else, e.g. a reintroduced per-emission
+  /// temporary, throws ModelError.
   Time alloc_guard_after_layer = 0;
 };
 
@@ -92,9 +89,8 @@ struct PifResult {
                                       const std::vector<PageId>& schedule);
 
 /// Decides the PIF instance exactly (within honest schedules) by the
-/// layered DP over interned packed states, layer expansion fanned out on
-/// mcp::ThreadPool.  Throws InputError for an instance outside the packed
-/// encoding (packed_space.hpp).
+/// layered DP over interned packed states.  Throws InputError for an
+/// instance outside the packed encoding (packed_space.hpp).
 [[nodiscard]] PifResult solve_pif(const PifInstance& instance,
                                   const PifOptions& options = {});
 

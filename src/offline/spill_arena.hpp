@@ -58,10 +58,8 @@ struct SpillArenaTestAccess;  // corruption-injection backdoor (tests only)
 /// segment; callers copy words out before touching other blocks (the
 /// searches already do: expansion snapshots its state up front).
 ///
-/// Thread safety: in budget mode all access must be serial (touching blocks
-/// mutates residency accounting).  Without a budget, concurrent `block()`
-/// reads are safe once no `append()` is running (the solvers' frozen-arena
-/// expansion phases rely on this).
+/// Not thread-safe: in budget mode even `block()` mutates residency
+/// accounting, so one solve owns its arena.
 class SpillArena {
  public:
   /// `stride`: words per block.  Blocks never straddle segments.
@@ -75,9 +73,8 @@ class SpillArena {
   std::uint32_t append(const std::uint64_t* words);
 
   /// The block at `index` — faults its segment back in under a budget.
-  /// Without a budget this performs no bookkeeping writes at all, so
-  /// concurrent `block()` reads are race-free (the LRU clock only matters
-  /// when eviction is possible).
+  /// Without a budget this performs no bookkeeping writes at all (the LRU
+  /// clock only matters when eviction is possible).
   [[nodiscard]] const std::uint64_t* block(std::uint32_t index) const noexcept {
     const Segment& seg = segments_[index >> log2_blocks_];
     if (spilling_) {

@@ -16,7 +16,7 @@
 // Pareto fronts, and the unordered_set makespan BFS.  The searches accept
 // the production option structs and honour their search-shaping fields
 // (victim_rule, build_schedule, max_states, max_layer_width); the packed
-// engine's workers, storage, checkpoint and sentry knobs are ignored.
+// engine's storage, checkpoint and sentry knobs are ignored.
 #pragma once
 
 #include <algorithm>

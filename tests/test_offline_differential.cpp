@@ -294,91 +294,6 @@ TEST(OfflineDifferential, MakespanMatchesReferenceAcrossGrid) {
   }
 }
 
-TEST(OfflineDifferential, PifBitIdenticalAcrossWorkerCounts) {
-  Rng rng(909090);
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t p = 1 + rng.below(3);
-    const RequestSet rs = random_disjoint_workload(rng, p, 3, 6);
-    PifInstance inst;
-    inst.base = make_instance(rs, 2 + rng.below(3), 1 + rng.below(2));
-    inst.deadline = 6 + rng.below(8);
-    for (std::size_t j = 0; j < p; ++j) inst.bounds.push_back(rng.below(6));
-
-    PifOptions opts;
-    opts.build_schedule = true;
-    opts.workers = 1;
-    const PifResult serial = solve_pif(inst, opts);
-    for (std::size_t workers : {2u, 8u}) {
-      opts.workers = workers;
-      const PifResult parallel = solve_pif(inst, opts);
-      EXPECT_EQ(parallel.feasible, serial.feasible) << "workers=" << workers;
-      EXPECT_EQ(parallel.decided_at, serial.decided_at)
-          << "workers=" << workers;
-      EXPECT_EQ(parallel.peak_layer_width, serial.peak_layer_width)
-          << "workers=" << workers;
-      EXPECT_EQ(parallel.states_expanded, serial.states_expanded)
-          << "workers=" << workers;
-      // Bit-identical witness, not just an equivalent one.
-      EXPECT_EQ(parallel.schedule, serial.schedule) << "workers=" << workers;
-    }
-  }
-}
-
-TEST(OfflineDifferential, FtfBitIdenticalAcrossWorkerCounts) {
-  Rng rng(424242);
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t p = 1 + rng.below(3);
-    const RequestSet rs = random_disjoint_workload(rng, p, 3, 6);
-    const OfflineInstance inst =
-        make_instance(rs, p + 1 + rng.below(2), 1 + rng.below(2));
-
-    FtfOptions opts;
-    opts.build_schedule = true;
-    opts.workers = 1;
-    const FtfResult serial = solve_ftf(inst, opts);
-    for (const std::size_t workers : {0u, 2u, 8u}) {
-      opts.workers = workers;
-      const FtfResult parallel = solve_ftf(inst, opts);
-      EXPECT_EQ(parallel.min_faults, serial.min_faults)
-          << "workers=" << workers;
-      EXPECT_EQ(parallel.states_expanded, serial.states_expanded)
-          << "workers=" << workers;
-      EXPECT_EQ(parallel.states_stored, serial.states_stored)
-          << "workers=" << workers;
-      // Bit-identical schedule, not just an equivalent optimum.
-      EXPECT_EQ(parallel.schedule, serial.schedule) << "workers=" << workers;
-    }
-  }
-}
-
-TEST(OfflineDifferential, FtfStateLimitAbortsBitIdenticallyAcrossWorkers) {
-  // The max_states abort must fire at the same expansion count on the serial
-  // and chunked paths: the merge replays per-entry limit checks in serial
-  // order, so the counters in the error message are worker-count invariant.
-  Rng rng(8181);
-  const RequestSet rs = random_disjoint_workload(rng, 2, 3, 8);
-  const OfflineInstance inst = make_instance(rs, 3, 2);
-  std::string serial_what;
-  for (const std::size_t workers : {1u, 0u, 8u}) {
-    FtfOptions opts;
-    opts.workers = workers;
-    opts.max_states = 40;
-    try {
-      (void)solve_ftf(inst, opts);
-      FAIL() << "expected ModelError at workers=" << workers;
-    } catch (const ModelError& e) {
-      const std::string what = e.what();
-      // Counters (before the memory-story fields) match the serial abort.
-      const std::string head = what.substr(0, what.find(", arena_bytes="));
-      if (workers == 1) {
-        serial_what = head;
-      } else {
-        EXPECT_EQ(head, serial_what) << "workers=" << workers;
-      }
-    }
-  }
-}
-
 TEST(OfflineDifferential, FtfStateLimitReportsCounters) {
   Rng rng(5150);
   const RequestSet rs = random_disjoint_workload(rng, 2, 3, 8);

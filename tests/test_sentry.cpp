@@ -253,20 +253,32 @@ TEST(AllocSentry, MattsonKernelIsAllocationFree) {
 }
 
 TEST(AllocSentry, FtfPackedExpansionKernelIsAllocationFree) {
-  Rng rng(777);
-  OfflineInstance inst;
-  inst.requests = random_disjoint_workload(rng, 2, 3, 6);
-  inst.cache_size = 2;
-  inst.tau = 1;
+  // A small instance, and a wide one whose search outgrows the interner's
+  // default reservation (4096 states), so the interner table and the bucket
+  // queue grow — through the sink's declared growth points — while the
+  // guard is armed.
+  Rng small_rng(777);
+  Rng wide_rng(780);
+  std::vector<OfflineInstance> instances(2);
+  instances[0].requests = random_disjoint_workload(small_rng, 2, 3, 6);
+  instances[0].cache_size = 2;
+  instances[0].tau = 1;
+  instances[1].requests = random_disjoint_workload(wide_rng, 3, 5, 16);
+  instances[1].cache_size = 5;
+  instances[1].tau = 2;
 
-  FtfOptions plain;
-  FtfOptions guarded;
-  guarded.alloc_guard = true;
-  const FtfResult expected = solve_ftf(inst, plain);
-  const FtfResult result = solve_ftf(inst, guarded);
-  EXPECT_EQ(result.min_faults, expected.min_faults);
-  EXPECT_EQ(result.states_expanded, expected.states_expanded);
-  EXPECT_GT(result.states_expanded, 1u);
+  std::size_t wide_states = 0;
+  for (const OfflineInstance& inst : instances) {
+    FtfOptions guarded;
+    guarded.alloc_guard = true;
+    const FtfResult expected = solve_ftf(inst);
+    const FtfResult result = solve_ftf(inst, guarded);
+    EXPECT_EQ(result.min_faults, expected.min_faults);
+    EXPECT_EQ(result.states_expanded, expected.states_expanded);
+    EXPECT_GT(result.states_expanded, 1u);
+    wide_states = result.states_stored;
+  }
+  EXPECT_GT(wide_states, 4096u);
 }
 
 TEST(AllocSentry, PifPackedSteadyStateLayersAreAllocationFree) {
@@ -278,28 +290,16 @@ TEST(AllocSentry, PifPackedSteadyStateLayersAreAllocationFree) {
   inst.deadline = 24;
   inst.bounds = {100, 100};  // generous: the DP runs the full deadline
 
-  PifOptions plain;
-  plain.workers = 1;
-  const PifResult expected = solve_pif(inst, plain);
+  const PifResult expected = solve_pif(inst);
   ASSERT_GT(expected.states_expanded, 0u);
 
-  // Serial engine, guarded past layer 4 (warm-up: scratch buffers, first
-  // recycled fronts).
-  PifOptions serial = plain;
-  serial.alloc_guard_after_layer = 4;
-  const PifResult serial_result = solve_pif(inst, serial);
-  EXPECT_EQ(serial_result.feasible, expected.feasible);
-  EXPECT_EQ(serial_result.states_expanded, expected.states_expanded);
-  EXPECT_EQ(serial_result.peak_layer_width, expected.peak_layer_width);
-
-  // Layer-parallel engine: every worker chunk arms its own guard.
-  PifOptions parallel = plain;
-  parallel.workers = 0;  // all pool workers
-  parallel.alloc_guard_after_layer = 4;
-  const PifResult parallel_result = solve_pif(inst, parallel);
-  EXPECT_EQ(parallel_result.feasible, expected.feasible);
-  EXPECT_EQ(parallel_result.states_expanded, expected.states_expanded);
-  EXPECT_EQ(parallel_result.peak_layer_width, expected.peak_layer_width);
+  // Guarded past layer 4 (warm-up: scratch buffers, first recycled fronts).
+  PifOptions guarded;
+  guarded.alloc_guard_after_layer = 4;
+  const PifResult result = solve_pif(inst, guarded);
+  EXPECT_EQ(result.feasible, expected.feasible);
+  EXPECT_EQ(result.states_expanded, expected.states_expanded);
+  EXPECT_EQ(result.peak_layer_width, expected.peak_layer_width);
 }
 
 TEST(AllocSentry, BatchEngineStepLoopIsAllocationFree) {
