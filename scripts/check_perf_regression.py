@@ -9,7 +9,8 @@ but do not gate.
 
 Gates are `BENCHMARK:COUNTER` pairs, repeatable:
 
-  # E13 simulator gate (the default when no --gate is given), plus the
+  # E13 simulator, batch-sweep and fault-curve gates (the defaults when no
+  # --gate is given), plus the
   # within-run kernel-vs-strategy-objects ratio on the same sweep grid
   # (real-time benchmarks carry google-benchmark's /real_time suffix)
   scripts/check_perf_regression.py CURRENT.json \
@@ -43,6 +44,9 @@ DEFAULT_GATES = (
     # The batch kernel's sweep throughput (BatchEngine under
     # SweepRunner::run_jobs); 25% default tolerance like every other gate.
     "BM_BatchSweep/real_time:cells_per_sec",
+    # The fault-curve path: per-core Mattson stack-distance scans behind
+    # partition search and mcpd's curve and partition answers.
+    "BM_LruFaultCurve/64:curve_cells_per_sec",
 )
 CONTEXT_COUNTERS = (
     "steps_per_sec",

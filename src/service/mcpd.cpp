@@ -22,9 +22,6 @@ namespace mcp::service {
 
 namespace {
 
-/// Largest max_k a fault-curve query may ask for (bounds reply memory).
-constexpr std::uint32_t kMaxCurveK = 1u << 16;
-
 [[nodiscard]] std::uint64_t thread_cpu_ns() noexcept {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -112,26 +109,6 @@ std::vector<std::byte> ResponseMailbox::wait() {
 
 // --- Session ----------------------------------------------------------------
 
-/// The LRU fault curves of the queries a session answers together: one
-/// stack-distance scan per core, run on first use at the widest k any of
-/// them reads, of which each query takes a prefix — bit-identical to a scan
-/// at its own k (mattson.hpp).  Dropped with the batch.
-struct CurveScan {
-  std::size_t width = 0;
-  FaultCurves full = {};  ///< Empty until scanned (sessions have p >= 1).
-
-  [[nodiscard]] FaultCurves prefix(const RequestSet& trace, std::size_t k) {
-    MCP_ASSERT(k <= width);
-    if (full.empty()) full = lru_fault_curve_batch(trace, width);
-    FaultCurves out;
-    for (const std::vector<Count>& curve : full) {
-      out.emplace_back(curve.begin(),
-                       curve.begin() + static_cast<std::ptrdiff_t>(k + 1));
-    }
-    return out;
-  }
-};
-
 /// One tenant session, owned by exactly one shard.  Its batch kernel
 /// (core/batch_engine.hpp), created at open and released at finish, walks
 /// the accumulated trace and parks mid-step past the buffered end until the
@@ -140,15 +117,16 @@ struct CurveScan {
 class Session {
  public:
   /// Throws InputError on params no kernel can serve (static partition with
-  /// K < p).  `answer_ns` is the owning shard's ShardStats::answer_ns.
+  /// K < p).  `shard_stats` is the owning shard's, which counts the
+  /// session's answer time and fold.
   Session(std::uint64_t id, const wire::SessionParams& params,
-          std::uint64_t& answer_ns)
+          ShardStats& shard_stats)
       : id_(id),
         params_(params),
         trace_(params.num_cores),
         kernel_(std::in_place, session_config(params), params.num_cores,
                 strategy_spec(params)),
-        answer_ns_(&answer_ns) {}
+        shard_stats_(&shard_stats) {}
 
   /// Appends a chunk's pairs to the trace (validating core ids).  Returns
   /// the number of pairs ingested.
@@ -254,8 +232,7 @@ class Session {
       return;
     }
     if (finished_) {
-      CurveScan scan{curve_k(type, query)};
-      reply(type, query, reply_to, scan);
+      reply(type, query, reply_to);
       return;
     }
     if (parked_.size() >= park_limit) {
@@ -314,19 +291,14 @@ class Session {
   }
 
   /// Marks the session finished (stats_ final or error_ set), releases the
-  /// kernel and answers every parked query, the LRU ones from one shared
-  /// CurveScan.
+  /// kernel and answers every parked query.
   void finish() {
     finished_ = true;
     kernel_.reset();
     const std::vector<ParkedQuery> parked = std::exchange(parked_, {});
-    CurveScan scan;
-    for (const ParkedQuery& query : parked) {
-      scan.width = std::max(scan.width, curve_k(query.type, query.query));
-    }
     for (const ParkedQuery& query : parked) {
       try {
-        reply(query.type, query.query, query.reply_to, scan);
+        reply(query.type, query.query, query.reply_to);
       } catch (const std::exception&) {
         // reply() turns its own failures into kError replies; landing here
         // means even that failed (e.g. allocation).  Drop this reply and
@@ -352,21 +324,14 @@ class Session {
     return nullptr;
   }
 
-  /// The widest LRU curve a query reads (0 if it reads none).
-  [[nodiscard]] std::size_t curve_k(wire::FrameType type,
-                                    const wire::QueryView& query) const {
-    if (type == wire::FrameType::kQueryFaultCurve) return query.max_k;
-    return type == wire::FrameType::kQueryPartition ? params_.cache_size : 0;
-  }
-
   /// Answers a query on a finished session: the abort message if it
   /// failed, else the query's answer.
   void reply(wire::FrameType type, const wire::QueryView& query,
-             const std::weak_ptr<ResponseMailbox>& reply_to, CurveScan& scan) {
+             const std::weak_ptr<ResponseMailbox>& reply_to) {
     if (error_) {
       answer_error(query.query_id, error_->c_str(), reply_to);
     } else {
-      answer(type, query, reply_to, scan);
+      answer(type, query, reply_to);
     }
   }
 
@@ -383,14 +348,13 @@ class Session {
   }
 
   void answer(wire::FrameType type, const wire::QueryView& query,
-              const std::weak_ptr<ResponseMailbox>& reply_to,
-              CurveScan& scan) {
+              const std::weak_ptr<ResponseMailbox>& reply_to) {
     const std::shared_ptr<ResponseMailbox> mailbox = reply_to.lock();
     if (!mailbox) return;  // client gone; the reply has no reader
     const std::uint64_t cpu0 = thread_cpu_ns();
     wire::WireWriter writer;
     try {
-      build_answer(writer, type, query, scan);
+      build_answer(writer, type, query);
     } catch (const std::exception& e) {
       writer = wire::WireWriter();
       wire::ErrorReply reply;
@@ -398,12 +362,41 @@ class Session {
       reply.message = e.what();
       writer.error_reply(id_, reply);
     }
-    *answer_ns_ += thread_cpu_ns() - cpu0;
+    shard_stats_->answer_ns += thread_cpu_ns() - cpu0;
     mailbox->deliver(std::move(writer).take());
   }
 
+  /// Per-core LRU fault curves at 0..max_k, each a suffix sum of the
+  /// core's histogram (folding the session first if it has not been).
+  [[nodiscard]] FaultCurves lru_curves(std::size_t max_k) {
+    fold();
+    FaultCurves curves;
+    curves.reserve(histograms_.size());
+    for (const std::vector<Count>& hist : histograms_) {
+      curves.push_back(lru_fault_curve_from_histogram(hist, max_k));
+    }
+    return curves;
+  }
+
+  /// On a finished session's first LRU answer, replaces the trace by each
+  /// core's stack-distance histogram, from which every curve and partition
+  /// answer is a suffix sum.  The histograms are built in a local and
+  /// committed before the trace is released, so a fold that throws (the
+  /// query's kError) leaves the session answerable.
+  void fold() {
+    if (!histograms_.empty()) return;
+    std::vector<std::vector<Count>> histograms;
+    histograms.reserve(trace_.num_cores());
+    for (CoreId j = 0; j < trace_.num_cores(); ++j) {
+      histograms.push_back(stack_distance_histogram(trace_.sequence(j)));
+    }
+    histograms_ = std::move(histograms);
+    trace_ = RequestSet();
+    ++shard_stats_->folded_sessions;
+  }
+
   void build_answer(wire::WireWriter& writer, wire::FrameType type,
-                    const wire::QueryView& query, CurveScan& scan) {
+                    const wire::QueryView& query) {
     switch (type) {
       case wire::FrameType::kQueryFaults: {
         wire::FaultCountsReply reply;
@@ -424,14 +417,14 @@ class Session {
         wire::FaultCurveReply reply;
         reply.query_id = query.query_id;
         reply.max_k = query.max_k;
-        reply.curves = scan.prefix(trace_, query.max_k);
+        reply.curves = lru_curves(query.max_k);
         writer.fault_curve(id_, reply);
         break;
       }
       case wire::FrameType::kQueryPartition: {
         // query_rejected() screens infeasible partitions at enqueue time;
         // this is unreachable for accepted queries.
-        const FaultCurves curves = scan.prefix(trace_, params_.cache_size);
+        const FaultCurves curves = lru_curves(params_.cache_size);
         const PartitionSearchResult best =
             optimal_partition_from_curves(curves, params_.cache_size);
         wire::PartitionAdviceReply reply;
@@ -451,13 +444,16 @@ class Session {
 
   std::uint64_t id_;
   wire::SessionParams params_;
-  RequestSet trace_;                 ///< Grows as chunks arrive.
+  RequestSet trace_;  ///< Grows as chunks arrive; released by fold().
+  /// Per core: stack_distance_histogram of its trace.  Empty until fold()
+  /// (sessions have p >= 1).
+  std::vector<std::vector<Count>> histograms_;
   PageId page_bound_ = 0;            ///< 1 + max page id seen in trace_.
   std::optional<BatchEngine> kernel_;  ///< Released at finish.
   RunStats stats_;  ///< Valid once finished_ without error_.
   std::optional<std::string> error_;  ///< The abort that failed the session.
   std::vector<ParkedQuery> parked_;
-  std::uint64_t* answer_ns_;  ///< The shard's counter; outlives us.
+  ShardStats* shard_stats_;  ///< The owning shard's counters; outlive us.
   bool closed_ = false;
   bool dirty_ = false;
   bool finished_ = false;
@@ -566,8 +562,7 @@ class Shard {
         // Construct before inserting: a throwing Session constructor (e.g.
         // an infeasible strategy/cache combination) must not leave a null
         // map entry behind for later frames to dereference.
-        auto session =
-            std::make_unique<Session>(frame.session, params, stats_.answer_ns);
+        auto session = std::make_unique<Session>(frame.session, params, stats_);
         sessions_.emplace(frame.session, std::move(session));
         ++stats_.sessions_opened;
         ++stats_.batched_sessions;
@@ -723,6 +718,7 @@ ShardStats Mcpd::total_stats() const {
     total.bad_frames += s.bad_frames;
     total.busy_ns += s.busy_ns;
     total.answer_ns += s.answer_ns;
+    total.folded_sessions += s.folded_sessions;
     total.epoch_latency.merge(s.epoch_latency);
   }
   return total;

@@ -24,8 +24,11 @@
 // session: every query on it gets the abort message as a kError reply.
 // Queries (fault counts, LRU fault curves via the Mattson kernel, partition
 // advice) are answered when the session finishes — the only point at which
-// the answer is independent of arrival timing — and the LRU ones answered
-// together share one scan.
+// the answer is independent of arrival timing.  A finished session's first
+// LRU answer folds each core's trace into its stack-distance histogram and
+// releases the trace; every curve and partition answer after that is a
+// suffix sum of the histograms.  A session asked only for fault counts
+// never folds and keeps its trace.
 //
 // Transport is in-process loopback: a "frame" is bytes in the mcpwire
 // format (wire_format.hpp) and delivery is a queue push.  A socket front
@@ -61,6 +64,9 @@
 #include "service/wire_format.hpp"
 
 namespace mcp::service {
+
+/// Largest max_k a fault-curve query may ask for (bounds reply memory).
+inline constexpr std::uint32_t kMaxCurveK = 1u << 16;
 
 /// One response frame travelling shard -> client: a complete single-frame
 /// mcpwire document (magic + frame).
@@ -122,9 +128,13 @@ struct ShardStats {
   std::uint64_t lane_steps = 0;        ///< Kernel step-loop iterations run.
   std::uint64_t bad_frames = 0;     ///< Malformed/out-of-protocol, dropped.
   std::uint64_t busy_ns = 0;        ///< CLOCK_THREAD_CPUTIME_ID spent in epochs.
-  /// The part of busy_ns spent building query replies: curve scans,
-  /// partition search and encoding (two clock reads per answered query).
+  /// The part of busy_ns spent building query replies: the fold on a
+  /// session's first LRU answer, curve suffix sums, partition search and
+  /// encoding (two clock reads per answered query).
   std::uint64_t answer_ns = 0;
+  /// Finished sessions folded into per-core stack-distance histograms (at
+  /// most once each, on their first LRU answer).
+  std::uint64_t folded_sessions = 0;
   LatencyHistogram epoch_latency;   ///< Wall ns per epoch (drain->publish).
 };
 

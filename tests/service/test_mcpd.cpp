@@ -160,6 +160,8 @@ ShardStats expect_shard_determinism(std::size_t shards,
   daemon.stop();
   const ShardStats total = daemon.total_stats();
   EXPECT_EQ(total.bad_frames, 0u);
+  // Asked fault counts only, no session folds its trace.
+  EXPECT_EQ(total.folded_sessions, 0u);
   return total;
 }
 
@@ -297,8 +299,9 @@ void expect_advice_matches_library(const Tenant& tenant,
 
 /// Streams `tenant` into `daemon` and asks for its fault curves at every
 /// `max_ks` entry plus partition advice, twice: parked before close, so the
-/// finishing session answers them as one batch from one shared scan per
-/// core, then again after finish, when each query runs its own scan.
+/// finishing session folds its trace into histograms on the first and
+/// answers them all from those, then again after finish, from the same
+/// histograms.
 void expect_lru_queries_match_library(
     Mcpd& daemon, const Tenant& tenant,
     const std::vector<std::uint32_t>& max_ks) {
@@ -351,7 +354,7 @@ TEST(Mcpd, FaultCurveMatchesMattsonKernel) {
   tenant.params = SessionParams{3, 8, 2, StrategyKind::kSharedLru};
 
   Mcpd daemon(McpdConfig{2});
-  // max_k above K (the batch's scan width), 0, below K and at K.
+  // max_k above K, 0, below K and at K.
   expect_lru_queries_match_library(daemon, tenant, {12, 0, 5, 8});
   daemon.stop();
   // Building those replies is counted, and inside the shard's busy time.
@@ -368,11 +371,85 @@ TEST(Mcpd, PartitionAdviceMatchesOfflineSearch) {
   tenant.params = SessionParams{3, 9, 2, StrategyKind::kSharedLru};
 
   Mcpd daemon(McpdConfig{1});
-  // Curves narrower than K only: the partition query sets the scan width.
+  // Curves narrower than K only: the advice reads further into the
+  // histograms than any curve.
   expect_lru_queries_match_library(daemon, tenant, {0, 4});
   // The same session shape with curves at 0, below and above K.
   tenant.session = 7;
   expect_lru_queries_match_library(daemon, tenant, {0, 4, 15});
+}
+
+TEST(Mcpd, FoldedSessionAnswersEveryCurveWidth) {
+  Rng rng(0xF01D);
+  Tenant tenant;
+  tenant.session = 9;
+  tenant.trace = testing::random_disjoint_workload(rng, 3, 12, 180);
+  tenant.params = SessionParams{3, 8, 2, StrategyKind::kStaticEvenLru};
+
+  Mcpd daemon(McpdConfig{2});
+  // max_k 0, 1, K, past every core's distinct-page count (at most 12), and
+  // the service limit.
+  expect_lru_queries_match_library(daemon, tenant, {0, 1, 8, 40, kMaxCurveK});
+  daemon.stop();
+  // Twelve LRU answers, parked and after finish, from one fold.
+  const ShardStats total = daemon.total_stats();
+  EXPECT_EQ(total.folded_sessions, 1u);
+  EXPECT_EQ(total.bad_frames, 0u);
+}
+
+TEST(Mcpd, OnlyAnLruAnswerFoldsASession) {
+  Rng rng(0xF02D);
+  std::vector<Tenant> tenants(2);
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    tenants[t].session = 40 + t;
+    tenants[t].trace = testing::random_disjoint_workload(rng, 2, 10, 120);
+    tenants[t].params = SessionParams{2, 6, 2, StrategyKind::kSharedLru};
+  }
+  Mcpd daemon(McpdConfig{2});
+  McpdClient client(daemon);
+  for (const Tenant& tenant : tenants) {
+    client.open(tenant.session, tenant.params);
+    client.post_query_faults(tenant.session, tenant.session);  // parked
+    for (CoreId core = 0; core < 2; ++core) {
+      client.send_core_pages(tenant.session, core,
+                             tenant.trace.sequence(core).pages());
+    }
+    client.close(tenant.session);
+  }
+  // Each session's parked fault-count reply, then one after finish: fault
+  // counts never fold.
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    std::vector<std::byte> storage;
+    const wire::FrameView frame = client.wait_reply(storage);
+    ASSERT_EQ(frame.type, wire::FrameType::kFaultCounts);
+    EXPECT_TRUE(wire::decode_fault_counts(frame).finished);
+  }
+  for (const Tenant& tenant : tenants) {
+    const wire::FaultCountsReply late =
+        client.query_faults(tenant.session, 100 + tenant.session);
+    EXPECT_EQ(late.requests_served, oracle_run(tenant).total_requests());
+  }
+  // The second session's first LRU query arrives after finish and folds
+  // it; that answer and the later ones agree with the library.
+  const Tenant& asked = tenants[1];
+  expect_curve_matches_library(
+      asked, 6, client.query_fault_curve(asked.session, 200, 6));
+  expect_advice_matches_library(asked,
+                                client.query_partition(asked.session, 201));
+  expect_curve_matches_library(
+      asked, 3, client.query_fault_curve(asked.session, 202, 3));
+  // A folded session keeps its RunStats for fault counts.
+  const RunStats want = oracle_run(asked);
+  const wire::FaultCountsReply after =
+      client.query_faults(asked.session, 203);
+  ASSERT_EQ(after.per_core_faults.size(), want.num_cores());
+  for (CoreId j = 0; j < want.num_cores(); ++j) {
+    EXPECT_EQ(after.per_core_faults[j], want.core(j).faults) << "core " << j;
+  }
+  daemon.stop();
+  const ShardStats total = daemon.total_stats();
+  EXPECT_EQ(total.sessions_finished, 2u);
+  EXPECT_EQ(total.folded_sessions, 1u);
 }
 
 TEST(Mcpd, QueryBeforeCloseIsParkedUntilFinish) {

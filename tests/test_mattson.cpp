@@ -1,7 +1,10 @@
 // Differential tests for the single-pass Mattson LRU fault-curve kernel
 // (policies/mattson.hpp): every curve cell must equal the per-k
 // single-core LRU run it replaces, on random, skewed and adversarial
-// sequences, including capacities at and beyond the distinct-page count.
+// sequences, including capacities at and beyond the distinct-page count;
+// and the bit-marked scan's distances and histograms must equal the
+// position-Fenwick scan it replaced (reference_mattson.hpp) request for
+// request, across word boundaries, long cycles and sparse page ids.
 #include "policies/mattson.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +17,8 @@
 #include "core/simulator.hpp"
 #include "policies/belady.hpp"
 #include "policies/policy_registry.hpp"
+#include "reference_mattson.hpp"
+#include "service/wire_format.hpp"
 #include "strategies/partition_search.hpp"
 #include "strategies/static_partition.hpp"
 #include "test_support.hpp"
@@ -39,6 +44,17 @@ std::size_t distinct_pages(const RequestSequence& seq) {
   return std::unordered_set<PageId>(seq.begin(), seq.end()).size();
 }
 
+/// Checks the scan's per-request distances and histogram against the
+/// position-Fenwick oracle, and that the histogram is exactly sized.
+void expect_matches_oracle(const RequestSequence& seq,
+                           const std::string& label) {
+  EXPECT_EQ(stack_distances(seq), testing::reference_stack_distances(seq))
+      << label;
+  const std::vector<Count> hist = stack_distance_histogram(seq);
+  EXPECT_EQ(hist, testing::reference_stack_distance_histogram(seq)) << label;
+  EXPECT_EQ(hist.capacity(), hist.size()) << label;
+}
+
 TEST(MattsonKernel, TinySequencesByHand) {
   // a b a b: distances 0 0 2 2 -> f(0)=4, f(1)=4, f(2)=2, f(3)=2.
   const RequestSequence seq = {1, 2, 1, 2};
@@ -60,6 +76,86 @@ TEST(MattsonKernel, StackDistancesDefinition) {
   EXPECT_EQ(stack_distance_histogram({5, 6, 7, 5, 5, 6}),
             (std::vector<Count>{3, 1, 0, 2}));
   EXPECT_EQ(stack_distance_histogram({}), (std::vector<Count>{0}));
+}
+
+TEST(MattsonKernel, ScanMatchesOracleAcrossPatternsAndWordBoundaries) {
+  // Lengths around the 64-position mark words, on every locality model,
+  // with disjoint and shared page ranges.  200 pages puts reuse distances
+  // past one word, so far reuses walk the word tree.
+  for (const AccessPattern pattern :
+       {AccessPattern::kUniform, AccessPattern::kZipf,
+        AccessPattern::kWorkingSet, AccessPattern::kScan,
+        AccessPattern::kLoop, AccessPattern::kMarkov}) {
+    for (const bool disjoint : {true, false}) {
+      for (const std::size_t length :
+           {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+            std::size_t{65}, std::size_t{2048}, std::size_t{20000}}) {
+        CoreWorkload core;
+        core.pattern = pattern;
+        core.num_pages = 200;
+        core.length = length;
+        const RequestSet rs =
+            make_workload(homogeneous_spec(2, core, disjoint, 31 + length));
+        for (CoreId j = 0; j < rs.num_cores(); ++j) {
+          expect_matches_oracle(
+              rs.sequence(j), to_string(pattern) +
+                                  (disjoint ? " disjoint" : " shared") +
+                                  " n=" + std::to_string(length) +
+                                  " core " + std::to_string(j));
+        }
+      }
+    }
+  }
+}
+
+TEST(MattsonKernel, ScanMatchesOracleOnCyclesRepeatsAndSparseIds) {
+  // A cycle over 10^5 pages: every reuse is at distance 10^5, across
+  // ~1563 words.
+  constexpr PageId kCycle = 100000;
+  RequestSequence cycle;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (PageId page = 0; page < kCycle; ++page) cycle.push_back(page);
+  }
+  expect_matches_oracle(cycle, "cycle");
+  const std::vector<Count> cycle_hist = stack_distance_histogram(cycle);
+  ASSERT_EQ(cycle_hist.size(), kCycle + 1);
+  EXPECT_EQ(cycle_hist[0], kCycle);
+  EXPECT_EQ(cycle_hist[kCycle], kCycle);
+
+  // One page over and over: one cold access, then distance 1.
+  const RequestSequence repeat(std::vector<PageId>(1000, 9));
+  expect_matches_oracle(repeat, "repeat");
+  EXPECT_EQ(stack_distance_histogram(repeat), (std::vector<Count>{1, 999}));
+
+  // Sparse ids up to the largest a wire session admits.
+  Rng rng(0x5A55);
+  std::vector<PageId> ids = {0, wire::kMaxWirePageId - 1};
+  for (int i = 0; i < 70; ++i) {
+    ids.push_back(static_cast<PageId>(rng.below(wire::kMaxWirePageId)));
+  }
+  RequestSequence sparse;
+  for (int i = 0; i < 3000; ++i) sparse.push_back(ids[rng.below(ids.size())]);
+  sparse.push_back(wire::kMaxWirePageId - 1);
+  expect_matches_oracle(sparse, "sparse");
+}
+
+TEST(MattsonKernel, CurveFromHistogramIsTheScanCurve) {
+  Rng rng(77);
+  RequestSequence seq;
+  for (std::size_t i = 0; i < 500; ++i) {
+    seq.push_back(static_cast<PageId>(rng.below(30)));
+  }
+  const std::vector<Count> hist = stack_distance_histogram(seq);
+  // max_k 0, 1, inside, at and past the distinct-page count.
+  for (const std::size_t max_k :
+       {std::size_t{0}, std::size_t{1}, std::size_t{12}, hist.size() - 1,
+        hist.size() + 40}) {
+    EXPECT_EQ(lru_fault_curve_from_histogram(hist, max_k),
+              lru_fault_curve(seq, max_k))
+        << "max_k=" << max_k;
+  }
+  EXPECT_EQ(lru_fault_curve_from_histogram({0}, 3),
+            (std::vector<Count>{0, 0, 0, 0}));
 }
 
 TEST(MattsonKernel, MatchesPerKOnRandomSequences) {

@@ -239,8 +239,11 @@ TEST(AllocSentry, SimulatorFaultSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocSentry, MattsonKernelIsAllocationFree) {
-  // lru_fault_curve's stack-distance scan arms its own internal guard —
-  // completing without a throw is the assertion.
+  // The stack-distance scan sizes its mark words, word tree and last-access
+  // map, then arms its own internal guard over the loop — completing
+  // without a throw is the assertion.  Reuses of 64 pages land both inside
+  // the word being filled and in words behind it, so both distance paths
+  // run guarded, under each of the scan's two callers.
   Rng rng(1234);
   RequestSequence seq;
   for (int i = 0; i < 4000; ++i) {
@@ -250,6 +253,7 @@ TEST(AllocSentry, MattsonKernelIsAllocationFree) {
   ASSERT_EQ(curve.size(), 33u);
   EXPECT_EQ(curve[0], seq.size());
   EXPECT_TRUE(std::is_sorted(curve.rbegin(), curve.rend()));
+  EXPECT_EQ(stack_distances(seq).size(), seq.size());
 }
 
 TEST(AllocSentry, FtfPackedExpansionKernelIsAllocationFree) {
