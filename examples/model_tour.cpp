@@ -3,6 +3,9 @@
 // the documentation and the simulator agree.
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/simulator.hpp"
@@ -17,6 +20,25 @@ void check(bool ok, const char* what) {
   std::printf("  [%s] %s\n", ok ? "OK" : "FAIL", what);
   if (!ok) std::exit(1);
 }
+
+/// Proposes the page it admitted last as every victim — illegal while that
+/// page's fetch is still in flight.
+class EvictNewest final : public CacheStrategy {
+ public:
+  void attach(const SimConfig&, std::size_t, const RequestSet*) override {}
+  void on_hit(const AccessContext&) override {}
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
+                bool needs_cell, std::vector<PageId>& evictions) override {
+    if (needs_cell && cache.occupied() == cache.capacity()) {
+      evictions.push_back(newest_);
+    }
+    newest_ = ctx.page;
+  }
+  [[nodiscard]] std::string name() const override { return "evict-newest"; }
+
+ private:
+  PageId newest_ = kInvalidPage;
+};
 
 }  // namespace
 
@@ -58,18 +80,32 @@ int main() {
 
   {
     std::printf("\nReserved cells: a mid-fetch page is neither usable nor evictable\n");
-    CacheState cache(2);
-    cache.begin_fetch(/*page=*/7, /*core=*/0, /*ready_at=*/5);
-    check(!cache.contains(7), "page 7 is not hit-able during its fetch");
+    // K=2, tau=4.  Core 0 faults on page 7 at t=0; its cell stays reserved
+    // until t=5, so core 1's same-step request to 7 is not a hit.
+    RequestSet rs;
+    rs.add_sequence(RequestSequence{7});
+    rs.add_sequence(RequestSequence{7});
+    SimConfig cfg;
+    cfg.cache_size = 2;
+    cfg.fault_penalty = 4;
+    SharedStrategy lru(make_policy_factory("lru"));
+    const RunStats stats = simulate(cfg, rs, lru);
+    check(stats.core(1).faults == 1, "page 7 is not hit-able during its fetch");
+
+    // K=1: core 1's fault finds the only cell reserved by core 0's fetch; a
+    // strategy that proposes the in-flight page as its victim is rejected.
+    RequestSet pair;
+    pair.add_sequence(RequestSequence{7});
+    pair.add_sequence(RequestSequence{1});
+    cfg.cache_size = 1;
+    EvictNewest evict_newest;
     bool threw = false;
     try {
-      cache.evict(7);
+      (void)simulate(cfg, pair, evict_newest);
     } catch (const ModelError&) {
       threw = true;
     }
     check(threw, "evicting the reserved cell throws ModelError");
-    cache.complete_fetches(5);
-    check(cache.contains(7), "page 7 is present once the fetch lands");
   }
 
   {

@@ -255,7 +255,7 @@ void SacrificeStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void SacrificeStrategy::on_fault(const AccessContext& ctx,
-                                 const CacheState& cache, bool needs_cell,
+                                 const CacheView& cache, bool needs_cell,
                                  std::vector<PageId>& evictions) {
   oracle_.advance(ctx.core, ctx.seq_index + 1);
   if (!needs_cell) return;

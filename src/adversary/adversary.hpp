@@ -158,7 +158,7 @@ class SacrificeStrategy final : public CacheStrategy {
   void attach(const SimConfig& config, std::size_t num_cores,
               const RequestSet* requests) override;
   void on_hit(const AccessContext& ctx) override;
-  void on_fault(const AccessContext& ctx, const CacheState& cache,
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override;
   [[nodiscard]] std::string name() const override { return "S_OFF(sacrifice)"; }
 

@@ -14,7 +14,7 @@ void TimeMultiplexStrategy::attach(const SimConfig& config,
 }
 
 bool TimeMultiplexStrategy::defer_request(const AccessContext& ctx,
-                                          const CacheState& /*cache*/) {
+                                          const CacheView& /*cache*/) {
   return ctx.core != active_;
 }
 
@@ -23,7 +23,7 @@ void TimeMultiplexStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void TimeMultiplexStrategy::on_fault(const AccessContext& ctx,
-                                     const CacheState& cache, bool needs_cell,
+                                     const CacheView& cache, bool needs_cell,
                                      std::vector<PageId>& evictions) {
   if (!needs_cell) return;
   if (cache.occupied() == cache_size_) {

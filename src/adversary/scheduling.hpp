@@ -30,9 +30,9 @@ class TimeMultiplexStrategy final : public CacheStrategy {
   void attach(const SimConfig& config, std::size_t num_cores,
               const RequestSet* requests) override;
   [[nodiscard]] bool defer_request(const AccessContext& ctx,
-                                   const CacheState& cache) override;
+                                   const CacheView& cache) override;
   void on_hit(const AccessContext& ctx) override;
-  void on_fault(const AccessContext& ctx, const CacheState& cache,
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override;
   void on_core_done(CoreId core, Time now) override;
   [[nodiscard]] std::string name() const override { return "TIME-MUX_LRU"; }

@@ -1,9 +1,12 @@
-// Implementation of the batch kernel and SweepRunner::run_jobs.
+// Implementation of the step loop and SweepRunner::run_jobs.
 //
-// The step loop is a transliteration of Simulator::run's step loop (land
-// fetches, serve ready cores in increasing id, fast-forward the clock),
-// specialized at compile time on (shared vs static-partition, LRU vs FIFO).
-// Bit-equality with the scalar engine is argued in DESIGN.md §12; the
+// One step loop, BatchEngine::step_loop, has three instantiations
+// (batch_engine.hpp): the shared and static-partition stamp kernels, each
+// specialized at compile time for LRU or FIFO, and the hook instantiation,
+// which takes its decisions from a CacheStrategy object.  Hook-only state
+// and work sit behind `if constexpr (kHooks)`, so the stamp kernels carry
+// none of it.  Bit-equality between a stamp kernel and the hook instantiation
+// driving the equivalent strategy object is argued in DESIGN.md §12; the
 // load-bearing piece is the stamp representation of the policies: stamps
 // are unique and monotonic per job, LRU writes them on insert and hit, FIFO
 // on insert only, so "first evictable page scanning the policy list from
@@ -15,7 +18,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <source_location>
 #include <span>
+#include <type_traits>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/sentry.hpp"
@@ -36,7 +43,77 @@ namespace {
 constexpr std::uint64_t kReservedKey = std::uint64_t{1} << 62;
 constexpr std::uint64_t kFreeKey = std::numeric_limits<std::uint64_t>::max();
 
+/// The hook instantiation's pull cursor bound: a stream core's core_len,
+/// so core_next counts the requests pulled from the stream.
+constexpr std::uint32_t kStreamCursorEnd =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Deferral-only steps with nothing in flight that the hook instantiation
+/// tolerates before it calls the stall a livelock.
+constexpr Time kMaxStalledSteps = Time{1} << 20;
+
+/// The stamp kernels' per-step guard slot: they arm one guard over the
+/// whole loop in advance() instead.
+struct NoStepGuard {};
+
+/// The kernel's CacheView: reads the slot arrays in place, plus the
+/// page-indexed presence table contains() reads, which the hook
+/// instantiation sets at every landing and clears at every eviction.
+class SlotView final : public CacheView {
+ public:
+  explicit SlotView(const BatchState& state) : st_(&state) {
+    grow(state.page_slot.size());
+  }
+
+  /// Extends the presence table to cover the page index's `pages` ids.
+  void grow(std::size_t pages) {
+    present_.resize(pages, 0);
+    set_presence(present_);
+  }
+  void set_present(PageId page, bool present) {
+    present_[page] = present ? 1 : 0;
+  }
+
+  [[nodiscard]] std::size_t occupied() const override {
+    return st_->region_occ[0];
+  }
+  [[nodiscard]] std::size_t capacity() const override {
+    return st_->cache_size;
+  }
+  [[nodiscard]] std::vector<PageId> present_pages() const override {
+    std::vector<PageId> pages;
+    for (std::size_t s = 0; s < st_->cache_size; ++s) {
+      if (st_->slot_status[s] == BatchSlotStatus::kPresent) {
+        pages.push_back(st_->slot_page[s]);
+      }
+    }
+    std::sort(pages.begin(), pages.end());
+    return pages;
+  }
+
+ private:
+  const BatchState* st_;
+  std::vector<std::uint8_t> present_;
+};
+
 }  // namespace
+
+struct BatchEngine::Hooks {
+  CacheStrategy& strategy;
+  RequestStream& stream;
+  std::span<SimObserver* const> observers;
+  SlotView view;
+  Time guard_after = 0;  ///< SimConfig::alloc_guard_after_step
+  Time stalled_steps = 0;
+  std::vector<CoreId> slot_fetcher{};  ///< core whose fault fills each slot
+  std::vector<PageId> landed{};        ///< one step's landing batch
+  std::vector<PageId> evictions{};     ///< strategy scratch, fault or voluntary
+
+  template <typename Fn>
+  void notify(Fn&& fn) const {
+    for (SimObserver* obs : observers) fn(*obs);
+  }
+};
 
 BatchEngine::BatchEngine(const SimConfig& config, std::size_t num_cores,
                          const BatchStrategySpec& strategy)
@@ -115,6 +192,40 @@ RunStats BatchEngine::run(const SimJob& job) {
   return engine.take_stats();
 }
 
+RunStats BatchEngine::run_strategy(const SimConfig& config,
+                                   RequestStream& stream,
+                                   CacheStrategy& strategy,
+                                   const RequestSet* offline_info,
+                                   std::span<SimObserver* const> observers) {
+  const std::size_t p = stream.num_cores();
+  // One region spanning the cache: the strategy, not the kernel, decides
+  // how cells are shared.  The spec's policy goes unused.
+  BatchEngine engine(config, p, BatchStrategySpec::shared(BatchPolicy::kLru));
+  strategy.attach(config, p, offline_info);
+  BatchState& st = engine.state_;
+  st.closed = true;
+  st.core_len.assign(p, kStreamCursorEnd);
+  if (offline_info != nullptr) {
+    // A materialized universe sizes the page index once; streams grow it.
+    st.page_bound = offline_info->page_bound();
+    st.page_slot.assign(st.page_bound, kNoBatchSlot);
+    if (config.record_fault_timeline) {
+      // Worst case every request faults; one reserve beats per-fault growth.
+      for (CoreId j = 0; j < p; ++j) {
+        engine.stats_.core(j).fault_times.reserve(
+            offline_info->sequence(j).size());
+      }
+    }
+  }
+  Hooks hooks{strategy, stream, observers, SlotView(st),
+              config.alloc_guard_after_step};
+  hooks.slot_fetcher.assign(st.cache_size, kInvalidCore);
+  hooks.landed.reserve(st.cache_size);  // at most K fetches land at once
+  engine.hooks_ = &hooks;
+  (void)engine.step_loop<true, false, false>();
+  return engine.take_stats();
+}
+
 void BatchEngine::feed(const RequestSet& trace, PageId page_bound,
                        bool closed) {
   BatchState& st = state_;
@@ -141,8 +252,10 @@ void BatchEngine::feed(const RequestSet& trace, PageId page_bound,
   st.closed = closed;
 }
 
-template <bool kPartitioned, bool kLruTouch>
+template <bool kHooks, bool kPartitioned, bool kLruTouch>
 bool BatchEngine::step_loop() {
+  static_assert(!kHooks || (!kPartitioned && !kLruTouch),
+                "the hook instantiation keeps one region and no stamp touch");
   BatchState& st = state_;
   // The arrays as raw locals: hoisting the data pointers out of the vectors
   // keeps the optimizer from reloading them after every store (byte-typed
@@ -153,7 +266,8 @@ bool BatchEngine::step_loop() {
   std::uint64_t* const slot_stamp = st.slot_stamp.data();
   std::uint32_t* const free_stack = st.free_stack.data();
   std::uint32_t* const inflight = st.inflight.data();
-  std::uint32_t* const page_slot = st.page_slot.data();
+  // Not const: the hook instantiation re-reads it after the index grows.
+  std::uint32_t* page_slot = st.page_slot.data();
   Time* const core_ready = st.core_ready.data();
   Time* const core_finish = st.core_finish.data();
   const PageId* const* const core_seq = st.core_seq.data();
@@ -166,6 +280,7 @@ bool BatchEngine::step_loop() {
   const std::uint32_t* const region_slot_base = st.region_slot_base.data();
   std::uint32_t* const region_free_top = st.region_free_top.data();
   CoreStats* const cores = &stats_.core(0);
+  Hooks* const hooks = hooks_;  // non-null exactly in the hook instantiation
 
   const Time tau = st.tau;
   // The clock and stamp counter live in registers across the loop (every
@@ -173,7 +288,55 @@ bool BatchEngine::step_loop() {
   Time now = st.now;
   std::uint64_t stamp = st.stamp;
 
+  // Frees `slot` of `region` (whose slots start at `region_begin`).
+  const auto release_slot = [&](std::size_t slot, std::uint32_t region,
+                                std::size_t region_begin) {
+    page_slot[slot_page[slot]] = kNoBatchSlot;
+    slot_page[slot] = kInvalidPage;
+    slot_status[slot] = BatchSlotStatus::kFree;
+    slot_stamp[slot] = kFreeKey;
+    free_stack[region_begin + region_free_top[region]++] =
+        static_cast<std::uint32_t>(slot);
+    --region_occ[region];
+  };
+  // Hook instantiation: the AccessContext of core j's request for `page`
+  // (core_next counts the requests pulled from the stream).
+  const auto context = [&](std::uint32_t j, PageId page) {
+    return AccessContext{j, page, now, std::size_t{core_next[j]} - 1};
+  };
+  // Hook instantiation: validates the strategy's proposals in
+  // hooks->evictions against the slot arrays, then applies them.
+  const auto apply_evictions = [&](PageId incoming, CoreId cause_core,
+                                   EvictionCause cause) {
+    const std::vector<PageId>& victims = hooks->evictions;
+    // Duplicates by linear scan over the validated prefix: victims are
+    // almost always 0 or 1 pages.
+    for (auto it = victims.begin(); it != victims.end(); ++it) {
+      const PageId victim = *it;
+      MCP_REQUIRE(victim != incoming, "strategy evicted the incoming page");
+      MCP_REQUIRE(std::find(victims.begin(), it, victim) == it,
+                  "strategy evicted a page twice");
+      MCP_REQUIRE(victim < st.page_bound && page_slot[victim] != kNoBatchSlot,
+                  "evict: page not resident");
+      const std::uint32_t slot = page_slot[victim];
+      MCP_REQUIRE(slot_status[slot] == BatchSlotStatus::kPresent,
+                  "evict: page is still being fetched (reserved cell)");
+      release_slot(slot, 0, 0);
+      hooks->view.set_present(victim, false);
+      hooks->notify([&](SimObserver& obs) {
+        obs.on_evict(victim, cause_core, now, cause);
+      });
+    }
+  };
+
   for (;;) {
+    // Hook instantiation: past SimConfig::alloc_guard_after_step the whole
+    // step — bookkeeping, strategy callbacks and observers alike — must not
+    // touch the heap (DESIGN.md §8).
+    [[maybe_unused]] std::conditional_t<kHooks, std::optional<AllocGuard>,
+                                        NoStepGuard> step_guard;
+    [[maybe_unused]] bool any_deferred = false;
+    [[maybe_unused]] bool any_served = false;
     Time next_time = kTimeNever;
     std::uint32_t serve_from = 0;
     if (st.in_step) {
@@ -188,28 +351,56 @@ bool BatchEngine::step_loop() {
     } else {
       ++st.steps;
       if (st.max_steps != 0 && st.steps > st.max_steps) {
-        AllocAllow allow;  // declared growth: error paths may build a message
-        st.now = now;
+        st.now = now;  // keep the state consistent even on this exit
         st.stamp = stamp;
-        throw ModelError("simulation exceeded SimConfig.max_steps");
+        MCP_REQUIRE(st.steps <= st.max_steps,
+                    "simulation exceeded SimConfig.max_steps");
+      }
+      if constexpr (kHooks) {
+        if (hooks->guard_after != 0 && st.steps > hooks->guard_after) {
+          step_guard.emplace("simulator step loop",
+                             std::source_location::current());
+        }
+        hooks->notify([&](SimObserver& obs) { obs.on_step_begin(now); });
       }
 
       // 1. Land fetches due now, before any request is served this step.  The
       //    in-flight array holds at most min(p, K) entries; backwards
-      //    swap-remove keeps it packed.  Landing order is unobservable here:
-      //    the batchable strategies' on_fetch_complete is a no-op.
+      //    swap-remove keeps it packed.  Landing order is unobservable in the
+      //    stamp kernels; the hook instantiation sorts the batch below.
       for (std::uint32_t i = st.fetching; i-- > 0;) {
         const std::uint32_t slot = inflight[i];
         if (slot_ready[slot] <= now) {
           slot_status[slot] = BatchSlotStatus::kPresent;
           slot_stamp[slot] &= ~kReservedKey;  // evictable again, stamp intact
           inflight[i] = inflight[--st.fetching];
+          if constexpr (kHooks) {
+            hooks->landed.push_back(slot_page[slot]);
+            hooks->view.set_present(slot_page[slot], true);
+          }
         }
       }
-    }
 
-    // 2. (No voluntary evictions and no deferrals: the batchable strategies
-    //    keep the base class's no-op on_step_begin / defer_request.)
+      if constexpr (kHooks) {
+        // Strategies and observers see the batch in ascending page id, once
+        // all of it is present.
+        std::sort(hooks->landed.begin(), hooks->landed.end());
+        for (const PageId page : hooks->landed) {
+          const CoreId by = hooks->slot_fetcher[page_slot[page]];
+          hooks->strategy.on_fetch_complete(page, by, now);
+          hooks->notify([&](SimObserver& obs) {
+            obs.on_fetch_complete(page, by, now);
+          });
+        }
+        hooks->landed.clear();
+
+        // 2. Voluntary evictions (dynamic-partition shrinks, dishonest
+        //    moves).  The stamp kernels' strategies never make any.
+        hooks->evictions.clear();
+        hooks->strategy.on_step_begin(now, hooks->view, hooks->evictions);
+        apply_evictions(kInvalidPage, kInvalidCore, EvictionCause::kVoluntary);
+      }
+    }
 
     // 3. Serve ready cores in increasing core id — the paper's fixed logical
     //    service order for simultaneous requests.  The fast-forward min is
@@ -224,12 +415,41 @@ bool BatchEngine::step_loop() {
         continue;
       }
       // The pending array materializes a pulled-but-unserved request only on
-      // the path that actually parks one (kJoinsFetch); a request served the
-      // same step it is pulled stays in this register, so the hit path
-      // writes no pending state at all.
+      // the paths that actually park one (kJoinsFetch, a deferral); a
+      // request served the same step it is pulled stays in this register,
+      // so the hit path writes no pending state at all.
       PageId page;
       if ((flags & kBatchCorePending) != 0) {
         page = core_pending[j];
+      } else if constexpr (kHooks) {
+        const std::optional<PageId> next = hooks->stream.next(j);
+        if (!next.has_value()) {
+          core_flags[j] = static_cast<std::uint8_t>(flags | kBatchCoreDone);
+          cores[j].completion_time = core_finish[j];
+          --st.active_cores;
+          hooks->strategy.on_core_done(j, now);
+          hooks->notify(
+              [&](SimObserver& obs) { obs.on_core_done(j, core_finish[j]); });
+          continue;
+        }
+        page = *next;
+        MCP_REQUIRE(core_next[j] < core_len[j],
+                    "request stream ran past 2^32 - 1 requests on one core");
+        ++core_next[j];
+        if (page >= st.page_bound) {
+          // Declared growth: a stream's universe is unknown up front, so
+          // the page index doubles on demand (linear total work).
+          MCP_REQUIRE(page != kInvalidPage,
+                      "request stream issued the reserved page id");
+          AllocAllow allow;
+          const std::size_t grown =
+              std::max<std::size_t>({std::size_t{page} + 1, 64,
+                                     std::size_t{2} * st.page_bound});
+          st.page_slot.resize(grown, kNoBatchSlot);
+          st.page_bound = static_cast<PageId>(grown);
+          page_slot = st.page_slot.data();
+          hooks->view.grow(grown);
+        }
       } else {
         if (core_next[j] >= core_len[j]) {
           if (!st.closed) {
@@ -252,6 +472,20 @@ bool BatchEngine::step_loop() {
         }
         page = core_seq[j][core_next[j]++];
       }
+      if constexpr (kHooks) {
+        // Model extension (experiment E18): a deferred request stays
+        // pending and its core stays ready for the next step.
+        if (hooks->strategy.defer_request(context(j, page), hooks->view)) {
+          if ((flags & kBatchCorePending) == 0) {
+            core_pending[j] = page;
+            core_flags[j] =
+                static_cast<std::uint8_t>(flags | kBatchCorePending);
+          }
+          any_deferred = true;
+          continue;
+        }
+        any_served = true;
+      }
       MCP_ASSERT(page < st.page_bound);
       std::uint32_t& slot_of_page = page_slot[page];
       CoreStats& core_stats = cores[j];
@@ -262,6 +496,11 @@ bool BatchEngine::step_loop() {
         ++core_stats.hits;
         ++core_stats.requests;
         if constexpr (kLruTouch) slot_stamp[slot_of_page] = ++stamp;
+        if constexpr (kHooks) {
+          const AccessContext ctx = context(j, page);
+          hooks->strategy.on_hit(ctx);
+          hooks->notify([&](SimObserver& obs) { obs.on_hit(ctx); });
+        }
         core_ready[j] = now + 1;
         core_finish[j] = now;
         if ((flags & kBatchCorePending) != 0) {
@@ -286,10 +525,19 @@ bool BatchEngine::step_loop() {
           continue;
         }
         // kCountsAsFault: full penalty, but the request joins the in-flight
-        // fetch — no cell is taken and the policy is not consulted.
+        // fetch — no cell is taken and no victim is chosen.
         ++core_stats.faults;
         ++core_stats.requests;
         if (st.record_timeline) core_stats.fault_times.push_back(now);
+        if constexpr (kHooks) {
+          const AccessContext ctx = context(j, page);
+          hooks->notify([&](SimObserver& obs) { obs.on_fault(ctx); });
+          hooks->evictions.clear();
+          hooks->strategy.on_fault(ctx, hooks->view, /*needs_cell=*/false,
+                                   hooks->evictions);
+          MCP_REQUIRE(hooks->evictions.empty(),
+                      "on_fault(needs_cell=false) must not request evictions");
+        }
         core_ready[j] = now + tau + 1;
         core_finish[j] = now + tau;
         if ((flags & kBatchCorePending) != 0) {
@@ -305,7 +553,17 @@ bool BatchEngine::step_loop() {
       if (st.record_timeline) core_stats.fault_times.push_back(now);
       const std::uint32_t region = kPartitioned ? j : 0;
       const std::size_t region_begin = region_slot_base[region];
-      if (region_occ[region] == region_size[region]) {
+      if constexpr (kHooks) {
+        // The strategy picks the victims; the kernel validates and applies.
+        const AccessContext ctx = context(j, page);
+        hooks->notify([&](SimObserver& obs) { obs.on_fault(ctx); });
+        hooks->evictions.clear();
+        hooks->strategy.on_fault(ctx, hooks->view, /*needs_cell=*/true,
+                                 hooks->evictions);
+        apply_evictions(page, j, EvictionCause::kFault);
+        MCP_REQUIRE(region_occ[0] < region_size[0],
+                    "strategy left no free cell for a faulting request");
+      } else if (region_occ[region] == region_size[region]) {
         // Victim: minimum stamp among the region's present slots (fetching
         // slots carry kReservedKey-tagged keys and free ones kFreeKey, so the
         // min pass needs no status checks and no data-dependent branches —
@@ -319,20 +577,14 @@ bool BatchEngine::step_loop() {
           oldest = std::min(oldest, slot_stamp[s]);
         }
         if (oldest >= kReservedKey) {
-          AllocAllow allow;
           st.now = now;  // keep the state consistent even on this exit
           st.stamp = stamp;
-          throw ModelError("batch engine: no evictable page (all reserved)");
+          MCP_REQUIRE(oldest < kReservedKey,
+                      "batch engine: no evictable page (all reserved)");
         }
         std::size_t victim = region_begin;
         while (slot_stamp[victim] != oldest) ++victim;
-        page_slot[slot_page[victim]] = kNoBatchSlot;
-        slot_page[victim] = kInvalidPage;
-        slot_status[victim] = BatchSlotStatus::kFree;
-        slot_stamp[victim] = kFreeKey;
-        free_stack[region_begin + region_free_top[region]++] =
-            static_cast<std::uint32_t>(victim);
-        --region_occ[region];
+        release_slot(victim, region, region_begin);
       }
       MCP_ASSERT(region_free_top[region] > 0);
       const std::uint32_t slot =
@@ -344,6 +596,7 @@ bool BatchEngine::step_loop() {
       slot_of_page = slot;
       inflight[st.fetching++] = slot;
       ++region_occ[region];
+      if constexpr (kHooks) hooks->slot_fetcher[slot] = j;
       core_ready[j] = now + tau + 1;
       core_finish[j] = now + tau;
       if ((flags & kBatchCorePending) != 0) {
@@ -352,12 +605,38 @@ bool BatchEngine::step_loop() {
       next_time = std::min(next_time, now + tau + 1);
     }
 
+    if constexpr (kHooks) {
+      hooks->notify([&](SimObserver& obs) { obs.on_step_end(now); });
+      // Checked builds revalidate the deep state invariants at every step
+      // boundary (validate() carries its own AllocAllow).
+      MCP_CHECKED_ONLY(validate());
+    }
+
     if (st.active_cores == 0) {
       stats_.end_time = now;
       stats_.sim_steps = st.steps;
       st.now = now;
       st.stamp = stamp;
       return true;
+    }
+
+    if constexpr (kHooks) {
+      // Deferrals with nothing in flight and nothing served make no
+      // progress.  Tolerate bounded idle waiting (a strategy may stall
+      // until a target time), but call a persistent stall what it is.
+      if (any_deferred && !any_served && st.fetching == 0) {
+        ++hooks->stalled_steps;
+        MCP_REQUIRE(hooks->stalled_steps <= kMaxStalledSteps,
+                    "strategy deferred every serviceable request with "
+                    "nothing in flight for too long (livelock)");
+      } else {
+        hooks->stalled_steps = 0;
+      }
+      // A deferred core stays ready: no fast-forward past the next step.
+      if (any_deferred) {
+        ++now;
+        continue;
+      }
     }
 
     // 4. Fast-forward to the next step at which any core can act.
@@ -372,11 +651,13 @@ bool BatchEngine::advance() {
   {
     AllocGuard guard("batch engine step loop");
     if (state_.kind == BatchStrategySpec::Kind::kStaticPartition) {
-      done = state_.policy == BatchPolicy::kLru ? step_loop<true, true>()
-                                                : step_loop<true, false>();
+      done = state_.policy == BatchPolicy::kLru
+                 ? step_loop<false, true, true>()
+                 : step_loop<false, true, false>();
     } else {
-      done = state_.policy == BatchPolicy::kLru ? step_loop<false, true>()
-                                                : step_loop<false, false>();
+      done = state_.policy == BatchPolicy::kLru
+                 ? step_loop<false, false, true>()
+                 : step_loop<false, false, false>();
     }
   }
   MCP_CHECKED_ONLY(validate());
@@ -440,6 +721,13 @@ void BatchEngine::validate() const {
   }
   for (std::size_t q = 0; q < st.page_slot.size(); ++q) {
     const std::uint32_t s = st.page_slot[q];
+    if (hooks_ != nullptr) {
+      const bool present =
+          s != kNoBatchSlot && st.slot_status[s] == BatchSlotStatus::kPresent;
+      MCP_REQUIRE(hooks_->view.contains(static_cast<PageId>(q)) == present,
+                  "batch state: the strategies' presence table disagrees "
+                  "with the slot statuses");
+    }
     if (s == kNoBatchSlot) continue;
     MCP_REQUIRE(q < st.page_bound,
                 "batch state: page index entry beyond the page bound");

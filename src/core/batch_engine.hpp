@@ -1,19 +1,30 @@
-// BatchEngine: the batch kernel — simulates one SimJob over the
+// BatchEngine: the step loop — the paper's Section 3 step rule (land due
+// fetches, serve ready cores in increasing id, evict then reserve on a
+// fault, fast-forward idle time), implemented once over the
 // structure-of-arrays state of core/batch_state.hpp.
 //
-// Semantics are bit-equal to running the job through mcp::Simulator with
-// the corresponding strategy object — same RunStats field for field,
-// including fault timelines, end_time and sim_steps.  The win is layout:
-// no virtual dispatch, no hash maps, no list nodes; every decision is a few
-// loads from contiguous arrays, so a sweep of small jobs runs at a multiple
-// of the strategy-object engine's throughput (BM_BatchSweep against
-// BM_PartitionSweep, E13 `batch_sweep` series).
+// step_loop() has three instantiations (DESIGN.md §12):
+//  * two stamp kernels — shared cache and static partition, each for LRU
+//    or FIFO — decide evictions from a monotonic stamp array with no
+//    virtual dispatch, no hash maps and no list nodes, so a sweep of small
+//    jobs runs at a multiple of the strategy-object throughput
+//    (BM_BatchSweep against BM_PartitionSweep, E13 `batch_sweep` series).
+//    They run every SweepRunner::run_jobs cell and every mcpd session;
+//  * the hook instantiation takes every decision from a CacheStrategy
+//    object, pulls requests from a RequestStream and fires the SimObserver
+//    callbacks.  Simulator::run, run_stream and simulate are thin wrappers
+//    over it (run_strategy below).
+// A stamp kernel is bit-equal to the hook instantiation driving the
+// corresponding strategy object — same RunStats field for field, including
+// fault timelines, end_time and sim_steps (tests/core/
+// test_batch_differential.cpp); both are checked against the independent
+// oracle in tests/reference_engine.hpp.
 //
-// Two entry points share one step loop: run() simulates a whole job, and
-// the resumable feed — feed(), then advance() until it reports the end —
-// serves mcpd sessions whose requests arrive in chunks.  A feed may stop
-// short of a core's sequence: the kernel then parks mid-step before the
-// first ready core with no buffered request (the model serves a step's
+// The stamp kernels have two entry points: run() simulates a whole job,
+// and the resumable feed — feed(), then advance() until it reports the
+// end — serves mcpd sessions whose requests arrive in chunks.  A feed may
+// stop short of a core's sequence: the kernel then parks mid-step before
+// the first ready core with no buffered request (the model serves a step's
 // cores in increasing id, so a later core must never be served ahead of
 // it) and resumes bit-identically after the next feed.
 //
@@ -21,19 +32,24 @@
 // and feed(), fault-timeline buffers are reserved at feed time (at most one
 // fault per request), and advance() arms an AllocGuard over the step loop
 // (DESIGN.md §10), so a regression that sneaks an allocation into the hot
-// path fails loudly (tests/test_sentry.cpp).
+// path fails loudly (tests/test_sentry.cpp).  The hook instantiation arms
+// its guard per step, past SimConfig::alloc_guard_after_step, because
+// strategies allocate while they warm up.
 //
 // Static analysis: an engine instance is single-threaded by contract — it
-// is confined to the sweep task or mcpd session that owns it, so there is
-// no capability to annotate (core/annotations.hpp).  What the analysis
-// layer checks here instead: the step-loop AllocGuard stays registered and
-// test-exercised (mcp_verify.py rule `alloc-guard`).
+// is confined to the sweep task, mcpd session or Simulator call that owns
+// it, so there is no capability to annotate (core/annotations.hpp).  What
+// the analysis layer checks here instead: the step-loop AllocGuards stay
+// registered and test-exercised (mcp_verify.py rule `alloc-guard`).
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "core/batch_state.hpp"
+#include "core/events.hpp"
 #include "core/stats.hpp"
+#include "core/stream.hpp"
 
 namespace mcp {
 
@@ -48,8 +64,20 @@ class BatchEngine {
               const BatchStrategySpec& strategy);
 
   /// One-shot: simulates the whole job and returns the RunStats
-  /// Simulator::run would.
+  /// Simulator::run would for the equivalent strategy object.
   [[nodiscard]] static RunStats run(const SimJob& job);
+
+  /// The hook instantiation: serves requests pulled from `stream` with
+  /// `strategy`, firing `observers` in order (what Simulator::run_stream
+  /// does).  `offline_info`, if non-null, goes to the strategy's attach()
+  /// and pre-sizes the page index and fault timelines.  Throws ModelError
+  /// when the strategy breaks the model's contract (an eviction of an
+  /// absent, reserved, incoming or duplicate page, or no free cell for a
+  /// fault), on SimConfig::max_steps, and on a 2^20-step deferral livelock.
+  [[nodiscard]] static RunStats run_strategy(
+      const SimConfig& config, RequestStream& stream, CacheStrategy& strategy,
+      const RequestSet* offline_info,
+      std::span<SimObserver* const> observers);
 
   /// Points the cores at `trace`'s sequences (borrowed until the next feed;
   /// sequences may only grow between feeds).  `page_bound` must exceed
@@ -60,9 +88,9 @@ class BatchEngine {
   /// Steps until every core served its last request (returns true) or the
   /// next ready core has no buffered request on an open feed (returns
   /// false; feed more and call again).  Throws ModelError on the paper
-  /// model's aborts, exactly where Simulator::run would: no evictable page
-  /// (every slot of the region reserved by in-flight fetches) or
-  /// SimConfig::max_steps exceeded.
+  /// model's aborts, exactly where the hook instantiation would with the
+  /// strategy object: no evictable page (every slot of the region reserved
+  /// by in-flight fetches) or SimConfig::max_steps exceeded.
   bool advance();
 
   [[nodiscard]] bool ended() const noexcept {
@@ -77,23 +105,28 @@ class BatchEngine {
 
   /// Deep state invariant check (see BatchState): throws ModelError on the
   /// first violation.  Callable in any build; advance() invokes it on exit
-  /// under MCP_CHECKED.  Allocates scratch (owns an AllocAllow).
+  /// and the hook instantiation at every step boundary under MCP_CHECKED.
+  /// Allocates scratch (owns an AllocAllow).
   void validate() const;
 
  private:
   friend struct BatchEngineTestAccess;
+  struct Hooks;  ///< Hook-instantiation state (batch_engine.cpp).
 
-  /// The step loop, specialized on (shared vs static partition, LRU vs
-  /// FIFO).  Returns true when every core ended, false on a stall.
-  template <bool kPartitioned, bool kLruTouch>
+  /// The step loop.  kHooks selects the hook instantiation (decisions from
+  /// hooks_->strategy); otherwise it is a stamp kernel specialized on
+  /// (shared vs static partition, LRU vs FIFO).  Returns true when every
+  /// core ended, false on a stall (stamp kernels on an open feed only).
+  template <bool kHooks, bool kPartitioned, bool kLruTouch>
   bool step_loop();
 
   BatchState state_;
   RunStats stats_;
+  Hooks* hooks_ = nullptr;  ///< Set for the duration of run_strategy().
 };
 
-/// Test-only backdoor, mirroring CacheStateTestAccess: lets the sentry test
-/// corrupt kernel state in place to prove validate() catches it.
+/// Test-only backdoor: lets the sentry test corrupt kernel state in place
+/// to prove validate() catches it.
 struct BatchEngineTestAccess {
   [[nodiscard]] static BatchState& state(BatchEngine& engine) {
     return engine.state_;

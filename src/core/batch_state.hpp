@@ -1,23 +1,26 @@
-// Value types and structure-of-arrays state of the batch kernel
+// Value types and structure-of-arrays state of the engine's step loop
 // (core/batch_engine.hpp, DESIGN.md §12).
 //
 // A *job* is one independent simulation — a (SimConfig, RequestSet,
 // strategy) triple — and one BatchEngine simulates exactly one job.  Its
 // state lives in flat arrays indexed by slot, core, region or page id, so
-// every step is a few loads from contiguous memory instead of virtual
-// policy dispatch, hash lookups and list nodes.
+// every step is a few loads from contiguous memory instead of hash lookups
+// and list nodes.
 //
-// Only strategies whose decisions are a pure function of this packed state
-// are batchable: the shared cache S_A and static partitions sP^B_A under LRU
-// or FIFO (BatchStrategySpec).  Recency/insertion order is represented by a
+// The stamp kernels decide evictions from this state alone, which covers
+// the shared cache S_A and static partitions sP^B_A under LRU or FIFO
+// (BatchStrategySpec).  Recency/insertion order is represented by a
 // monotonic stamp written into slot_stamp on insert (LRU and FIFO) and on
 // hit (LRU only); the victim is the minimum-stamp present slot of the
-// faulting region, which reproduces the scalar policies' list order exactly
-// because stamps are unique.  Fetching and free slots hold high-tagged keys
-// (batch_engine.cpp) so the victim scan is a branchless min over one array.
-// Everything else (dynamic partitions, marking, adaptive adversary streams)
-// keeps the scalar Simulator — which is also retained as the differential
-// oracle for the kernel (tests/core/test_batch_differential.cpp).
+// faulting region, which reproduces the list-backed policies' order
+// exactly because stamps are unique.  Fetching and free slots hold
+// high-tagged keys (batch_engine.cpp) so the victim scan is a branchless
+// min over one array.  Every other strategy (dynamic partitions, marking,
+// FITF, adaptive adversary streams) runs as a CacheStrategy object on the
+// hook instantiation of the same loop, which keeps one region of K slots
+// and reads requests from a RequestStream (core_len is then the pull
+// bound and core_next counts pulls).  The independent differential oracle
+// is tests/reference_engine.hpp.
 #pragma once
 
 #include <cstddef>

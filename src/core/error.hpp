@@ -6,11 +6,17 @@
 // inner-loop invariants use MCP_ASSERT, which compiles to a check in all
 // build types (the simulator is an experiment platform; silent corruption
 // would invalidate results).
+//
+// All three macros build their failure message under an AllocAllow
+// (core/sentry.hpp): a contract failure inside an armed AllocGuard region
+// reports its own message, not an allocation violation.
 #pragma once
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "core/sentry.hpp"
 
 namespace mcp {
 
@@ -42,18 +48,26 @@ namespace detail {
 /// formatted into a std::string by the caller.
 #define MCP_ASSERT(expr)                                               \
   do {                                                                 \
-    if (!(expr))                                                       \
+    if (!(expr)) {                                                     \
+      const ::mcp::AllocAllow mcp_alloc_allow_;                        \
       ::mcp::detail::assert_fail(#expr, __FILE__, __LINE__, {});       \
+    }                                                                  \
   } while (false)
 
 #define MCP_ASSERT_MSG(expr, msg)                                      \
   do {                                                                 \
-    if (!(expr))                                                       \
+    if (!(expr)) {                                                     \
+      const ::mcp::AllocAllow mcp_alloc_allow_;                        \
       ::mcp::detail::assert_fail(#expr, __FILE__, __LINE__, (msg));    \
+    }                                                                  \
   } while (false)
 
 /// Contract check for public API entry points.
 #define MCP_REQUIRE(expr, msg)                                         \
   do {                                                                 \
-    if (!(expr)) throw ::mcp::ModelError(std::string("requirement failed: ") + (msg)); \
+    if (!(expr)) {                                                     \
+      const ::mcp::AllocAllow mcp_alloc_allow_;                        \
+      throw ::mcp::ModelError(std::string("requirement failed: ") +    \
+                              (msg));                                  \
+    }                                                                  \
   } while (false)

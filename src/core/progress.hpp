@@ -3,9 +3,10 @@
 // fairness or relative progress of sequences should be considered").
 //
 // A ProgressTracker observer samples, at a fixed cadence, how many requests
-// each core has completed; progress_spread() reduces each sample to the
+// each core has issued; progress_spread() reduces each sample to the
 // max-min gap of normalized progress (0 = perfectly even, 1 = one core
-// finished while another hasn't started).
+// finished while another hasn't started).  A request counts from the step
+// it issues in — a fault too, although its service ends tau steps later.
 #pragma once
 
 #include <algorithm>
@@ -20,25 +21,23 @@ namespace mcp {
 class ProgressTracker final : public SimObserver {
  public:
   explicit ProgressTracker(std::size_t num_cores, Time sample_interval = 64)
-      : interval_(sample_interval), served_(num_cores, 0) {}
+      : interval_(sample_interval), issued_(num_cores, 0) {}
 
-  void on_hit(const AccessContext& ctx) override { ++served_[ctx.core]; }
-  void on_fault(const AccessContext& ctx) override { ++served_[ctx.core]; }
-  void on_step_end(Time now) override {
-    // The simulator may fast-forward over idle stretches; emit the sample
-    // for every crossed boundary so the series stays evenly spaced.
-    while (now >= next_sample_) {
-      times_.push_back(next_sample_);
-      samples_.push_back(served_);
-      next_sample_ += interval_;
-    }
-  }
+  void on_hit(const AccessContext& ctx) override { ++issued_[ctx.core]; }
+  void on_fault(const AccessContext& ctx) override { ++issued_[ctx.core]; }
+  // The engine fast-forwards over idle stretches, so a step may be the
+  // first after several boundaries.  Those before it (< now) are emitted
+  // when it begins, before its requests issue; the boundary at `now` itself
+  // when it ends.  The series stays evenly spaced either way.
+  void on_step_begin(Time now) override { emit_before(now); }
+  void on_step_end(Time now) override { emit_before(now + 1); }
 
   /// Sample timestamps (multiples of the interval).
   [[nodiscard]] const std::vector<Time>& sample_times() const noexcept {
     return times_;
   }
-  /// samples()[s][j] = requests core j had completed by sample_times()[s].
+  /// samples()[s][j] = requests core j had issued by sample_times()[s]
+  /// (in steps up to and including it).
   [[nodiscard]] const std::vector<std::vector<Count>>& samples() const noexcept {
     return samples_;
   }
@@ -72,9 +71,17 @@ class ProgressTracker final : public SimObserver {
   }
 
  private:
+  void emit_before(Time end) {
+    while (next_sample_ < end) {
+      times_.push_back(next_sample_);
+      samples_.push_back(issued_);
+      next_sample_ += interval_;
+    }
+  }
+
   Time interval_;
   Time next_sample_ = 0;
-  std::vector<Count> served_;
+  std::vector<Count> issued_;
   std::vector<Time> times_;
   std::vector<std::vector<Count>> samples_;
 };

@@ -1,9 +1,9 @@
 // mcp::sentry — the checked-build analysis layer's allocation sentry.
 //
-// PR 3/4 rebuilt the engines around structural performance claims
-// ("allocation-free steady-state hot loops", "no per-emission allocations
-// outside declared amortized growth points").  This module turns those
-// claims into *enforced invariants*: the global operator new/delete pair is
+// The engines rest on structural performance claims ("allocation-free
+// steady-state hot loops", "no per-emission allocations outside declared
+// amortized growth points").  This module turns those claims into
+// *enforced invariants*: the global operator new/delete pair is
 // instrumented with a thread-local allocation counter, and a scoped
 // `AllocGuard` declares a region allocation-free — any allocation attempted
 // inside the region fails immediately with an MCP_ASSERT-style fatal report
@@ -25,10 +25,13 @@
 // registry in tools/verify/rules.toml.
 //
 // Cost when unarmed: one thread-local counter update per program-wide
-// allocation, nothing per guarded-loop iteration.  The deep invariant
-// validators compiled under MCP_CHECKED (CacheState::validate(),
-// StateInterner::validate(), validate_front()) are gated by the
-// MCP_CHECKED_ONLY macro below and are zero-cost no-ops otherwise.
+// allocation, nothing per guarded-loop iteration.  MCP_REQUIRE, MCP_ASSERT
+// and MCP_ASSERT_MSG (core/error.hpp) build their failure messages under an
+// AllocAllow, so a contract failure inside a guard keeps its own message.
+// The deep invariant validators compiled under MCP_CHECKED
+// (BatchEngine::validate(), StateInterner::validate(), validate_front())
+// are gated by the MCP_CHECKED_ONLY macro below and are zero-cost no-ops
+// otherwise.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +110,7 @@ class AllocAllow {
 /// strategy/step/layer boundaries in this macro so release builds pay
 /// nothing:
 ///
-///   MCP_CHECKED_ONLY(cache.validate());
+///   MCP_CHECKED_ONLY(validate());
 #ifdef MCP_CHECKED
 #define MCP_CHECKED_BUILD 1
 #define MCP_CHECKED_ONLY(stmt) \

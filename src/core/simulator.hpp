@@ -12,10 +12,13 @@
 //   * fetches proceed in parallel across cores; reserved cells cannot be
 //     evicted.
 //
-// The simulator is the single source of truth: strategies only *propose*
-// evictions, and every proposal is validated against CacheState before it
-// is applied, so a buggy or dishonest strategy cannot corrupt a run's
-// accounting.
+// Simulator is a thin wrapper over the engine's one step loop
+// (core/batch_engine.hpp): BatchEngine::run_strategy, the hook
+// instantiation, runs every call.  The engine is the single source of
+// truth: strategies read the cache through a CacheView and only *propose*
+// evictions, and every proposal is validated against the engine's slot
+// arrays before it is applied, so a buggy or dishonest strategy cannot
+// corrupt a run's accounting.
 #pragma once
 
 #include <vector>

@@ -2,17 +2,21 @@
 //
 // The paper classifies strategies as *shared* (S_A), *static partition*
 // (sP^B_A) and *dynamic partition* (dP^D_A); all fit this interface.  A
-// strategy never mutates the cache itself — it returns eviction decisions
-// which the simulator validates (pages must be present, reserved cells are
-// untouchable) and applies.  This separation is what lets the honesty
-// checker (Theorem 4) and the statistics layer trust the event feed.
+// strategy never mutates the cache itself — it reads it through a CacheView
+// and returns eviction decisions, which the engine's step loop
+// (core/batch_engine.cpp, the hook instantiation) validates (pages must be
+// present, reserved cells are untouchable) and applies.  This separation is
+// what lets the honesty checker (Theorem 4) and the statistics layer trust
+// the event feed.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/cache_state.hpp"
 #include "core/events.hpp"
 #include "core/request.hpp"
 #include "core/types.hpp"
@@ -33,11 +37,50 @@ struct SimConfig {
   /// Allocation sentry (DESIGN.md §10): arm an AllocGuard over every
   /// simulation step past this step count (0 = disabled).  Turns the
   /// steady-state allocation-free hot-path claim (§8) into an enforced
-  /// invariant: any heap allocation in a guarded step — simulator
-  /// bookkeeping, CacheState, or strategy callbacks — throws ModelError.
+  /// invariant: any heap allocation in a guarded step — step-loop
+  /// bookkeeping, observers or strategy callbacks — throws ModelError.
   /// Arm it only past warm-up and only with strategies whose steady-state
   /// callbacks do not allocate.
   Time alloc_guard_after_step = 0;
+};
+
+/// Read-only view of the shared cache that strategies decide against.  A
+/// cell holds a page that is either present (hit-able, evictable) or still
+/// in flight (its cell is reserved until the fetch lands, per Section 3).
+/// The engine implements it over its slot arrays; the test oracle
+/// (tests/reference_engine.hpp) over its own map.
+class CacheView {
+ public:
+  /// True iff `page` is present: a request to it now would hit.  False for
+  /// absent pages and for pages whose fetch is still in flight.  Not
+  /// virtual: victim scans test every candidate with it, so it reads the
+  /// presence table the implementation keeps (set_presence).
+  [[nodiscard]] bool contains(PageId page) const noexcept {
+    return page < presence_.size() && presence_[page] != 0;
+  }
+  /// Cells in use: present pages plus cells reserved by in-flight fetches.
+  [[nodiscard]] virtual std::size_t occupied() const = 0;
+  /// K, the number of cells.
+  [[nodiscard]] virtual std::size_t capacity() const = 0;
+  /// Snapshot of the present pages, ascending page id.  Allocates.
+  [[nodiscard]] virtual std::vector<PageId> present_pages() const = 0;
+
+  CacheView(const CacheView&) = delete;
+  CacheView& operator=(const CacheView&) = delete;
+
+ protected:
+  CacheView() = default;
+  ~CacheView() = default;
+
+  /// Points contains() at the implementation's page-indexed presence table:
+  /// entry p is nonzero iff page p is present, and pages past its end are
+  /// absent.  Call again whenever the table moves.
+  void set_presence(std::span<const std::uint8_t> presence) noexcept {
+    presence_ = presence;
+  }
+
+ private:
+  std::span<const std::uint8_t> presence_;
 };
 
 class CacheStrategy {
@@ -59,25 +102,27 @@ class CacheStrategy {
   /// and none otherwise.  If `needs_cell` is false (shared-fetch join: the
   /// page is already in flight) the strategy must append nothing.
   ///
-  /// `evictions` is a scratch buffer owned by the simulator, cleared before
+  /// `evictions` is a scratch buffer owned by the engine, cleared before
   /// the call (the allocation-free step-loop contract, DESIGN.md §8):
   /// strategies only push_back and never keep a reference past the call.
-  virtual void on_fault(const AccessContext& ctx, const CacheState& cache,
+  virtual void on_fault(const AccessContext& ctx, const CacheView& cache,
                         bool needs_cell, std::vector<PageId>& evictions) = 0;
 
-  /// A fetch issued earlier completed; `page` is now present.
+  /// A fetch issued earlier completed; `page` is now present.  `core` is
+  /// the core whose fault started the fetch.  A step's landings are
+  /// reported in ascending page id, all after the whole batch is present.
   virtual void on_fetch_complete(PageId page, CoreId core, Time now) {
     (void)page; (void)core; (void)now;
   }
 
   /// Called at the start of every timestep, before any request is served.
   /// May append *voluntary* evictions — pages evicted without a fault — to
-  /// the simulator-owned scratch buffer `evictions` (cleared before the
+  /// the engine-owned scratch buffer `evictions` (cleared before the
   /// call).  The paper calls strategies that never do this "honest"
   /// (Theorem 4 shows honesty is WLOG for disjoint inputs); dynamic
   /// partitions use it to shrink parts, and Theorem-4 experiments use it to
   /// force faults.
-  virtual void on_step_begin(Time now, const CacheState& cache,
+  virtual void on_step_begin(Time now, const CacheView& cache,
                              std::vector<PageId>& evictions) {
     (void)now; (void)cache; (void)evictions;
   }
@@ -91,9 +136,9 @@ class CacheStrategy {
   /// model forbids ("requests must be served as they arrive") — every
   /// in-model strategy keeps the default.  Deferral-based strategies exist
   /// to make the cross-model comparison executable (experiment E18); the
-  /// simulator aborts if deferrals ever stall the whole system.
+  /// engine aborts if deferrals stall the whole system for 2^20 steps.
   [[nodiscard]] virtual bool defer_request(const AccessContext& ctx,
-                                           const CacheState& cache) {
+                                           const CacheView& cache) {
     (void)ctx;
     (void)cache;
     return false;

@@ -1,5 +1,7 @@
 #include "core/trace_io.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -52,6 +54,9 @@ RequestSet read_trace(std::istream& is) {
     } else if (keyword == "cores") {
       if (saw_cores) fail("duplicate 'cores' line");
       if (!(ls >> num_cores) || num_cores == 0) fail("bad core count");
+      if (num_cores > kMaxInputCores) {
+        fail("core count above " + std::to_string(kMaxInputCores));
+      }
       seqs.resize(num_cores);
       seen.assign(num_cores, false);
       saw_cores = true;
@@ -63,11 +68,21 @@ RequestSet read_trace(std::istream& is) {
       if (core >= num_cores) fail("core id out of range");
       if (seen[core]) fail("duplicate sequence for core " + std::to_string(core));
       seen[core] = true;
-      std::vector<PageId> pages(n);
+      // Sized by what the line can hold (a page takes at least two
+      // characters), never by the declared count alone.
+      std::vector<PageId> pages;
+      pages.reserve(std::min(n, line.size() / 2));
       for (std::size_t i = 0; i < n; ++i) {
-        if (!(ls >> pages[i])) fail("sequence shorter than declared length");
+        // 64-bit: an id past PageId's range (or a negative one, which
+        // unsigned extraction wraps) fails the bound check, not the read.
+        std::uint64_t page = 0;
+        if (!(ls >> page)) fail("sequence shorter than declared length");
+        if (page >= kInputPageBound) {
+          fail("page id " + std::to_string(page) + " at or above 2^24");
+        }
+        pages.push_back(static_cast<PageId>(page));
       }
-      PageId extra = 0;
+      std::uint64_t extra = 0;
       if (ls >> extra) fail("sequence longer than declared length");
       seqs[core] = RequestSequence(std::move(pages));
     } else {
@@ -100,13 +115,19 @@ RequestSet read_trace_pairs(std::istream& is) {
                        std::to_string(line_start) + "): " + why);
     };
     std::istringstream ls(line);
-    std::size_t core = 0;
-    PageId page = 0;
+    std::uint64_t core = 0;
+    std::uint64_t page = 0;
     if (!(ls >> core >> page)) fail("expected '<core> <page>'");
     std::string extra;
     if (ls >> extra) fail("trailing tokens");
+    if (core >= kMaxInputCores) {
+      fail("core id at or above " + std::to_string(kMaxInputCores));
+    }
+    if (page >= kInputPageBound) {
+      fail("page id " + std::to_string(page) + " at or above 2^24");
+    }
     if (core >= seqs.size()) seqs.resize(core + 1);
-    seqs[core].push_back(page);
+    seqs[core].push_back(static_cast<PageId>(page));
   }
   if (seqs.empty()) throw InputError("pairs trace: no requests");
   return RequestSet(std::move(seqs));

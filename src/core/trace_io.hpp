@@ -9,7 +9,9 @@
 //   seq <core> <n> <page_0> <page_1> ... <page_{n-1}>
 //
 // One `seq` line per core, in any order; every core in [0, p) must appear
-// exactly once (empty sequences use n=0).
+// exactly once (empty sequences use n=0).  Both loaders reject page ids at
+// or above kInputPageBound (2^24) and more than kMaxInputCores (2^16)
+// cores, and size nothing from a declared count alone.
 #pragma once
 
 #include <iosfwd>

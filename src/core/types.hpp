@@ -28,6 +28,13 @@ using CoreId = std::uint32_t;
 /// Sentinel for "no core".
 inline constexpr CoreId kInvalidCore = std::numeric_limits<CoreId>::max();
 
+/// Bounds on external inputs (text traces, mcpd's wire format), checked
+/// before anything is sized from them.  Page ids lie below kInputPageBound,
+/// so page-indexed arrays stay at most 2^24 entries long and kInvalidPage
+/// never enters a run; a trace has at most kMaxInputCores cores.
+inline constexpr PageId kInputPageBound = PageId{1} << 24;
+inline constexpr CoreId kMaxInputCores = CoreId{1} << 16;
+
 /// A discrete timestep.  The first request of a run is issued at time 0.
 using Time = std::uint64_t;
 

@@ -93,7 +93,7 @@ void CertificateStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void CertificateStrategy::on_fault(const AccessContext& ctx,
-                                   const CacheState& cache, bool needs_cell,
+                                   const CacheView& cache, bool needs_cell,
                                    std::vector<PageId>& evictions) {
   MCP_REQUIRE(needs_cell, "certificate: reduction sequences are disjoint");
   const CoreId c = ctx.core;

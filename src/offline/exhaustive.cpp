@@ -31,7 +31,7 @@ class ProbeStrategy final : public CacheStrategy {
     next_ = 0;
   }
   void on_hit(const AccessContext& /*ctx*/) override {}
-  void on_fault(const AccessContext& /*ctx*/, const CacheState& cache,
+  void on_fault(const AccessContext& /*ctx*/, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override {
     if (!needs_cell || cache.occupied() < cache_size_) return;
     if (next_ < prefix_->size()) {

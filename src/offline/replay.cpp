@@ -17,7 +17,7 @@ void ReplayStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void ReplayStrategy::on_fault(const AccessContext& ctx,
-                              const CacheState& cache, bool needs_cell,
+                              const CacheView& cache, bool needs_cell,
                               std::vector<PageId>& evictions) {
   if (!needs_cell) return;
   if (next_ < schedule_.size()) {

@@ -5,7 +5,7 @@
 // the whole cache for shared strategies (S_A), or one core's part for
 // partitioned strategies (sP^B_A / dP^D_A, one instance per part).  The
 // policy tracks the pages of its region and ranks them for eviction; it
-// never touches the CacheState.
+// never touches the cache itself.
 //
 // victim() takes an `evictable` predicate because a page whose cell is
 // reserved (fetch in flight) cannot be evicted under the model; policies

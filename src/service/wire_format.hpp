@@ -56,12 +56,12 @@ inline constexpr std::size_t kFrameHeaderSize = 16;
 /// rejected before any allocation is sized from them, so a corrupted (or
 /// hostile) document cannot make the decoder or the daemon reserve
 /// memory proportional to an attacker-chosen 32-bit value.
-inline constexpr std::uint32_t kMaxWireCores = 1u << 16;
+inline constexpr std::uint32_t kMaxWireCores = kMaxInputCores;
 inline constexpr std::uint32_t kMaxWireCacheCells = 1u << 28;
 /// mcpd's engines index per-page state by id, so it drops a request frame
 /// holding a page id >= this as a bad frame: page-indexed arrays stay at
 /// most 2^24 entries long and kInvalidPage never reaches them.
-inline constexpr std::uint32_t kMaxWirePageId = 1u << 24;
+inline constexpr std::uint32_t kMaxWirePageId = kInputPageBound;
 
 enum class FrameType : std::uint32_t {
   kSessionOpen = 1,

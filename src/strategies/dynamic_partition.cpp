@@ -32,7 +32,7 @@ void Lemma3DynamicPartition::on_hit(const AccessContext& ctx) {
 }
 
 void Lemma3DynamicPartition::on_fault(const AccessContext& ctx,
-                                      const CacheState& cache, bool needs_cell,
+                                      const CacheView& cache, bool needs_cell,
                                       std::vector<PageId>& evictions) {
   if (!needs_cell) return;
   const CoreId j = ctx.core;

@@ -53,7 +53,7 @@ void BudgetedPartitionStrategy::apply_sizes(Partition&& next) {
 
 PageId BudgetedPartitionStrategy::evict_from_part(CoreId part,
                                                   const AccessContext& ctx,
-                                                  const CacheState& cache) {
+                                                  const CacheView& cache) {
   const PageId victim = parts_[part]->victim(
       ctx, [&cache](PageId page) { return cache.contains(page); });
   if (victim == kInvalidPage) return kInvalidPage;
@@ -64,7 +64,7 @@ PageId BudgetedPartitionStrategy::evict_from_part(CoreId part,
   return victim;
 }
 
-void BudgetedPartitionStrategy::on_step_begin(Time now, const CacheState& cache,
+void BudgetedPartitionStrategy::on_step_begin(Time now, const CacheView& cache,
                                               std::vector<PageId>& evictions) {
   apply_sizes(decide_sizes(now));
   const AccessContext ctx{kInvalidCore, kInvalidPage, now, 0};
@@ -85,7 +85,7 @@ void BudgetedPartitionStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void BudgetedPartitionStrategy::on_fault(const AccessContext& ctx,
-                                         const CacheState& cache,
+                                         const CacheView& cache,
                                          bool needs_cell,
                                          std::vector<PageId>& evictions) {
   observe_fault(ctx);

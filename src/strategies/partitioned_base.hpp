@@ -24,9 +24,9 @@ class BudgetedPartitionStrategy : public CacheStrategy {
   void attach(const SimConfig& config, std::size_t num_cores,
               const RequestSet* requests) override;
   void on_hit(const AccessContext& ctx) override;
-  void on_fault(const AccessContext& ctx, const CacheState& cache,
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override;
-  void on_step_begin(Time now, const CacheState& cache,
+  void on_step_begin(Time now, const CacheView& cache,
                      std::vector<PageId>& evictions) override;
 
   [[nodiscard]] const Partition& current_sizes() const noexcept { return sizes_; }
@@ -52,7 +52,7 @@ class BudgetedPartitionStrategy : public CacheStrategy {
 
  private:
   PageId evict_from_part(CoreId part, const AccessContext& ctx,
-                         const CacheState& cache);
+                         const CacheView& cache);
   void apply_sizes(Partition&& next);
 
   PolicyFactory factory_;

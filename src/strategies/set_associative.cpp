@@ -30,7 +30,7 @@ void SetAssociativeStrategy::on_hit(const AccessContext& ctx) {
   sets_[set_of(ctx.page)]->on_hit(ctx.page, ctx);
 }
 
-void SetAssociativeStrategy::on_step_begin(Time now, const CacheState& cache,
+void SetAssociativeStrategy::on_step_begin(Time now, const CacheView& cache,
                                            std::vector<PageId>& evictions) {
   // Drain overflow: sets holding more than `ways_` pages (possible only
   // when a fault hit a fully reserved set) shrink as soon as they can.
@@ -48,7 +48,7 @@ void SetAssociativeStrategy::on_step_begin(Time now, const CacheState& cache,
 }
 
 void SetAssociativeStrategy::on_fault(const AccessContext& ctx,
-                                      const CacheState& cache, bool needs_cell,
+                                      const CacheView& cache, bool needs_cell,
                                       std::vector<PageId>& evictions) {
   if (!needs_cell) return;
   const std::size_t s = set_of(ctx.page);

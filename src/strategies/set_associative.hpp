@@ -34,13 +34,13 @@ class SetAssociativeStrategy final : public CacheStrategy {
   void attach(const SimConfig& config, std::size_t num_cores,
               const RequestSet* requests) override;
   void on_hit(const AccessContext& ctx) override;
-  void on_fault(const AccessContext& ctx, const CacheState& cache,
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override;
   /// A set whose cells are all mid-fetch cannot evict; the incoming page
   /// then overflows into a free cell (an MSHR/victim-buffer stand-in) and
   /// the set is shrunk back to its way budget here, as soon as one of its
   /// pages is evictable again.
-  void on_step_begin(Time now, const CacheState& cache,
+  void on_step_begin(Time now, const CacheView& cache,
                      std::vector<PageId>& evictions) override;
   [[nodiscard]] std::string name() const override;
 

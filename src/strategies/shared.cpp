@@ -43,7 +43,7 @@ void SharedStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void SharedStrategy::on_fault(const AccessContext& ctx,
-                              const CacheState& cache, bool needs_cell,
+                              const CacheView& cache, bool needs_cell,
                               std::vector<PageId>& evictions) {
   maybe_advance_oracle(ctx);
   if (!needs_cell) return;  // page already in flight; no cell required

@@ -59,7 +59,7 @@ void StaticPartitionStrategy::on_hit(const AccessContext& ctx) {
 }
 
 void StaticPartitionStrategy::on_fault(const AccessContext& ctx,
-                                       const CacheState& cache, bool needs_cell,
+                                       const CacheView& cache, bool needs_cell,
                                        std::vector<PageId>& evictions) {
   maybe_advance_oracle(ctx);
   if (!needs_cell) return;

@@ -1,11 +1,13 @@
-// Differential test battery for the batch kernel (core/batch_engine.hpp):
-// for every batchable strategy x workload x tau x shared-fetch cell, the
-// kernel must produce RunStats bit-equal to the retained scalar Simulator
-// driving the real strategy objects — hits, faults, fault timelines,
-// completion times, end time and step count — whether it simulates a whole
-// job at once or is fed the trace in chunks and parks mid-step wherever the
-// buffered requests run out.  Error behaviour (reserved-full cache,
-// max_steps abort) must match too.
+// Differential test battery for the stamp kernels (core/batch_engine.hpp):
+// for every batchable strategy x workload x tau x shared-fetch cell, a
+// kernel must produce RunStats bit-equal to the independent reference step
+// loop (tests/reference_engine.hpp) driving the real strategy objects —
+// hits, faults, fault timelines, completion times, end time and step count
+// — whether it simulates a whole job at once or is fed the trace in chunks
+// and parks mid-step wherever the buffered requests run out.  The same
+// strategy objects run through Simulator (the hook instantiation of the
+// same step loop) must equal the stamp kernels too.  Error behaviour
+// (reserved-full cache, max_steps abort) must match.
 #include "core/batch_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "policies/policy_registry.hpp"
+#include "reference_engine.hpp"
 #include "strategies/partition.hpp"
 #include "strategies/shared.hpp"
 #include "strategies/static_partition.hpp"
@@ -48,8 +51,8 @@ void expect_same_stats(const RunStats& batched, const RunStats& scalar,
   }
 }
 
-/// A batchable strategy: the spec the batch kernel runs and the factory for
-/// the equivalent scalar strategy object (rebuilt fresh per run).
+/// A batchable strategy: the spec the stamp kernel runs and the factory for
+/// the equivalent strategy object (rebuilt fresh per run).
 struct BatchableCase {
   std::string label;
   BatchStrategySpec spec;
@@ -145,9 +148,16 @@ std::vector<WorkloadCase> workload_grid(std::size_t p) {
   return grid;
 }
 
-/// The scalar oracle: Simulator::run with the case's strategy object.
+/// The oracle: the reference step loop with the case's strategy object.
 RunStats oracle_run(const SimConfig& config, const RequestSet& requests,
                     const BatchableCase& sc) {
+  const std::unique_ptr<CacheStrategy> scalar = sc.make_scalar();
+  return testing::reference_simulate(config, requests, *scalar);
+}
+
+/// The hook path: Simulator::run with the case's strategy object.
+RunStats hook_run(const SimConfig& config, const RequestSet& requests,
+                  const BatchableCase& sc) {
   const std::unique_ptr<CacheStrategy> scalar = sc.make_scalar();
   Simulator sim(config);
   return sim.run(requests, *scalar);
@@ -197,8 +207,8 @@ TEST(BatchDifferential, BitEqualToScalarEngineAcrossGrid) {
     job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
     jobs.push_back(std::move(job));
     SharedStrategy scalar(make_policy_factory("lru"));
-    Simulator sim(config);
-    expected.push_back(sim.run(workloads[0].requests, scalar));
+    expected.push_back(
+        testing::reference_simulate(config, workloads[0].requests, scalar));
     labels.push_back("off_grid/K=3/tau=" + std::to_string(tau));
   }
   ASSERT_GT(jobs.size(), 60u);
@@ -209,6 +219,40 @@ TEST(BatchDifferential, BitEqualToScalarEngineAcrossGrid) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_same_stats(got[i], expected[i], labels[i]);
   }
+}
+
+TEST(BatchDifferential, StrategyObjectsBitEqualToStampKernels) {
+  // The hook instantiation driving LRU/FIFO SharedStrategy and
+  // StaticPartitionStrategy objects against the stamp kernel running the
+  // equivalent SimJob: two instantiations of one step loop, equal in every
+  // RunStats field.
+  const std::size_t p = 3;
+  const std::size_t K = 6;
+  std::size_t cells = 0;
+  for (const WorkloadCase& wl : workload_grid(p)) {
+    for (const BatchableCase& sc : batchable_grid(p, K)) {
+      for (const Time tau : {Time{0}, Time{3}}) {
+        for (const SharedFetchMode mode :
+             {SharedFetchMode::kCountsAsFault, SharedFetchMode::kJoinsFetch}) {
+          if (wl.disjoint && mode == SharedFetchMode::kJoinsFetch) continue;
+          SimConfig config = testing::sim_config(K, tau);
+          config.shared_fetch = mode;
+          config.record_fault_timeline = true;
+          const SimJob job{config, &wl.requests, sc.spec};
+          expect_same_stats(BatchEngine::run(job),
+                            hook_run(config, wl.requests, sc),
+                            wl.label + "/" + sc.label + "/tau=" +
+                                std::to_string(tau) +
+                                (mode == SharedFetchMode::kJoinsFetch
+                                     ? "/join"
+                                     : "/fault"));
+          ++cells;
+        }
+      }
+    }
+  }
+  // 5 workloads x 5 strategies x 2 taus, plus kJoinsFetch on the shared one.
+  EXPECT_EQ(cells, 60u);
 }
 
 TEST(BatchDifferential, PhasedSteppingWithValidationMatchesOneShot) {
@@ -261,8 +305,11 @@ TEST(BatchDifferential, AllReservedCacheThrowsLikeScalar) {
   const SimConfig config = testing::sim_config(1, 2);
 
   SharedStrategy scalar(make_policy_factory("lru"));
+  EXPECT_THROW((void)testing::reference_simulate(config, rs, scalar),
+               ModelError);
+  SharedStrategy hooked(make_policy_factory("lru"));
   Simulator sim(config);
-  EXPECT_THROW((void)sim.run(rs, scalar), ModelError);
+  EXPECT_THROW((void)sim.run(rs, hooked), ModelError);
 
   SimJob job;
   job.config = config;
@@ -270,8 +317,8 @@ TEST(BatchDifferential, AllReservedCacheThrowsLikeScalar) {
   job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
   EXPECT_THROW((void)BatchEngine::run(job), ModelError);
 
-  // Error parity across the workload grid at K < p: wherever the scalar
-  // engine aborts the kernel aborts too, and elsewhere they agree.
+  // Error parity across the workload grid at K < p: wherever the oracle
+  // aborts the kernel aborts too, and elsewhere they agree.
   const std::size_t p = 3;
   for (const WorkloadCase& wl : workload_grid(p)) {
     for (const BatchableCase& sc : batchable_grid(p, p)) {
@@ -308,8 +355,11 @@ TEST(BatchDifferential, MaxStepsAbortMatchesScalar) {
   config.max_steps = 10;
 
   SharedStrategy scalar(make_policy_factory("lru"));
+  EXPECT_THROW((void)testing::reference_simulate(config, rs, scalar),
+               ModelError);
+  SharedStrategy hooked(make_policy_factory("lru"));
   Simulator sim(config);
-  EXPECT_THROW((void)sim.run(rs, scalar), ModelError);
+  EXPECT_THROW((void)sim.run(rs, hooked), ModelError);
 
   SimJob job;
   job.config = config;

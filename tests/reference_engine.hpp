@@ -1,97 +1,110 @@
-// Reference build of the simulator engine, kept for differential testing.
+// Reference step loop, kept as the independent oracle for differential
+// testing of the engine (core/batch_engine.hpp).
 //
-// This is a transliteration of the pre-optimization step loop (PR 3): the
-// cache state is a plain unordered_map scanned in full (and sorted) to land
-// fetches, eviction duplicates are checked with an unordered_set, and every
-// strategy callback gets a fresh vector.  It is deliberately naive — the
-// point is that test_engine_differential.cpp can replay the same run
-// through this engine and through mcp::Simulator and require *identical*
-// RunStats.
-//
-// Because strategies take `const CacheState&`, the reference engine drives
-// a real CacheState for the callbacks and mirrors every mutation into its
-// own map-based shadow; after each step the two are cross-checked
-// (residency, fetch status, completion batches), so a divergence inside the
-// optimized CacheState (slot arena, fetch heap) is caught at the step it
-// happens, not just in the final tallies.
+// This is a plain transliteration of the paper's Section 3 step rule that
+// shares no code with the engine: the cache is an ordered map from page to
+// cell, scanned in full to land fetches, eviction duplicates are checked
+// with a set, and every strategy callback gets a fresh vector.  Strategies
+// read it through the same CacheView interface the engine implements over
+// its slot arrays; it updates the presence table CacheView::contains reads
+// wherever its map lands or evicts a page, and its own hit test reads the
+// map.  It fires every SimObserver callback at the points the engine does,
+// so test_engine_differential.cpp can compare full event logs — not just
+// the final RunStats — and catch a divergence at the event it happens.
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "core/cache_state.hpp"
 #include "core/error.hpp"
-#include "core/simulator.hpp"
+#include "core/events.hpp"
 #include "core/stats.hpp"
 #include "core/strategy.hpp"
 #include "core/stream.hpp"
 
 namespace mcp::testing {
 
-/// Old map-based cache bookkeeping (shadow copy of the run's CacheState).
-class ShadowCacheState {
+/// Map-based cache bookkeeping: one entry per occupied cell.
+class ShadowCacheState final : public CacheView {
  public:
   explicit ShadowCacheState(std::size_t capacity) : capacity_(capacity) {}
 
-  [[nodiscard]] bool contains(PageId page) const {
+  [[nodiscard]] bool is_present(PageId page) const {
     const auto it = cells_.find(page);
-    return it != cells_.end() && it->second.status == CellStatus::kPresent;
+    return it != cells_.end() && !it->second.fetching;
   }
+  [[nodiscard]] std::size_t occupied() const override { return cells_.size(); }
+  [[nodiscard]] std::size_t capacity() const override { return capacity_; }
+  [[nodiscard]] std::vector<PageId> present_pages() const override {
+    std::vector<PageId> pages;
+    for (const auto& [page, cell] : cells_) {
+      if (!cell.fetching) pages.push_back(page);
+    }
+    return pages;  // std::map iterates in ascending page id
+  }
+
   [[nodiscard]] bool is_fetching(PageId page) const {
     const auto it = cells_.find(page);
-    return it != cells_.end() && it->second.status == CellStatus::kFetching;
+    return it != cells_.end() && it->second.fetching;
   }
-  [[nodiscard]] std::size_t occupied() const { return cells_.size(); }
+  [[nodiscard]] Time ready_at(PageId page) const {
+    return cells_.at(page).ready_at;
+  }
+  [[nodiscard]] std::size_t fetching_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(cells_.begin(), cells_.end(),
+                      [](const auto& entry) { return entry.second.fetching; }));
+  }
 
   void begin_fetch(PageId page, CoreId core, Time ready_at) {
     MCP_REQUIRE(cells_.size() < capacity_, "shadow: begin_fetch on full cache");
     const bool inserted =
-        cells_.try_emplace(page, CellInfo{CellStatus::kFetching, ready_at, core})
-            .second;
+        cells_.try_emplace(page, Cell{true, ready_at, core}).second;
     MCP_REQUIRE(inserted, "shadow: begin_fetch on resident page");
+    if (page >= presence_.size()) {
+      presence_.resize(std::size_t{page} + 1, 0);
+      set_presence(presence_);
+    }
   }
 
-  /// Full scan + sort, exactly like the old CacheState::complete_fetches.
-  [[nodiscard]] std::vector<PageId> complete_fetches(Time now) {
-    std::vector<PageId> done;
-    for (auto& [page, info] : cells_) {
-      if (info.status == CellStatus::kFetching && info.ready_at <= now) {
-        info.status = CellStatus::kPresent;
-        done.push_back(page);
+  /// Lands every fetch due by `now`: (page, fetching core), ascending page.
+  [[nodiscard]] std::vector<std::pair<PageId, CoreId>> complete_fetches(
+      Time now) {
+    std::vector<std::pair<PageId, CoreId>> done;
+    for (auto& [page, cell] : cells_) {
+      if (cell.fetching && cell.ready_at <= now) {
+        cell.fetching = false;
+        presence_[page] = 1;
+        done.emplace_back(page, cell.fetched_by);
       }
     }
-    std::sort(done.begin(), done.end());
     return done;
   }
 
   void evict(PageId page) {
     const auto it = cells_.find(page);
     MCP_REQUIRE(it != cells_.end(), "shadow: evict of non-resident page");
-    MCP_REQUIRE(it->second.status == CellStatus::kPresent,
-                "shadow: evict of reserved cell");
+    MCP_REQUIRE(!it->second.fetching, "shadow: evict of reserved cell");
     cells_.erase(it);
-  }
-
-  [[nodiscard]] std::vector<PageId> present_pages() const {
-    std::vector<PageId> pages;
-    for (const auto& [page, info] : cells_) {
-      if (info.status == CellStatus::kPresent) pages.push_back(page);
-    }
-    std::sort(pages.begin(), pages.end());
-    return pages;
-  }
-  [[nodiscard]] std::vector<PageId> resident_pages() const {
-    std::vector<PageId> pages;
-    for (const auto& [page, info] : cells_) pages.push_back(page);
-    std::sort(pages.begin(), pages.end());
-    return pages;
+    presence_[page] = 0;
   }
 
  private:
+  struct Cell {
+    bool fetching = false;
+    Time ready_at = 0;
+    CoreId fetched_by = kInvalidCore;
+  };
+
   std::size_t capacity_;
-  std::unordered_map<PageId, CellInfo> cells_;
+  std::map<PageId, Cell> cells_;
+  std::vector<std::uint8_t> presence_;  ///< For CacheView::contains.
 };
 
 namespace detail {
@@ -105,36 +118,14 @@ struct RefCoreRuntime {
   std::size_t issued = 0;
 };
 
-/// Cross-check: the optimized CacheState and the shadow must agree exactly.
-inline void expect_states_agree(const CacheState& cache,
-                                const ShadowCacheState& shadow) {
-  MCP_REQUIRE(cache.occupied() == shadow.occupied(),
-              "reference engine: occupancy diverged");
-  MCP_REQUIRE(cache.present_pages() == shadow.present_pages(),
-              "reference engine: present set diverged");
-  MCP_REQUIRE(cache.resident_pages() == shadow.resident_pages(),
-              "reference engine: resident set diverged");
-}
-
-inline void reference_apply_evictions(const std::vector<PageId>& victims,
-                                      PageId incoming, CacheState& cache,
-                                      ShadowCacheState& shadow) {
-  std::unordered_set<PageId> seen;
-  for (PageId victim : victims) {
-    MCP_REQUIRE(victim != incoming, "strategy evicted the incoming page");
-    MCP_REQUIRE(seen.insert(victim).second, "strategy evicted a page twice");
-    shadow.evict(victim);
-    cache.evict(victim);
-  }
-}
-
 }  // namespace detail
 
-/// Runs `requests` through the reference engine.  Identical observable
-/// semantics to Simulator::run (old build), including the step counter.
-inline RunStats reference_simulate(const SimConfig& config,
-                                   const RequestSet& requests,
-                                   CacheStrategy& strategy) {
+/// Runs `requests` through the reference step loop, firing `observers` in
+/// order.  Same observable semantics as Simulator::run: RunStats field for
+/// field (including sim_steps) and the SimObserver event sequence.
+inline RunStats reference_simulate(
+    const SimConfig& config, const RequestSet& requests,
+    CacheStrategy& strategy, std::span<SimObserver* const> observers = {}) {
   using detail::RefCoreRuntime;
   MCP_REQUIRE(config.cache_size > 0, "SimConfig.cache_size must be positive");
   FixedStream stream(requests);
@@ -143,8 +134,7 @@ inline RunStats reference_simulate(const SimConfig& config,
 
   strategy.attach(config, p, &requests);
 
-  CacheState cache(config.cache_size);
-  ShadowCacheState shadow(config.cache_size);
+  ShadowCacheState cache(config.cache_size);
   RunStats stats(p);
   std::vector<RefCoreRuntime> cores(p);
   std::size_t active = p;
@@ -153,30 +143,42 @@ inline RunStats reference_simulate(const SimConfig& config,
   Time stalled_steps = 0;
   constexpr Time kMaxStalledSteps = 1 << 20;
 
+  const auto notify = [&](auto&& fn) {
+    for (SimObserver* obs : observers) fn(*obs);
+  };
+  const auto apply_evictions = [&](const std::vector<PageId>& victims,
+                                   PageId incoming, CoreId cause_core,
+                                   EvictionCause cause) {
+    std::set<PageId> seen;
+    for (PageId victim : victims) {
+      MCP_REQUIRE(victim != incoming, "strategy evicted the incoming page");
+      MCP_REQUIRE(seen.insert(victim).second, "strategy evicted a page twice");
+      cache.evict(victim);
+      notify([&](SimObserver& obs) {
+        obs.on_evict(victim, cause_core, now, cause);
+      });
+    }
+  };
+
   const auto serve = [&](CoreId core, PageId page, RefCoreRuntime& rt) {
     const AccessContext ctx{core, page, now, rt.issued};
     CoreStats& cstats = stats.core(core);
 
-    if (cache.contains(page)) {
-      MCP_REQUIRE(shadow.contains(page), "reference engine: hit diverged");
+    if (cache.is_present(page)) {
       ++cstats.hits;
       ++cstats.requests;
       strategy.on_hit(ctx);
+      notify([&](SimObserver& obs) { obs.on_hit(ctx); });
       rt.ready_at = now + 1;
       rt.last_finish = now;
       ++rt.issued;
       rt.has_pending = false;
       return;
     }
-    MCP_REQUIRE(!shadow.contains(page), "reference engine: fault diverged");
 
     if (cache.is_fetching(page)) {
-      MCP_REQUIRE(shadow.is_fetching(page),
-                  "reference engine: fetch status diverged");
       if (config.shared_fetch == SharedFetchMode::kJoinsFetch) {
-        const CellInfo* info = cache.find(page);
-        MCP_ASSERT(info != nullptr);
-        rt.ready_at = std::max(info->ready_at, now + 1);
+        rt.ready_at = std::max(cache.ready_at(page), now + 1);
         rt.has_pending = true;
         rt.pending = page;
         return;
@@ -184,6 +186,7 @@ inline RunStats reference_simulate(const SimConfig& config,
       ++cstats.faults;
       ++cstats.requests;
       if (config.record_fault_timeline) cstats.fault_times.push_back(now);
+      notify([&](SimObserver& obs) { obs.on_fault(ctx); });
       std::vector<PageId> victims;
       strategy.on_fault(ctx, cache, /*needs_cell=*/false, victims);
       MCP_REQUIRE(victims.empty(),
@@ -198,12 +201,12 @@ inline RunStats reference_simulate(const SimConfig& config,
     ++cstats.faults;
     ++cstats.requests;
     if (config.record_fault_timeline) cstats.fault_times.push_back(now);
+    notify([&](SimObserver& obs) { obs.on_fault(ctx); });
     std::vector<PageId> victims;
     strategy.on_fault(ctx, cache, /*needs_cell=*/true, victims);
-    detail::reference_apply_evictions(victims, page, cache, shadow);
-    MCP_REQUIRE(cache.free_cells() >= 1,
+    apply_evictions(victims, page, core, EvictionCause::kFault);
+    MCP_REQUIRE(cache.occupied() < cache.capacity(),
                 "strategy left no free cell for a faulting request");
-    shadow.begin_fetch(page, core, now + config.fault_penalty + 1);
     cache.begin_fetch(page, core, now + config.fault_penalty + 1);
     rt.ready_at = now + config.fault_penalty + 1;
     rt.last_finish = now + config.fault_penalty;
@@ -216,22 +219,19 @@ inline RunStats reference_simulate(const SimConfig& config,
     if (config.max_steps != 0 && steps > config.max_steps) {
       throw ModelError("simulation exceeded SimConfig.max_steps");
     }
+    notify([&](SimObserver& obs) { obs.on_step_begin(now); });
 
-    // 1. Land fetches — both engines must produce the identical batch.
-    const std::vector<PageId> done_shadow = shadow.complete_fetches(now);
-    const std::vector<PageId> done_new = cache.complete_fetches(now);
-    MCP_REQUIRE(done_shadow == done_new,
-                "reference engine: completion batch diverged");
-    for (PageId page : done_new) {
-      const CellInfo* info = cache.find(page);
-      const CoreId by = info != nullptr ? info->fetched_by : kInvalidCore;
+    // 1. Land fetches, ascending page id, once the whole batch is present.
+    for (const auto& [page, by] : cache.complete_fetches(now)) {
       strategy.on_fetch_complete(page, by, now);
+      notify([&](SimObserver& obs) { obs.on_fetch_complete(page, by, now); });
     }
 
     // 2. Voluntary evictions.
     std::vector<PageId> voluntary;
     strategy.on_step_begin(now, cache, voluntary);
-    detail::reference_apply_evictions(voluntary, kInvalidPage, cache, shadow);
+    apply_evictions(voluntary, kInvalidPage, kInvalidCore,
+                    EvictionCause::kVoluntary);
 
     // 3. Serve ready cores in logical order.
     bool any_deferred = false;
@@ -245,6 +245,9 @@ inline RunStats reference_simulate(const SimConfig& config,
           rt.done = true;
           stats.core(core).completion_time = rt.last_finish;
           strategy.on_core_done(core, now);
+          notify([&](SimObserver& obs) {
+            obs.on_core_done(core, rt.last_finish);
+          });
           --active;
           continue;
         }
@@ -260,7 +263,7 @@ inline RunStats reference_simulate(const SimConfig& config,
       serve(core, rt.pending, rt);
     }
 
-    detail::expect_states_agree(cache, shadow);
+    notify([&](SimObserver& obs) { obs.on_step_end(now); });
 
     if (active == 0) {
       stats.end_time = now;

@@ -15,7 +15,6 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "core/simulator.hpp"
 #include "policies/mattson.hpp"
 #include "policies/policy_registry.hpp"
 #include "service/mcpd.hpp"
@@ -23,6 +22,7 @@
 #include "strategies/partition_search.hpp"
 #include "strategies/shared.hpp"
 #include "strategies/static_partition.hpp"
+#include "reference_engine.hpp"
 #include "test_support.hpp"
 
 namespace mcp::service {
@@ -63,22 +63,22 @@ std::vector<Tenant> make_tenants(std::size_t count, Rng& rng) {
   return tenants;
 }
 
-/// The library-side oracle for one tenant: a direct Simulator::run with
-/// the strategy the daemon instantiates for its StrategyKind.
+/// The oracle for one tenant: the independent reference step loop
+/// (tests/reference_engine.hpp) with the strategy object the daemon's
+/// StrategyKind stands for.
 RunStats oracle_run(const Tenant& tenant) {
   SimConfig config;
   config.cache_size = tenant.params.cache_size;
   config.fault_penalty = tenant.params.fault_penalty;
   config.record_fault_timeline = false;
-  Simulator sim(config);
   if (tenant.params.strategy == StrategyKind::kSharedLru) {
     SharedStrategy strategy(make_policy_factory("lru"));
-    return sim.run(tenant.trace, strategy);
+    return testing::reference_simulate(config, tenant.trace, strategy);
   }
   StaticPartitionStrategy strategy(
       even_partition(tenant.params.cache_size, tenant.trace.num_cores()),
       make_policy_factory("lru"));
-  return sim.run(tenant.trace, strategy);
+  return testing::reference_simulate(config, tenant.trace, strategy);
 }
 
 /// Identically-configured tenants with traces of different lengths, so
@@ -178,9 +178,9 @@ TEST(Mcpd, ShardCountNeverChangesResults) {
 
 TEST(Mcpd, HomogeneousCohortMatchesOracleAtEveryShardAndChunkSize) {
   // A cohort of identical tenants.  Every reply is checked against the
-  // direct Simulator oracle, so passing at all grid points proves the
-  // per-session kernels bit-identical to the library regardless of sharding
-  // or arrival chunking.
+  // reference oracle, so passing at all grid points proves the per-session
+  // kernels bit-identical to the library regardless of sharding or arrival
+  // chunking.
   Rng rng(0xBEEF);
   const std::vector<Tenant> tenants = make_homogeneous_tenants(10, rng);
   for (const std::size_t shards : {1u, 2u, 8u}) {

@@ -91,6 +91,17 @@ TEST(ProgressTracker, FastForwardStillEmitsSamples) {
   for (std::size_t s = 1; s < tracker.sample_times().size(); ++s) {
     EXPECT_EQ(tracker.sample_times()[s] - tracker.sample_times()[s - 1], 100u);
   }
+  // Requests issue at t=0, 501 and 1002; a fast-forwarded boundary reads
+  // the counts before the step that ends the fast-forward.
+  const auto& samples = tracker.samples();
+  ASSERT_GE(samples.size(), 11u);
+  EXPECT_EQ(samples[0][0], 1u);  // t=0
+  for (std::size_t s = 1; s <= 5; ++s) {
+    EXPECT_EQ(samples[s][0], 1u) << "t=" << tracker.sample_times()[s];
+  }
+  for (std::size_t s = 6; s <= 10; ++s) {
+    EXPECT_EQ(samples[s][0], 2u) << "t=" << tracker.sample_times()[s];
+  }
 }
 
 }  // namespace

@@ -85,11 +85,11 @@ class StarveEverything final : public CacheStrategy {
  public:
   void attach(const SimConfig&, std::size_t, const RequestSet*) override {}
   [[nodiscard]] bool defer_request(const AccessContext&,
-                                   const CacheState&) override {
+                                   const CacheView&) override {
     return true;
   }
   void on_hit(const AccessContext&) override {}
-  void on_fault(const AccessContext&, const CacheState&, bool,
+  void on_fault(const AccessContext&, const CacheView&, bool,
                 std::vector<PageId>&) override {}
   [[nodiscard]] std::string name() const override { return "STARVE"; }
 };

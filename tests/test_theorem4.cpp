@@ -36,7 +36,7 @@ class SelfContainedDishonestLru final : public CacheStrategy {
     lru_->reset();
   }
   void on_hit(const AccessContext& ctx) override { lru_->on_hit(ctx.page, ctx); }
-  void on_fault(const AccessContext& ctx, const CacheState& cache,
+  void on_fault(const AccessContext& ctx, const CacheView& cache,
                 bool needs_cell, std::vector<PageId>& evictions) override {
     if (!needs_cell) return;
     if (cache.occupied() == cache_size_) {
@@ -48,7 +48,7 @@ class SelfContainedDishonestLru final : public CacheStrategy {
     }
     lru_->on_insert(ctx.page, ctx);
   }
-  void on_step_begin(Time /*now*/, const CacheState& cache,
+  void on_step_begin(Time /*now*/, const CacheView& cache,
                      std::vector<PageId>& evictions) override {
     if (!rng_.chance(q_)) return;
     // Sorted order keeps the random choice reproducible across engines.

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/error.hpp"
+#include "core/sentry.hpp"
 
 namespace mcp {
 namespace {
@@ -123,6 +124,83 @@ TEST(TraceIo, RejectsLongSequence) {
 TEST(TraceIo, RejectsUnknownKeyword) {
   std::stringstream ss("mcptrace 1\ncores 1\nbogus\n");
   EXPECT_THROW((void)read_trace(ss), InputError);
+}
+
+TEST(TraceIo, RejectsReservedPageId) {
+  // kInvalidPage would wrap page_bound() to 0 and reach the engine's page
+  // index; the loader names the line and byte instead.  "mcptrace 1\n" is
+  // 11 bytes and "cores 1\n" 8 more, so the seq line starts at byte 19.
+  std::stringstream ss(
+      "mcptrace 1\ncores 1\nseq 0 3 4294967295 1 4294967295\n");
+  const std::string message =
+      input_error_message([&] { (void)read_trace(ss); });
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("(byte 19)"), std::string::npos) << message;
+  EXPECT_NE(message.find("page id 4294967295"), std::string::npos) << message;
+}
+
+TEST(TraceIo, PageIdBoundIsTwoToTheTwentyFour) {
+  std::stringstream ok("mcptrace 1\ncores 1\nseq 0 1 16777215\n");
+  EXPECT_EQ(read_trace(ok).page_bound(), kInputPageBound);
+  for (const char* page : {"16777216", "4294967296", "-1"}) {
+    std::stringstream ss(std::string("mcptrace 1\ncores 1\nseq 0 1 ") + page +
+                         "\n");
+    EXPECT_THROW((void)read_trace(ss), InputError) << page;
+  }
+}
+
+TEST(TraceIo, HugeDeclaredLengthIsAnInputError) {
+  // Not std::length_error: the loader never sizes a vector from the count.
+  std::stringstream ss("mcptrace 1\ncores 1\nseq 0 4611686018427387904 1\n");
+  const std::string message =
+      input_error_message([&] { (void)read_trace(ss); });
+  EXPECT_NE(message.find("shorter than declared length"), std::string::npos)
+      << message;
+}
+
+TEST(TraceIo, DeclaredSizesAllocateNothingUpFront) {
+  // A declared length of 10^9 with one page, and the largest core count,
+  // allocate in proportion to the document, not to the declarations.
+  const auto bytes_to_fail = [](const std::string& doc) {
+    const std::uint64_t before = sentry::thread_alloc_stats().bytes_allocated;
+    std::stringstream ss(doc);
+    EXPECT_THROW((void)read_trace(ss), InputError) << doc;
+    return sentry::thread_alloc_stats().bytes_allocated - before;
+  };
+  EXPECT_LT(bytes_to_fail("mcptrace 1\ncores 1\nseq 0 1000000000 7\n"),
+            std::uint64_t{1} << 16);
+  EXPECT_LT(bytes_to_fail("mcptrace 1\ncores 65536\nseq 0 1000000000 7\n"),
+            std::uint64_t{1} << 23);  // 2^16 empty sequences plus flags
+}
+
+TEST(TraceIo, RejectsCoreCountAboveBound) {
+  for (const char* cores : {"65537", "4000000000", "18446744073709551615"}) {
+    std::stringstream ss(std::string("mcptrace 1\ncores ") + cores + "\n");
+    const std::string message =
+        input_error_message([&] { (void)read_trace(ss); });
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  }
+  std::stringstream ok("mcptrace 1\ncores 65536\n");
+  EXPECT_THROW((void)read_trace(ok), InputError);  // sequences still missing
+}
+
+TEST(TraceIoPairs, RejectsCoreIdAboveBound) {
+  std::stringstream ss("0 1\n65536 2\n");
+  const std::string message =
+      input_error_message([&] { (void)read_trace_pairs(ss); });
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("core id"), std::string::npos) << message;
+  std::stringstream ok("65535 2\n");
+  EXPECT_EQ(read_trace_pairs(ok).num_cores(), std::size_t{kMaxInputCores});
+}
+
+TEST(TraceIoPairs, RejectsReservedPageId) {
+  std::stringstream ss("0 1\n1 4294967295\n");
+  const std::string message =
+      input_error_message([&] { (void)read_trace_pairs(ss); });
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("(byte 4)"), std::string::npos) << message;
+  EXPECT_NE(message.find("page id 4294967295"), std::string::npos) << message;
 }
 
 TEST(TraceIoPairs, ParsesInterleavedPairs) {
