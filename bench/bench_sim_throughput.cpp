@@ -259,12 +259,16 @@ void BM_PartitionSweep(benchmark::State& state) {
 }
 
 void BM_BatchSweep(benchmark::State& state) {
-  // The same 105-cell partition grid as BM_PartitionSweep, but run on the
-  // batch kernel (SweepRunner::run_jobs) instead of per-cell strategy
-  // objects, at the same worker cap as BM_PartitionSweep/0.  cells_per_sec
-  // here against BM_PartitionSweep/0's counter is the kernel-vs-strategy-
-  // objects speedup; the perf-smoke job gates both this counter and the
-  // ratio.
+  // The same 105-cell partition grid as BM_PartitionSweep, but run through
+  // SweepRunner::run_jobs instead of per-cell strategy objects, at the same
+  // worker cap as BM_PartitionSweep/0.  The zipf trace is disjoint, so
+  // run_jobs composes the 105 jobs from their 42 distinct per-core runs
+  // (3 cores x 14 part sizes, one-core stamp-kernel jobs) instead of
+  // simulating 315 core-runs.  cells_per_sec here against
+  // BM_PartitionSweep/0's counter is the speedup of that composed sweep over
+  // strategy objects simulating every job whole; the perf-smoke job gates
+  // both this counter and the ratio.  lane_steps_per_sec counts the jobs'
+  // summed sim_steps, which composition reproduces exactly.
   const RequestSet rs = zipf_workload(3, 48, 1500, 11);
   SimConfig cfg;
   cfg.cache_size = 16;

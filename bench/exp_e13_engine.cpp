@@ -107,11 +107,12 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
             t);
   }
 
-  // Batched sweep: the same 105 partition jobs on the batch kernel
-  // (SweepRunner::run_jobs).  The fault vector must match the scalar sweep
-  // bit-for-bit — the kernel's differential contract, re-checked here from
-  // the driver's seed — and the Mcells/s column quantifies the
-  // structure-of-arrays win over the per-cell strategy objects above.
+  // Batched sweep: the same 105 partition jobs through
+  // SweepRunner::run_jobs, which composes them from their distinct one-core
+  // stamp-kernel runs (the trace is disjoint).  The fault vector must match
+  // the scalar sweep bit-for-bit — the differential contract, re-checked
+  // here from the experiment's master seed — and the Mcells/s column
+  // quantifies the win over the per-cell strategy objects above.
   auto& batch_table = b.series(
       "batch_sweep", "Batched partition sweep (same 105 cells, batch kernel):",
       {"cells", "wall_s", "Mcells/s", "Msteps/s", "identical"});

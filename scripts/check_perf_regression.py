@@ -11,8 +11,9 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
 
   # E13 simulator, batch-sweep and fault-curve gates (the defaults when no
   # --gate is given), plus the
-  # within-run kernel-vs-strategy-objects ratio on the same sweep grid
-  # (real-time benchmarks carry google-benchmark's /real_time suffix)
+  # within-run ratio of the run_jobs sweep (composed from shared one-core
+  # runs) to strategy objects on the same partition grid (real-time
+  # benchmarks carry google-benchmark's /real_time suffix)
   scripts/check_perf_regression.py CURRENT.json \
       --speedup 'BM_BatchSweep/real_time:cells_per_sec' \
                 'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0
@@ -41,8 +42,9 @@ import sys
 
 DEFAULT_GATES = (
     "BM_SharedPolicy/lru/4:steps_per_sec",
-    # The batch kernel's sweep throughput (BatchEngine under
-    # SweepRunner::run_jobs); 25% default tolerance like every other gate.
+    # The partition sweep through SweepRunner::run_jobs, which composes the
+    # grid's jobs from shared one-core stamp-kernel runs; 25% default
+    # tolerance like every other gate.
     "BM_BatchSweep/real_time:cells_per_sec",
     # The fault-curve path: per-core Mattson stack-distance scans behind
     # partition search and mcpd's curve and partition answers.

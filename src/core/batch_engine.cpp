@@ -17,6 +17,9 @@
 #include "core/batch_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <compare>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <source_location>
@@ -24,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/bits.hpp"
 #include "core/error.hpp"
 #include "core/sentry.hpp"
 #include "core/sweep.hpp"
@@ -807,12 +811,277 @@ void BatchEngine::validate() const {
   }
 }
 
+// --- SweepRunner::run_jobs ---------------------------------------------------
+//
+// On a disjoint trace, core j of a static partition owns its k_j cells and
+// no other core ever requests its pages, so its whole trajectory — hits,
+// faults, fault times, completion — is that of R_j alone on a k_j-cell
+// cache under the same policy and tau (the decomposition
+// strategies/partition_search.hpp relies on for fault totals).  When a
+// trace's static jobs share such per-core runs, run_jobs simulates each
+// distinct (core, k_j, policy, tau) run once, as a one-core job on the
+// shared stamp kernel, and composes every job's RunStats from its cores'
+// runs.  Timing composes too: the step loop visits step t exactly when some
+// live core issues a request at t or finishes at t (it fast-forwards only
+// while every live core waits on its own fetch), so sim_steps is the size
+// of the union of the cores' acting steps and end_time their latest done
+// step.  Everything else — shared jobs, non-disjoint traces, traces whose
+// jobs share no run, malformed jobs — runs BatchEngine::run as one job.
+
+namespace {
+
+/// Past this fault penalty a run's acting-step bitset (one bit per step up
+/// to its done step, so up to n(tau+1)+1 bits for n requests) could outgrow
+/// a fault timeline's one word per request: such jobs stay on the kernel.
+constexpr Time kMaxComposedTau = 63;
+
+/// What a core's trajectory alone depends on, besides its sequence.
+struct PartRunKey {
+  CoreId core = 0;
+  std::size_t cells = 0;
+  BatchPolicy policy = BatchPolicy::kLru;
+  Time tau = 0;
+
+  auto operator<=>(const PartRunKey&) const = default;
+};
+
+/// One distinct per-core run and what composing a job needs of it.
+struct PartRun {
+  std::size_t single = 0;  ///< index into CompositionPlan::singles
+  PartRunKey key;
+  bool keep_timeline = false;  ///< some job using the run records it
+  CoreStats stats{};
+  Time done = 0;  ///< step at which the core finishes
+  std::vector<std::uint64_t> acting{};  ///< bit t: the core acts at step t
+};
+
+/// A job whose RunStats are composed from per-core runs.
+struct ComposedJob {
+  std::size_t job = 0;
+  std::size_t first = 0;  ///< its cores' run ids start at core_runs[first]
+};
+
+struct CompositionPlan {
+  std::vector<RequestSet> singles;  ///< one-core copies, one per (trace, core)
+  std::vector<PartRun> runs;
+  std::vector<std::size_t> core_runs;  ///< run id per (composed job, core)
+  std::vector<ComposedJob> composed;
+  std::vector<std::size_t> kernel;  ///< jobs BatchEngine::run simulates
+};
+
+/// A static-partition job that passes BatchEngine's shape checks (a
+/// malformed one stays on the kernel, which reports it) at a fault penalty
+/// the acting-step bitsets can afford.
+bool composable(const SimJob& job) {
+  if (job.strategy.kind != BatchStrategySpec::Kind::kStaticPartition ||
+      job.requests == nullptr || job.config.fault_penalty > kMaxComposedTau) {
+    return false;
+  }
+  const std::size_t p = job.requests->num_cores();
+  if (p == 0 || job.strategy.partition.size() != p) return false;
+  std::size_t sum = 0;
+  for (const std::size_t part : job.strategy.partition) {
+    if (part == 0) return false;
+    sum += part;
+  }
+  return sum == job.config.cache_size;
+}
+
+/// Dense page-indexed owner pass: true iff no page is requested by two
+/// cores, without RequestSet::is_disjoint's per-core hash sets.  `owner`
+/// is a reused buffer, sized like the kernel's own page index.
+bool disjoint(const RequestSet& trace, std::vector<CoreId>& owner) {
+  owner.assign(trace.page_bound(), kInvalidCore);
+  for (CoreId j = 0; j < trace.num_cores(); ++j) {
+    for (const PageId page : trace[j]) {
+      CoreId& first = owner[page];
+      if (first == j) continue;
+      if (first != kInvalidCore) return false;
+      first = j;
+    }
+  }
+  return true;
+}
+
+/// Groups the composable jobs by trace and decomposes a trace's jobs when
+/// they hold fewer distinct per-core runs than cores summed over the jobs
+/// and the trace is disjoint.
+CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
+  CompositionPlan plan;
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (composable(jobs[i])) candidates.push_back(i);
+  }
+  // Group by trace, each trace's jobs in job order.
+  std::sort(candidates.begin(), candidates.end(),
+            [jobs](std::size_t a, std::size_t b) {
+              const RequestSet* const ra = jobs[a].requests;
+              const RequestSet* const rb = jobs[b].requests;
+              return ra != rb ? std::less<const RequestSet*>{}(ra, rb) : a < b;
+            });
+
+  std::vector<bool> is_composed(jobs.size(), false);
+  std::vector<PartRunKey> keys;
+  std::vector<PartRunKey> distinct;
+  std::vector<CoreId> owner;
+  for (std::size_t begin = 0, end = 0; begin < candidates.size();
+       begin = end) {
+    const RequestSet& trace = *jobs[candidates[begin]].requests;
+    end = begin + 1;
+    while (end < candidates.size() && jobs[candidates[end]].requests == &trace) {
+      ++end;
+    }
+    if (end - begin < 2) continue;  // one job's cores are all distinct runs
+
+    const std::size_t p = trace.num_cores();
+    keys.clear();
+    for (std::size_t c = begin; c < end; ++c) {
+      const SimJob& job = jobs[candidates[c]];
+      for (CoreId j = 0; j < p; ++j) {
+        keys.push_back({j, job.strategy.partition[j], job.strategy.policy,
+                        job.config.fault_penalty});
+      }
+    }
+    distinct = keys;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    if (distinct.size() == keys.size() || !disjoint(trace, owner)) continue;
+
+    const std::size_t single_base = plan.singles.size();
+    for (CoreId j = 0; j < p; ++j) {
+      plan.singles.emplace_back(std::vector<RequestSequence>{trace[j]});
+    }
+    const std::size_t run_base = plan.runs.size();
+    for (const PartRunKey& key : distinct) {
+      plan.runs.push_back({.single = single_base + key.core, .key = key});
+    }
+    for (std::size_t c = begin; c < end; ++c) {
+      const std::size_t i = candidates[c];
+      is_composed[i] = true;
+      plan.composed.push_back({i, plan.core_runs.size()});
+      for (std::size_t j = 0; j < p; ++j) {
+        const PartRunKey& key = keys[(c - begin) * p + j];
+        const std::size_t id =
+            run_base + static_cast<std::size_t>(
+                           std::lower_bound(distinct.begin(), distinct.end(),
+                                            key) -
+                           distinct.begin());
+        plan.runs[id].keep_timeline |= jobs[i].config.record_fault_timeline;
+        plan.core_runs.push_back(id);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!is_composed[i]) plan.kernel.push_back(i);
+  }
+  return plan;
+}
+
+/// Simulates `run` as a one-core job on the shared stamp kernel with K = k_j
+/// and marks the steps at which the core acts.
+void simulate_part(PartRun& run, const std::vector<RequestSet>& singles) {
+  SimJob job;
+  job.config.cache_size = run.key.cells;
+  job.config.fault_penalty = run.key.tau;
+  job.config.record_fault_timeline = true;  // the acting steps come from it
+  job.requests = &singles[run.single];
+  job.strategy = BatchStrategySpec::shared(run.key.policy);
+  RunStats alone = BatchEngine::run(job);
+  run.stats = std::move(alone.core(0));
+  run.done = alone.end_time;
+
+  // Alone, the core issues its next request one step after a hit and tau + 1
+  // steps after a fault, and finishes one such gap after its last request.
+  run.acting.assign(run.done / 64 + 1, 0);
+  const auto mark = [&run](Time t) {
+    run.acting[t / 64] |= std::uint64_t{1} << (t % 64);
+  };
+  const std::vector<Time>& faults = run.stats.fault_times;
+  std::size_t next_fault = 0;
+  Time t = 0;
+  for (Count i = 0; i < run.stats.requests; ++i) {
+    mark(t);
+    if (next_fault < faults.size() && faults[next_fault] == t) {
+      ++next_fault;
+      t += run.key.tau + 1;
+    } else {
+      ++t;
+    }
+  }
+  MCP_ASSERT(t == run.done && next_fault == faults.size());
+  mark(t);
+  if (!run.keep_timeline) std::vector<Time>().swap(run.stats.fault_times);
+}
+
+/// `job`'s RunStats from its cores' runs.
+RunStats compose(const SimJob& job, const CompositionPlan& plan,
+                 const ComposedJob& composed) {
+  const std::size_t p = job.requests->num_cores();
+  const std::size_t* const ids = plan.core_runs.data() + composed.first;
+  RunStats stats(p);
+  std::size_t words = 0;
+  for (CoreId j = 0; j < p; ++j) {
+    const PartRun& run = plan.runs[ids[j]];
+    CoreStats& core = stats.core(j);
+    core.hits = run.stats.hits;
+    core.faults = run.stats.faults;
+    core.requests = run.stats.requests;
+    core.completion_time = run.stats.completion_time;
+    if (job.config.record_fault_timeline) {
+      core.fault_times = run.stats.fault_times;
+    }
+    stats.end_time = std::max(stats.end_time, run.done);
+    words = std::max(words, run.acting.size());
+  }
+  Count steps = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t acting = 0;
+    for (std::size_t j = 0; j < p; ++j) {
+      const std::vector<std::uint64_t>& bits = plan.runs[ids[j]].acting;
+      if (w < bits.size()) acting |= bits[w];
+    }
+    steps += static_cast<Count>(popcount64(acting));
+  }
+  MCP_REQUIRE(job.config.max_steps == 0 || steps <= job.config.max_steps,
+              "simulation exceeded SimConfig.max_steps");
+  stats.sim_steps = steps;
+  return stats;
+}
+
+}  // namespace
+
 std::vector<RunStats> SweepRunner::run_jobs(std::span<const SimJob> jobs) {
-  // One kernel per job, one pool index per job: jobs write only their own
-  // result slot, so results are identical for any worker count.  Jobs draw
-  // no randomness; the per-cell Rng run() hands out goes unused.
-  return run(jobs.size(),
-             [jobs](std::size_t i, Rng&) { return BatchEngine::run(jobs[i]); });
+  // Every job, run and composition writes only its own slot, so results are
+  // identical for any worker count.  Jobs draw no randomness.
+  const auto start = std::chrono::steady_clock::now();
+  CompositionPlan plan = plan_compositions(jobs);
+  std::vector<RunStats> results(jobs.size());
+  ThreadPool& pool = ThreadPool::global();
+  // Kernel jobs first: a whole multicore job is the largest unit of work.
+  const std::size_t kernel = plan.kernel.size();
+  pool.run_indexed(
+      kernel + plan.runs.size(),
+      [&](std::size_t i) {
+        if (i < kernel) {
+          results[plan.kernel[i]] = BatchEngine::run(jobs[plan.kernel[i]]);
+        } else {
+          simulate_part(plan.runs[i - kernel], plan.singles);
+        }
+      },
+      options_.max_threads);
+  pool.run_indexed(
+      plan.composed.size(),
+      [&](std::size_t c) {
+        const ComposedJob& composed = plan.composed[c];
+        results[composed.job] = compose(jobs[composed.job], plan, composed);
+      },
+      options_.max_threads);
+  const auto stop = std::chrono::steady_clock::now();
+  timing_.cells = jobs.size();
+  timing_.wall_seconds = std::chrono::duration<double>(stop - start).count();
+  timing_.max_threads = options_.max_threads;
+  return results;
 }
 
 }  // namespace mcp

@@ -7,9 +7,12 @@
 //  * two stamp kernels — shared cache and static partition, each for LRU
 //    or FIFO — decide evictions from a monotonic stamp array with no
 //    virtual dispatch, no hash maps and no list nodes, so a sweep of small
-//    jobs runs at a multiple of the strategy-object throughput
-//    (BM_BatchSweep against BM_PartitionSweep, E13 `batch_sweep` series).
-//    They run every SweepRunner::run_jobs cell and every mcpd session;
+//    jobs runs at a multiple of the strategy-object throughput.  They run
+//    every SweepRunner::run_jobs job and every mcpd session: a job whole,
+//    or, for the static-partition jobs of a disjoint trace that share
+//    per-core runs, as one-core runs that run_jobs composes into each job's
+//    RunStats (batch_engine.cpp; BM_BatchSweep against BM_PartitionSweep,
+//    E13 `batch_sweep` series);
 //  * the hook instantiation takes every decision from a CacheStrategy
 //    object, pulls requests from a RequestStream and fires the SimObserver
 //    callbacks.  Simulator::run, run_stream and simulate are thin wrappers

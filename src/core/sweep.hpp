@@ -100,11 +100,15 @@ class SweepRunner {
     return results;
   }
 
-  /// Executes pre-materialized simulation jobs through the batch kernel
-  /// (core/batch_engine.hpp), one kernel per job, jobs dispatched over the
-  /// shared pool like run()'s cells.  Results are bit-identical to running
-  /// each job through mcp::Simulator with the matching strategy object, for
-  /// any worker count.  Records last_timing() like run().  Defined in
+  /// Executes pre-materialized simulation jobs on the stamp kernels
+  /// (core/batch_engine.hpp), dispatched over the shared pool like run()'s
+  /// cells.  A job runs as one kernel, except that the static-partition
+  /// jobs of a disjoint trace whose jobs share per-core runs — the same
+  /// (core, part size, policy, tau) — are composed from those runs, each
+  /// simulated once as a one-core job.  Results, sim_steps and errors
+  /// included, are bit-identical to running each job through
+  /// mcp::Simulator with the matching strategy object, for any worker
+  /// count.  Records last_timing() like run().  Defined in
   /// batch_engine.cpp.
   [[nodiscard]] std::vector<RunStats> run_jobs(std::span<const SimJob> jobs);
 

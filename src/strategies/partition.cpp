@@ -1,5 +1,6 @@
 #include "strategies/partition.hpp"
 
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -63,17 +64,25 @@ std::vector<Partition> enumerate_partitions(std::size_t cache_size,
 
 std::size_t count_partitions(std::size_t cache_size, std::size_t num_cores,
                              std::size_t min_per_core) {
+  __extension__ typedef unsigned __int128 Wide;
   if (num_cores == 0) return 0;
-  if (cache_size < num_cores * min_per_core) return 0;
+  const Wide reserved = Wide{num_cores} * min_per_core;
+  if (cache_size < reserved) return 0;
   // Stars and bars: distribute K - p*min extra cells over p parts.
-  const std::size_t extra = cache_size - num_cores * min_per_core;
+  const Wide extra = cache_size - reserved;
   const std::size_t slots = num_cores - 1;
-  // C(extra + slots, slots), computed carefully.
-  std::size_t result = 1;
+  // C(extra + slots, slots) as C(extra + i, i) for i = 1..slots, each step
+  // exact in 128 bits: the running count is at most SIZE_MAX, and once it
+  // exceeds 1 it is at least extra + i - 1, so its product with extra + i
+  // stays below 2^128.  The count never shrinks with i, so it saturates at
+  // the first step past SIZE_MAX.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  Wide result = 1;
   for (std::size_t i = 1; i <= slots; ++i) {
     result = result * (extra + i) / i;
+    if (result > kMax) return kMax;
   }
-  return result;
+  return static_cast<std::size_t>(result);
 }
 
 std::string partition_to_string(const Partition& sizes) {

@@ -32,7 +32,8 @@ void validate_partition(const Partition& sizes, std::size_t cache_size,
 [[nodiscard]] std::vector<Partition> enumerate_partitions(
     std::size_t cache_size, std::size_t num_cores, std::size_t min_per_core = 1);
 
-/// |Pi(K,p)| with the min_per_core restriction = C(K - p*min + p - 1, p - 1).
+/// |Pi(K,p)| with the min_per_core restriction = C(K - p*min + p - 1, p - 1),
+/// exact whenever it fits in size_t and SIZE_MAX (saturated) otherwise.
 [[nodiscard]] std::size_t count_partitions(std::size_t cache_size,
                                            std::size_t num_cores,
                                            std::size_t min_per_core = 1);

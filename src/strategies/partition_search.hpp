@@ -10,6 +10,14 @@
 // partition simplex with an O(p K^2) dynamic program.  An exhaustive
 // simulate-every-partition fallback covers non-disjoint inputs and doubles
 // as the reference in tests.
+//
+// Timing decomposes too: core j issues each request and finishes at the
+// same steps as R_j alone on k_j cells, and the step loop visits exactly
+// the steps at which some core acts (it skips a step only while every live
+// core waits on its own fetch).  So sP^B_A's sim_steps is the size of the
+// union of its cores' acting steps — issue times plus the finishing step —
+// and its end_time the latest core's finishing step.  SweepRunner::run_jobs
+// composes whole RunStats this way.
 #pragma once
 
 #include <cstddef>

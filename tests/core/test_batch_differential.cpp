@@ -7,14 +7,17 @@
 // and parks mid-step wherever the buffered requests run out.  The same
 // strategy objects run through Simulator (the hook instantiation of the
 // same step loop) must equal the stamp kernels too.  Error behaviour
-// (reserved-full cache, max_steps abort) must match.
+// (reserved-full cache, max_steps abort) must match, including for the
+// static-partition jobs run_jobs composes from shared per-core runs.
 #include "core/batch_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -366,6 +369,212 @@ TEST(BatchDifferential, MaxStepsAbortMatchesScalar) {
   job.requests = &rs;
   job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
   EXPECT_THROW((void)BatchEngine::run(job), ModelError);
+}
+
+// --- Static partitions composed from per-core runs (run_jobs) ---------------
+//
+// On a disjoint trace whose static-partition jobs share per-core runs,
+// run_jobs simulates each distinct (core, k_j, policy, tau) run once and
+// composes every job's RunStats from its cores' runs, sim_steps included.
+// The composed jobs must still equal the oracle field for field, and fail
+// exactly where a whole-job kernel fails.
+
+/// A disjoint trace: core j issues lengths[j] requests drawn from its own
+/// block of `pages` page ids.
+RequestSet disjoint_trace(Rng& rng, const std::vector<std::size_t>& lengths,
+                          std::size_t pages) {
+  RequestSet rs;
+  for (std::size_t j = 0; j < lengths.size(); ++j) {
+    RequestSequence seq;
+    for (std::size_t i = 0; i < lengths[j]; ++i) {
+      seq.push_back(static_cast<PageId>(j * pages + rng.below(pages)));
+    }
+    rs.add_sequence(std::move(seq));
+  }
+  return rs;
+}
+
+BatchPolicy batch_policy(const std::string& name) {
+  return name == "lru" ? BatchPolicy::kLru : BatchPolicy::kFifo;
+}
+
+/// The oracle for a static-partition job: the reference step loop driving
+/// StaticPartitionStrategy with the job's policy.
+RunStats static_oracle(const SimConfig& config, const RequestSet& requests,
+                       const Partition& partition, const std::string& policy) {
+  StaticPartitionStrategy strategy(partition, make_policy_factory(policy));
+  return testing::reference_simulate(config, requests, strategy);
+}
+
+/// The ModelError message `fn` throws, or "" if it returns.
+template <typename Fn>
+std::string model_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BatchDifferential, ComposedStaticPartitionsMatchOracle) {
+  Rng rng(0xC0305E);
+  // Traces first (the jobs borrow them): per p, a ragged disjoint trace, one
+  // with an empty core and one with a one-request core.
+  std::vector<std::pair<std::string, RequestSet>> traces;
+  for (std::size_t p = 1; p <= 4; ++p) {
+    std::vector<std::size_t> ragged;
+    for (std::size_t j = 0; j < p; ++j) ragged.push_back(40 + 9 * j);
+    std::vector<std::size_t> empty = ragged;
+    empty[p / 2] = 0;
+    std::vector<std::size_t> single = ragged;
+    single[0] = 1;
+    const std::string tag = "p=" + std::to_string(p);
+    traces.emplace_back(tag + "/ragged", disjoint_trace(rng, ragged, 6));
+    traces.emplace_back(tag + "/empty_core", disjoint_trace(rng, empty, 5));
+    traces.emplace_back(tag + "/one_request_core",
+                        disjoint_trace(rng, single, 7));
+  }
+  const RequestSet shared_pages = random_shared_workload(rng, 3, 8, 40);
+  const RequestSet lone = disjoint_trace(rng, {30, 50, 20, 45}, 6);
+
+  std::vector<SimJob> jobs;
+  std::vector<RunStats> expected;
+  std::vector<std::string> labels;
+  const auto add_static = [&](const std::string& label, const RequestSet& rs,
+                              const Partition& partition,
+                              const std::string& policy, Time tau,
+                              bool timeline) {
+    SimConfig config = testing::sim_config(
+        std::accumulate(partition.begin(), partition.end(), std::size_t{0}),
+        tau);
+    config.record_fault_timeline = timeline;
+    jobs.push_back({config, &rs,
+                    BatchStrategySpec::static_partition(partition,
+                                                        batch_policy(policy))});
+    expected.push_back(static_oracle(config, rs, partition, policy));
+    labels.push_back(label + "/" + partition_to_string(partition) + "/" +
+                     policy + "/tau=" + std::to_string(tau) +
+                     (timeline ? "/timeline" : ""));
+  };
+  const auto add_shared = [&](const std::string& label, const RequestSet& rs,
+                              std::size_t K, const std::string& policy,
+                              Time tau) {
+    const SimConfig config = testing::sim_config(K, tau);
+    jobs.push_back(
+        {config, &rs, BatchStrategySpec::shared(batch_policy(policy))});
+    SharedStrategy strategy(make_policy_factory(policy));
+    expected.push_back(testing::reference_simulate(config, rs, strategy));
+    labels.push_back(label + "/S_" + policy + "/tau=" + std::to_string(tau));
+  };
+
+  for (const auto& [label, rs] : traces) {
+    const std::size_t p = rs.num_cores();
+    const std::size_t K = p + 3;
+    for (const std::string policy : {"lru", "fifo"}) {
+      add_shared(label, rs, K, policy, 2);
+      for (const Time tau : {Time{0}, Time{1}, Time{3}, Time{17}}) {
+        for (const Partition& partition : enumerate_partitions(K, p)) {
+          for (const bool timeline : {true, false}) {
+            add_static(label, rs, partition, policy, tau, timeline);
+          }
+        }
+      }
+    }
+  }
+  // Static jobs on a non-disjoint trace share runs but stay whole kernels:
+  // cores hit each other's pages.
+  for (const std::string policy : {"lru", "fifo"}) {
+    for (const Time tau : {Time{0}, Time{3}}) {
+      for (const Partition& partition : enumerate_partitions(6, 3)) {
+        add_static("non_disjoint", shared_pages, partition, policy, tau, true);
+      }
+    }
+  }
+  // Past tau = 63 a disjoint trace's shared runs stay whole kernels too.
+  for (const Partition& partition : enumerate_partitions(6, 3)) {
+    add_static("long_fetch", traces[6].second, partition, "fifo", 64, true);
+  }
+  // A trace with one static job shares no run: it stays a whole kernel.
+  add_static("lone", lone, even_partition(8, 4), "lru", 2, true);
+  ASSERT_GT(jobs.size(), 1700u);
+
+  // Shuffle, so one trace's jobs are scattered across the call.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  std::vector<SimJob> shuffled;
+  for (const std::size_t i : order) shuffled.push_back(jobs[i]);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    SweepRunner sweep(SweepOptions{1, workers});
+    const std::vector<RunStats> got = sweep.run_jobs(shuffled);
+    ASSERT_EQ(got.size(), shuffled.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      expect_same_stats(got[k], expected[order[k]],
+                        labels[order[k]] +
+                            "/workers=" + std::to_string(workers));
+    }
+  }
+}
+
+TEST(BatchDifferential, ComposedStaticPartitionsFailLikeTheKernel) {
+  Rng rng(0xFA11);
+  const RequestSet rs = disjoint_trace(rng, {35, 60, 1, 48}, 6);
+  const std::size_t K = 9;
+  std::vector<SimJob> grid;
+  for (const Partition& partition : enumerate_partitions(K, 4)) {
+    for (const BatchPolicy policy : {BatchPolicy::kLru, BatchPolicy::kFifo}) {
+      grid.push_back({testing::sim_config(K, 3), &rs,
+                      BatchStrategySpec::static_partition(partition, policy)});
+    }
+  }
+  SweepRunner sweep;
+
+  // max_steps: one step short throws the kernel's message, exactly enough
+  // passes, for the longest and the shortest composed job alike.
+  const std::vector<RunStats> free_run = sweep.run_jobs(grid);
+  std::size_t longest = 0;
+  std::size_t shortest = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (free_run[i].sim_steps > free_run[longest].sim_steps) longest = i;
+    if (free_run[i].sim_steps < free_run[shortest].sim_steps) shortest = i;
+  }
+  ASSERT_LT(free_run[shortest].sim_steps, free_run[longest].sim_steps);
+  for (const std::size_t i : {longest, shortest}) {
+    const std::string label = "job " + std::to_string(i);
+    std::vector<SimJob> jobs = grid;
+    jobs[i].config.max_steps = free_run[i].sim_steps - 1;
+    const std::string want =
+        model_error([&] { (void)BatchEngine::run(jobs[i]); });
+    EXPECT_NE(want.find("SimConfig.max_steps"), std::string::npos) << label;
+    EXPECT_EQ(model_error([&] { (void)sweep.run_jobs(jobs); }), want)
+        << label;
+
+    jobs[i].config.max_steps = free_run[i].sim_steps;
+    const std::vector<RunStats> capped = sweep.run_jobs(jobs);
+    expect_same_stats(capped[i], BatchEngine::run(jobs[i]), label);
+  }
+
+  // Malformed jobs next to a decomposable grid fail with the kernel's
+  // message.
+  SimJob zero_part = grid.front();
+  zero_part.strategy.partition = {0, 3, 3, 3};
+  SimJob wrong_count = grid.front();
+  wrong_count.strategy.partition = {3, 3, 3};
+  SimJob wrong_sum = grid.front();
+  wrong_sum.strategy.partition = {2, 2, 2, 2};
+  SimJob no_requests = grid.front();
+  no_requests.requests = nullptr;
+  for (const SimJob& bad : {zero_part, wrong_count, wrong_sum, no_requests}) {
+    const std::string want = model_error([&] { (void)BatchEngine::run(bad); });
+    ASSERT_FALSE(want.empty());
+    std::vector<SimJob> jobs = grid;
+    jobs.insert(jobs.begin() + 3, bad);
+    EXPECT_EQ(model_error([&] { (void)sweep.run_jobs(jobs); }), want);
+  }
 }
 
 // --- Chunked feeds (mcpd sessions) ------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -68,6 +69,12 @@ TEST(Partition, CountPartitionsFormula) {
   EXPECT_EQ(count_partitions(8, 8), 1u);    // all ones
   EXPECT_EQ(count_partitions(3, 4), 0u);    // infeasible
   EXPECT_EQ(count_partitions(6, 3, 2), 1u); // {2,2,2} only
+  // C(67,33) = 14,226,520,737,620,288,370 fits in 64 bits, though a 64-bit
+  // running product overflows on the way to it.
+  EXPECT_EQ(count_partitions(68, 34), 14226520737620288370u);
+  // C(199,15) is about 1.35e22: the count saturates.
+  EXPECT_EQ(count_partitions(200, 16),
+            std::numeric_limits<std::size_t>::max());
 }
 
 TEST(Partition, MinPerCoreHonoredInEnumeration) {

@@ -13,6 +13,7 @@
 #include "core/batch_state.hpp"
 #include "core/simulator.hpp"
 #include "policies/policy_registry.hpp"
+#include "strategies/partition.hpp"
 #include "strategies/shared.hpp"
 #include "strategies/static_partition.hpp"
 #include "test_support.hpp"
@@ -29,6 +30,7 @@ std::vector<std::uint64_t> fingerprint(const RunStats& stats) {
   std::vector<std::uint64_t> words;
   words.push_back(stats.num_cores());
   words.push_back(stats.end_time);
+  words.push_back(stats.sim_steps);
   for (CoreId j = 0; j < stats.num_cores(); ++j) {
     const CoreStats& core = stats.core(j);
     words.push_back(core.hits);
@@ -112,7 +114,8 @@ TEST(SweepCellRng, CellStreamIndependentOfConsumptionElsewhere) {
 }
 
 // The batch-kernel job path (run_jobs) extends the contract: results must
-// be bit-identical for any worker count.
+// be bit-identical for any worker count, whether a job runs as one kernel
+// or is composed from per-core runs it shares with other jobs.
 TEST(SweepDeterminism, RunJobsBitIdenticalAcrossWorkers) {
   Rng rng(0xBA7C4);
   std::vector<RequestSet> workloads;
@@ -135,6 +138,28 @@ TEST(SweepDeterminism, RunJobsBitIdenticalAcrossWorkers) {
       part_job.strategy = BatchStrategySpec::static_partition(
           even_partition(cache, rs.num_cores()), BatchPolicy::kFifo);
       jobs.push_back(std::move(part_job));
+    }
+  }
+  // Every static partition of K = 8 over two disjoint p = 3 traces, which
+  // share per-core runs across jobs (run_jobs composes those jobs).
+  std::vector<RequestSet> grid_traces;
+  grid_traces.push_back(random_disjoint_workload(rng, 3, 6, 120));
+  grid_traces.push_back(random_disjoint_workload(rng, 3, 9, 80));
+  for (const RequestSet& rs : grid_traces) {
+    for (const Partition& partition : enumerate_partitions(8, 3)) {
+      for (const BatchPolicy policy : {BatchPolicy::kLru, BatchPolicy::kFifo}) {
+        for (const Time tau : {Time{0}, Time{3}}) {
+          for (const bool timeline : {true, false}) {
+            SimJob job;
+            job.config = sim_config(8, tau);
+            job.config.record_fault_timeline = timeline;
+            job.requests = &rs;
+            job.strategy =
+                BatchStrategySpec::static_partition(partition, policy);
+            jobs.push_back(std::move(job));
+          }
+        }
+      }
     }
   }
 
