@@ -263,12 +263,13 @@ void BM_BatchSweep(benchmark::State& state) {
   // SweepRunner::run_jobs instead of per-cell strategy objects, at the same
   // worker cap as BM_PartitionSweep/0.  The zipf trace is disjoint, so
   // run_jobs composes the 105 jobs from their 42 distinct per-core runs
-  // (3 cores x 14 part sizes, one-core stamp-kernel jobs) instead of
-  // simulating 315 core-runs.  cells_per_sec here against
-  // BM_PartitionSweep/0's counter is the speedup of that composed sweep over
-  // strategy objects simulating every job whole; the perf-smoke job gates
-  // both this counter and the ratio.  lane_steps_per_sec counts the jobs'
-  // summed sim_steps, which composition reproduces exactly.
+  // (3 cores x 14 part sizes, each a one-region paging pass over the
+  // core's sequence) instead of simulating 315 core-runs.  cells_per_sec
+  // here against BM_PartitionSweep/0's counter is the speedup of that
+  // composed sweep over strategy objects simulating every job whole; the
+  // perf-smoke job gates both this counter and the ratio.
+  // lane_steps_per_sec counts the jobs' summed sim_steps, which
+  // composition reproduces exactly.
   const RequestSet rs = zipf_workload(3, 48, 1500, 11);
   SimConfig cfg;
   cfg.cache_size = 16;

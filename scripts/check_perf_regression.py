@@ -11,9 +11,10 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
 
   # E13 simulator, batch-sweep and fault-curve gates (the defaults when no
   # --gate is given), plus the
-  # within-run ratio of the run_jobs sweep (composed from shared one-core
-  # runs) to strategy objects on the same partition grid (real-time
-  # benchmarks carry google-benchmark's /real_time suffix)
+  # within-run ratio of the run_jobs sweep (composed from per-core runs,
+  # each a one-region paging pass) to strategy objects on the same
+  # partition grid (real-time benchmarks carry google-benchmark's
+  # /real_time suffix)
   scripts/check_perf_regression.py CURRENT.json \
       --speedup 'BM_BatchSweep/real_time:cells_per_sec' \
                 'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0
@@ -43,8 +44,8 @@ import sys
 DEFAULT_GATES = (
     "BM_SharedPolicy/lru/4:steps_per_sec",
     # The partition sweep through SweepRunner::run_jobs, which composes the
-    # grid's jobs from shared one-core stamp-kernel runs; 25% default
-    # tolerance like every other gate.
+    # grid's jobs from shared per-core runs, each a one-region paging pass;
+    # 25% default tolerance like every other gate.
     "BM_BatchSweep/real_time:cells_per_sec",
     # The fault-curve path: per-core Mattson stack-distance scans behind
     # partition search and mcpd's curve and partition answers.

@@ -225,6 +225,9 @@ RunStats BatchEngine::run_strategy(const SimConfig& config,
               config.alloc_guard_after_step};
   hooks.slot_fetcher.assign(st.cache_size, kInvalidCore);
   hooks.landed.reserve(st.cache_size);  // at most K fetches land at once
+  // Honest strategies evict at most one page per fault and voluntary
+  // evictions rarely exceed K; more grows the scratch once.
+  hooks.evictions.reserve(st.cache_size);
   engine.hooks_ = &hooks;
   (void)engine.step_loop<true, false, false>();
   return engine.take_stats();
@@ -818,15 +821,16 @@ void BatchEngine::validate() const {
 // faults, fault times, completion — is that of R_j alone on a k_j-cell
 // cache under the same policy and tau (the decomposition
 // strategies/partition_search.hpp relies on for fault totals).  When a
-// trace's static jobs share such per-core runs, run_jobs simulates each
-// distinct (core, k_j, policy, tau) run once, as a one-core job on the
-// shared stamp kernel, and composes every job's RunStats from its cores'
-// runs.  Timing composes too: the step loop visits step t exactly when some
-// live core issues a request at t or finishes at t (it fast-forwards only
-// while every live core waits on its own fetch), so sim_steps is the size
-// of the union of the cores' acting steps and end_time their latest done
-// step.  Everything else — shared jobs, non-disjoint traces, traces whose
-// jobs share no run, malformed jobs — runs BatchEngine::run as one job.
+// trace's static jobs share such per-core runs, run_jobs computes each
+// distinct (core, k_j, policy, tau) run once, by a one-region paging pass
+// over R_j (simulate_part), and composes every job's RunStats from its
+// cores' runs.  Timing composes too: the step loop visits step t exactly
+// when some live core issues a request at t or finishes at t (it
+// fast-forwards only while every live core waits on its own fetch), so
+// sim_steps is the size of the union of the cores' acting steps and
+// end_time their latest done step.  Everything else — shared jobs,
+// non-disjoint traces, traces whose jobs share no run, malformed jobs —
+// runs BatchEngine::run as one job.
 
 namespace {
 
@@ -847,7 +851,8 @@ struct PartRunKey {
 
 /// One distinct per-core run and what composing a job needs of it.
 struct PartRun {
-  std::size_t single = 0;  ///< index into CompositionPlan::singles
+  const RequestSequence* sequence = nullptr;  ///< R_j, borrowed from the job
+  PageId page_bound = 0;  ///< exceeds every page id of R_j
   PartRunKey key;
   bool keep_timeline = false;  ///< some job using the run records it
   CoreStats stats{};
@@ -862,7 +867,6 @@ struct ComposedJob {
 };
 
 struct CompositionPlan {
-  std::vector<RequestSet> singles;  ///< one-core copies, one per (trace, core)
   std::vector<PartRun> runs;
   std::vector<std::size_t> core_runs;  ///< run id per (composed job, core)
   std::vector<ComposedJob> composed;
@@ -889,11 +893,15 @@ bool composable(const SimJob& job) {
 
 /// Dense page-indexed owner pass: true iff no page is requested by two
 /// cores, without RequestSet::is_disjoint's per-core hash sets.  `owner`
-/// is a reused buffer, sized like the kernel's own page index.
-bool disjoint(const RequestSet& trace, std::vector<CoreId>& owner) {
+/// is a reused buffer, sized like the kernel's own page index; `bounds`
+/// receives each core's page bound (one past its largest page id).
+bool disjoint(const RequestSet& trace, std::vector<CoreId>& owner,
+              std::vector<PageId>& bounds) {
   owner.assign(trace.page_bound(), kInvalidCore);
+  bounds.assign(trace.num_cores(), 0);
   for (CoreId j = 0; j < trace.num_cores(); ++j) {
     for (const PageId page : trace[j]) {
+      bounds[j] = std::max(bounds[j], page + 1);
       CoreId& first = owner[page];
       if (first == j) continue;
       if (first != kInvalidCore) return false;
@@ -924,6 +932,7 @@ CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
   std::vector<PartRunKey> keys;
   std::vector<PartRunKey> distinct;
   std::vector<CoreId> owner;
+  std::vector<PageId> bounds;
   for (std::size_t begin = 0, end = 0; begin < candidates.size();
        begin = end) {
     const RequestSet& trace = *jobs[candidates[begin]].requests;
@@ -946,15 +955,15 @@ CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
-    if (distinct.size() == keys.size() || !disjoint(trace, owner)) continue;
-
-    const std::size_t single_base = plan.singles.size();
-    for (CoreId j = 0; j < p; ++j) {
-      plan.singles.emplace_back(std::vector<RequestSequence>{trace[j]});
+    if (distinct.size() == keys.size() || !disjoint(trace, owner, bounds)) {
+      continue;
     }
+
     const std::size_t run_base = plan.runs.size();
     for (const PartRunKey& key : distinct) {
-      plan.runs.push_back({.single = single_base + key.core, .key = key});
+      plan.runs.push_back({.sequence = &trace[key.core],
+                           .page_bound = bounds[key.core],
+                           .key = key});
     }
     for (std::size_t c = begin; c < end; ++c) {
       const std::size_t i = candidates[c];
@@ -978,40 +987,60 @@ CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
   return plan;
 }
 
-/// Simulates `run` as a one-core job on the shared stamp kernel with K = k_j
-/// and marks the steps at which the core acts.
-void simulate_part(PartRun& run, const std::vector<RequestSet>& singles) {
-  SimJob job;
-  job.config.cache_size = run.key.cells;
-  job.config.fault_penalty = run.key.tau;
-  job.config.record_fault_timeline = true;  // the acting steps come from it
-  job.requests = &singles[run.single];
-  job.strategy = BatchStrategySpec::shared(run.key.policy);
-  RunStats alone = BatchEngine::run(job);
-  run.stats = std::move(alone.core(0));
-  run.done = alone.end_time;
+/// Computes `run`: R_j alone on its k_j cells is classic paging, so one
+/// pass over R_j reproduces the stamp kernel's one-region trajectory.  Each
+/// cell carries the stamp the kernel would give it — the request index at
+/// insertion, refreshed by a hit under LRU only — and a fault in a full
+/// region evicts the minimum stamp (stamps are unique).  Alone, the core
+/// issues its next request one step after a hit and tau + 1 steps after a
+/// fault, and finishes one such gap after its last request; those issue
+/// steps and the done step are the steps at which it acts.
+void simulate_part(PartRun& run) {
+  constexpr std::uint32_t kNoCell = std::numeric_limits<std::uint32_t>::max();
+  const std::span<const PageId> sequence = run.sequence->pages();
+  const std::size_t cells = run.key.cells;
+  const bool lru = run.key.policy == BatchPolicy::kLru;
+  const Time fault_gap = run.key.tau + 1;
+  std::vector<std::uint32_t> cell_of(run.page_bound, kNoCell);
+  std::vector<PageId> cell_page(cells, kInvalidPage);
+  std::vector<std::uint64_t> stamp(cells, 0);
+  std::size_t used = 0;
 
-  // Alone, the core issues its next request one step after a hit and tau + 1
-  // steps after a fault, and finishes one such gap after its last request.
-  run.acting.assign(run.done / 64 + 1, 0);
+  CoreStats& stats = run.stats;
   const auto mark = [&run](Time t) {
-    run.acting[t / 64] |= std::uint64_t{1} << (t % 64);
+    const std::size_t word = static_cast<std::size_t>(t / 64);
+    if (word >= run.acting.size()) run.acting.resize(word + 1, 0);
+    run.acting[word] |= std::uint64_t{1} << (t % 64);
   };
-  const std::vector<Time>& faults = run.stats.fault_times;
-  std::size_t next_fault = 0;
   Time t = 0;
-  for (Count i = 0; i < run.stats.requests; ++i) {
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    const PageId page = sequence[i];
     mark(t);
-    if (next_fault < faults.size() && faults[next_fault] == t) {
-      ++next_fault;
-      t += run.key.tau + 1;
-    } else {
+    std::uint32_t cell = cell_of[page];
+    if (cell != kNoCell) {
+      ++stats.hits;
+      if (lru) stamp[cell] = i;
       ++t;
+      continue;
     }
+    ++stats.faults;
+    if (run.keep_timeline) stats.fault_times.push_back(t);
+    if (used < cells) {
+      cell = static_cast<std::uint32_t>(used++);
+    } else {
+      cell = static_cast<std::uint32_t>(
+          std::min_element(stamp.begin(), stamp.end()) - stamp.begin());
+      cell_of[cell_page[cell]] = kNoCell;
+    }
+    cell_page[cell] = page;
+    cell_of[page] = cell;
+    stamp[cell] = i;
+    t += fault_gap;
   }
-  MCP_ASSERT(t == run.done && next_fault == faults.size());
   mark(t);
-  if (!run.keep_timeline) std::vector<Time>().swap(run.stats.fault_times);
+  stats.requests = sequence.size();
+  stats.completion_time = t == 0 ? 0 : t - 1;
+  run.done = t;
 }
 
 /// `job`'s RunStats from its cores' runs.
@@ -1066,7 +1095,7 @@ std::vector<RunStats> SweepRunner::run_jobs(std::span<const SimJob> jobs) {
         if (i < kernel) {
           results[plan.kernel[i]] = BatchEngine::run(jobs[plan.kernel[i]]);
         } else {
-          simulate_part(plan.runs[i - kernel], plan.singles);
+          simulate_part(plan.runs[i - kernel]);
         }
       },
       options_.max_threads);

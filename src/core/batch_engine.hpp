@@ -8,11 +8,12 @@
 //    or FIFO — decide evictions from a monotonic stamp array with no
 //    virtual dispatch, no hash maps and no list nodes, so a sweep of small
 //    jobs runs at a multiple of the strategy-object throughput.  They run
-//    every SweepRunner::run_jobs job and every mcpd session: a job whole,
-//    or, for the static-partition jobs of a disjoint trace that share
-//    per-core runs, as one-core runs that run_jobs composes into each job's
-//    RunStats (batch_engine.cpp; BM_BatchSweep against BM_PartitionSweep,
-//    E13 `batch_sweep` series);
+//    every mcpd session and every SweepRunner::run_jobs job that run_jobs
+//    does not compose: the static-partition jobs of a disjoint trace that
+//    share per-core runs are composed from those runs, each computed by a
+//    one-region paging pass that reproduces the kernel's min-stamp victims
+//    (batch_engine.cpp; BM_BatchSweep against BM_PartitionSweep, E13
+//    `batch_sweep` series);
 //  * the hook instantiation takes every decision from a CacheStrategy
 //    object, pulls requests from a RequestStream and fires the SimObserver
 //    callbacks.  Simulator::run, run_stream and simulate are thin wrappers
@@ -36,8 +37,11 @@
 // fault per request), and advance() arms an AllocGuard over the step loop
 // (DESIGN.md §10), so a regression that sneaks an allocation into the hot
 // path fails loudly (tests/test_sentry.cpp).  The hook instantiation arms
-// its guard per step, past SimConfig::alloc_guard_after_step, because
-// strategies allocate while they warm up.
+// its guard per step, past SimConfig::alloc_guard_after_step, because some
+// strategies allocate while they warm up (tables grown by streamed pages,
+// FITF's page vector, parts over budget); policy-backed shared and
+// static-partition strategies over a materialized set allocate only at
+// attach, so they arm it from step 1.
 //
 // Static analysis: an engine instance is single-threaded by contract — it
 // is confined to the sweep task, mcpd session or Simulator call that owns

@@ -105,8 +105,9 @@ class SweepRunner {
   /// cells.  A job runs as one kernel, except that the static-partition
   /// jobs of a disjoint trace whose jobs share per-core runs — the same
   /// (core, part size, policy, tau) — are composed from those runs, each
-  /// simulated once as a one-core job.  Results, sim_steps and errors
-  /// included, are bit-identical to running each job through
+  /// computed once by a one-region paging pass over the core's sequence
+  /// (R_j alone on its k_j cells is classic paging).  Results, sim_steps
+  /// and errors included, are bit-identical to running each job through
   /// mcp::Simulator with the matching strategy object, for any worker
   /// count.  Records last_timing() like run().  Defined in
   /// batch_engine.cpp.

@@ -157,6 +157,7 @@ std::uint32_t SpillArena::append(const std::uint64_t* words) {
   if (spilling_) {
     if (!seg.resident) fault_in(seg);
     seg.last_touch = ++clock_;
+    seg.dirty = true;
   }
   const std::size_t slot = num_blocks_ & block_mask_;
   std::memcpy(seg.data + slot * stride_, words,
@@ -174,26 +175,30 @@ void SpillArena::fault_in(const Segment& seg) const {
 }
 
 void SpillArena::evict(const Segment& seg) const {
-  // MS_SYNC guarantees the data extent is durably in the file before the
-  // pages are dropped; MADV_DONTNEED releases the RAM without disturbing
-  // the mapping.
-  if (::msync(seg.map, seg.map_bytes, MS_SYNC) != 0) throw_errno("msync");
+  // MS_SYNC guarantees a dirty data extent is durably in the file before
+  // the pages are dropped; a clean one already is.  MADV_DONTNEED releases
+  // the RAM without disturbing the mapping.
+  if (seg.dirty) {
+    if (::msync(seg.map, seg.map_bytes, MS_SYNC) != 0) throw_errno("msync");
+    seg.dirty = false;
+    bytes_spilled_ += segment_data_bytes_;
+  }
   if (::madvise(seg.map, seg.map_bytes, MADV_DONTNEED) != 0)
     throw_errno("madvise");
   seg.resident = false;
   resident_bytes_ -= segment_data_bytes_;
-  bytes_spilled_ += segment_data_bytes_;
 }
 
 void SpillArena::enforce_budget(const Segment* keep) const {
+  const Segment* const append_segment = &segments_.back();
   while (resident_bytes_ > budget_.ram_bytes) {
     const Segment* victim = nullptr;
     for (const Segment& seg : segments_) {
-      if (!seg.resident || &seg == keep) continue;
+      if (!seg.resident || &seg == keep || &seg == append_segment) continue;
       if (victim == nullptr || seg.last_touch < victim->last_touch)
         victim = &seg;
     }
-    if (victim == nullptr) break;  // only `keep` is resident: floor reached
+    if (victim == nullptr) break;  // only `keep` and the append segment
     evict(*victim);
   }
 }

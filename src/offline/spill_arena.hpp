@@ -10,10 +10,14 @@
 //    `block()` results survive later appends, unlike the old
 //    `std::vector::data()` arena).  With a budget, segments are mmap'd
 //    MAP_SHARED from an unlinked temporary file; when resident bytes exceed
-//    the cap, the least-recently-touched segments are written back
-//    (`msync`) and dropped from RAM (`madvise(MADV_DONTNEED)`) — the mapping
+//    the cap, the least-recently-touched segments are dropped from RAM
+//    (`madvise(MADV_DONTNEED)`), a dirty one — appended to since it was
+//    last written back — after writing it back (`msync`).  The mapping
 //    stays valid, so a later touch transparently reloads from disk and is
-//    re-charged against the budget.  In the searches the cold segments are
+//    re-charged against the budget.  The append segment (the last) is
+//    never evicted, so appends never fault it back in; the budget of at
+//    least two segments leaves room for it and one faulted-in segment.  In
+//    the searches the cold segments are
 //    the Dial queue's settled prefix / finished PIF layers, which expansion
 //    rarely revisits (only hash-collision dedup probes reach back).
 //
@@ -102,7 +106,9 @@ class SpillArena {
   [[nodiscard]] std::size_t peak_bytes_in_ram() const noexcept {
     return peak_resident_bytes_;
   }
-  /// Cumulative bytes written back to the spill file by evictions.
+  /// Cumulative bytes written back to the spill file: a segment's bytes
+  /// count each time it is evicted dirty, and not when a clean segment
+  /// (unchanged since its last write-back) is dropped.
   [[nodiscard]] std::size_t bytes_spilled() const noexcept {
     return bytes_spilled_;
   }
@@ -124,6 +130,9 @@ class SpillArena {
     void* map = nullptr;                  ///< mmap base (header page) or null
     std::size_t map_bytes = 0;
     mutable bool resident = true;
+    /// Appended to since its last write-back (budget mode); only a dirty
+    /// segment is written back when evicted.
+    mutable bool dirty = true;
     mutable std::uint64_t last_touch = 0;
   };
 
@@ -131,7 +140,7 @@ class SpillArena {
   void fault_in(const Segment& seg) const;
   void evict(const Segment& seg) const;
   /// Evicts least-recently-touched resident segments until the budget holds,
-  /// never touching `keep` (the append/fault target).
+  /// never touching `keep` (the fault target) or the append segment.
   void enforce_budget(const Segment* keep) const;
   void charge(std::size_t bytes) const;
 

@@ -3,50 +3,42 @@
 
 namespace mcp {
 
+// The ring is a list read from front to back and around; the node at its
+// front is the start of the ring.  Insertion links the new page just before
+// the hand (so it becomes the ring's start when the hand is there), and the
+// hand keeps pointing at the same page.
+
 void ClockPolicy::reset() {
   ring_.clear();
-  index_.clear();
-  hand_ = 0;
+  hand_ = Ring::kNone;
 }
 
 void ClockPolicy::on_insert(PageId page, const AccessContext& /*ctx*/) {
-  MCP_REQUIRE(!index_.contains(page), "CLOCK: inserting tracked page");
-  // Insert at the hand position so the new page is the last the hand will
+  // Insert just before the hand so the new page is the last the hand will
   // revisit (classic CLOCK admission).  The faulting access references the
   // page, so it arrives with its bit set — this keeps CLOCK conservative
   // (a just-fetched page always survives the next sweep).
-  const std::size_t slot = ring_.empty() ? 0 : hand_;
-  ring_.insert(ring_.begin() + static_cast<std::ptrdiff_t>(slot),
-               Entry{page, /*referenced=*/true});
-  // Slots at or after the insertion point shifted by one.
-  for (auto& [tracked_page, tracked_slot] : index_) {
-    if (tracked_slot >= slot) ++tracked_slot;
-  }
-  index_[page] = slot;
-  if (!ring_.empty()) hand_ = (slot + 1) % ring_.size();
+  const std::uint32_t node =
+      ring_.insert_before(hand_, page, /*referenced=*/true);
+  MCP_REQUIRE(node != Ring::kNone, "CLOCK: inserting tracked page");
+  if (hand_ == Ring::kNone) hand_ = node;
 }
 
 void ClockPolicy::on_hit(PageId page, const AccessContext& /*ctx*/) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "CLOCK: hit on untracked page");
-  ring_[it->second].referenced = true;
+  const std::uint32_t node = ring_.find(page);
+  MCP_REQUIRE(node != Ring::kNone, "CLOCK: hit on untracked page");
+  ring_[node].data = true;
 }
 
 void ClockPolicy::on_remove(PageId page) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "CLOCK: removing untracked page");
-  const std::size_t slot = it->second;
-  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(slot));
-  index_.erase(it);
-  for (auto& [tracked_page, tracked_slot] : index_) {
-    if (tracked_slot > slot) --tracked_slot;
+  const std::uint32_t node = ring_.find(page);
+  MCP_REQUIRE(node != Ring::kNone, "CLOCK: removing untracked page");
+  if (node == hand_) {
+    // The hand moves on to the next page, except from the ring's last
+    // position, where it steps back to the page before it.
+    hand_ = node == ring_.back() ? ring_[node].prev : ring_[node].next;
   }
-  if (ring_.empty()) {
-    hand_ = 0;
-  } else if (hand_ > slot || hand_ >= ring_.size()) {
-    hand_ = (hand_ == 0 ? ring_.size() : hand_) - 1;
-    hand_ %= ring_.size();
-  }
+  ring_.erase(page);
 }
 
 PageId ClockPolicy::victim(const AccessContext& /*ctx*/,
@@ -55,14 +47,14 @@ PageId ClockPolicy::victim(const AccessContext& /*ctx*/,
   // Two full sweeps suffice: the first clears referenced bits, the second
   // must find an unreferenced evictable page if any page is evictable.
   for (std::size_t visited = 0; visited < 2 * ring_.size(); ++visited) {
-    Entry& entry = ring_[hand_];
+    Ring::Node& entry = ring_[hand_];
     if (!evictable(entry.page)) {
-      hand_ = (hand_ + 1) % ring_.size();
+      hand_ = after(hand_);
       continue;
     }
-    if (entry.referenced) {
-      entry.referenced = false;
-      hand_ = (hand_ + 1) % ring_.size();
+    if (entry.data) {
+      entry.data = false;
+      hand_ = after(hand_);
       continue;
     }
     return entry.page;  // hand stays; caller removes the page via on_remove

@@ -10,6 +10,11 @@
 // victim() takes an `evictable` predicate because a page whose cell is
 // reserved (fetch in flight) cannot be evicted under the model; policies
 // must return their best-ranked page among the evictable ones.
+//
+// The online policies keep their pages in flat arrays sized by
+// set_capacity() (policies/page_table.hpp), so per-policy memory is
+// O(cells), whatever the page ids, and a region that stays within its
+// capacity never allocates after attach.
 #pragma once
 
 #include <functional>
@@ -58,8 +63,9 @@ class EvictionPolicy {
 
   /// Hints how many cells this policy's region holds.  Strategies call it
   /// after reset() and again whenever the region is resized (dynamic
-  /// partitions).  Most policies ignore it; segment-structured ones (SLRU)
-  /// size their segments from it.
+  /// partitions).  The online policies reserve storage for that many
+  /// pages (never shrinking it; more pages grow it by doubling), and
+  /// segment-structured ones (SLRU) size their segments from it.
   virtual void set_capacity(std::size_t cells) { (void)cells; }
 
   /// `page` entered this policy's region (it faulted in).  `ctx` is the

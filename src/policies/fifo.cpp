@@ -3,28 +3,20 @@
 
 namespace mcp {
 
-void FifoPolicy::reset() {
-  order_.clear();
-  index_.clear();
-}
-
 void FifoPolicy::on_insert(PageId page, const AccessContext& /*ctx*/) {
-  MCP_REQUIRE(!index_.contains(page), "FIFO: inserting tracked page");
-  order_.push_front(page);
-  index_[page] = order_.begin();
+  MCP_REQUIRE(order_.push_front(page) != PageList<>::kNone,
+              "FIFO: inserting tracked page");
 }
 
 void FifoPolicy::on_remove(PageId page) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "FIFO: removing untracked page");
-  order_.erase(it->second);
-  index_.erase(it);
+  MCP_REQUIRE(order_.erase(page), "FIFO: removing untracked page");
 }
 
 PageId FifoPolicy::victim(const AccessContext& /*ctx*/,
                           const EvictablePredicate& evictable) {
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    if (evictable(*it)) return *it;
+  for (std::uint32_t node = order_.back(); node != PageList<>::kNone;
+       node = order_[node].prev) {
+    if (evictable(order_[node].page)) return order_[node].page;
   }
   return kInvalidPage;
 }

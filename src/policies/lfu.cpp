@@ -3,23 +3,20 @@
 
 namespace mcp {
 
-void LfuPolicy::reset() { entries_.clear(); }
-
 void LfuPolicy::on_insert(PageId page, const AccessContext& ctx) {
-  auto [it, inserted] = entries_.try_emplace(page, Entry{1, ctx.now});
-  MCP_REQUIRE(inserted, "LFU: inserting tracked page");
-  (void)it;
+  MCP_REQUIRE(entries_.insert({page, 1, ctx.now}),
+              "LFU: inserting tracked page");
 }
 
 void LfuPolicy::on_hit(PageId page, const AccessContext& ctx) {
-  auto it = entries_.find(page);
-  MCP_REQUIRE(it != entries_.end(), "LFU: hit on untracked page");
-  ++it->second.uses;
-  it->second.last_use = ctx.now;
+  Entry* const entry = entries_.find(page);
+  MCP_REQUIRE(entry != nullptr, "LFU: hit on untracked page");
+  ++entry->uses;
+  entry->last_use = ctx.now;
 }
 
 void LfuPolicy::on_remove(PageId page) {
-  MCP_REQUIRE(entries_.erase(page) == 1, "LFU: removing untracked page");
+  MCP_REQUIRE(entries_.erase(page), "LFU: removing untracked page");
 }
 
 PageId LfuPolicy::victim(const AccessContext& /*ctx*/,
@@ -27,15 +24,15 @@ PageId LfuPolicy::victim(const AccessContext& /*ctx*/,
   PageId best = kInvalidPage;
   Count best_uses = 0;
   Time best_last = 0;
-  for (const auto& [page, entry] : entries_) {
-    if (!evictable(page)) continue;
+  for (const Entry& entry : entries_.entries()) {
+    if (!evictable(entry.page)) continue;
     const bool better =
         best == kInvalidPage || entry.uses < best_uses ||
         (entry.uses == best_uses &&
          (entry.last_use < best_last ||
-          (entry.last_use == best_last && page < best)));
+          (entry.last_use == best_last && entry.page < best)));
     if (better) {
-      best = page;
+      best = entry.page;
       best_uses = entry.uses;
       best_last = entry.last_use;
     }

@@ -3,49 +3,34 @@
 
 namespace mcp {
 
-void LruPolicy::reset() {
-  order_.clear();
-  index_.clear();
-  last_use_.clear();
-}
-
-void LruPolicy::touch(PageId page, Time now) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "LRU: touching untracked page");
-  order_.splice(order_.begin(), order_, it->second);
-  last_use_[page] = now;
-}
-
 void LruPolicy::on_insert(PageId page, const AccessContext& ctx) {
-  MCP_REQUIRE(!index_.contains(page), "LRU: inserting tracked page");
-  order_.push_front(page);
-  index_[page] = order_.begin();
-  last_use_[page] = ctx.now;
+  MCP_REQUIRE(order_.push_front(page, ctx.now) != Order::kNone,
+              "LRU: inserting tracked page");
 }
 
 void LruPolicy::on_hit(PageId page, const AccessContext& ctx) {
-  touch(page, ctx.now);
+  const std::uint32_t node = order_.find(page);
+  MCP_REQUIRE(node != Order::kNone, "LRU: touching untracked page");
+  order_.move_to_front(node);
+  order_[node].data = ctx.now;
 }
 
 void LruPolicy::on_remove(PageId page) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "LRU: removing untracked page");
-  order_.erase(it->second);
-  index_.erase(it);
-  last_use_.erase(page);
+  MCP_REQUIRE(order_.erase(page), "LRU: removing untracked page");
 }
 
 PageId LruPolicy::victim(const AccessContext& /*ctx*/,
                          const EvictablePredicate& evictable) {
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    if (evictable(*it)) return *it;
+  for (std::uint32_t node = order_.back(); node != Order::kNone;
+       node = order_[node].prev) {
+    if (evictable(order_[node].page)) return order_[node].page;
   }
   return kInvalidPage;
 }
 
 Time LruPolicy::last_use(PageId page) const {
-  auto it = last_use_.find(page);
-  return it == last_use_.end() ? kTimeNever : it->second;
+  const std::uint32_t node = order_.find(page);
+  return node == Order::kNone ? kTimeNever : order_[node].data;
 }
 
 }  // namespace mcp
@@ -57,31 +42,30 @@ Time LruPolicy::last_use(PageId page) const {
 namespace mcp {
 
 void LruScanPolicy::on_insert(PageId page, const AccessContext& ctx) {
-  const auto [it, inserted] = last_use_.try_emplace(page, ctx.now);
-  MCP_REQUIRE(inserted, "LRU-SCAN: inserting tracked page");
-  (void)it;
+  MCP_REQUIRE(entries_.insert({page, ctx.now}),
+              "LRU-SCAN: inserting tracked page");
 }
 
 void LruScanPolicy::on_hit(PageId page, const AccessContext& ctx) {
-  const auto it = last_use_.find(page);
-  MCP_REQUIRE(it != last_use_.end(), "LRU-SCAN: hit on untracked page");
-  it->second = ctx.now;
+  Entry* const entry = entries_.find(page);
+  MCP_REQUIRE(entry != nullptr, "LRU-SCAN: hit on untracked page");
+  entry->last_use = ctx.now;
 }
 
 void LruScanPolicy::on_remove(PageId page) {
-  MCP_REQUIRE(last_use_.erase(page) == 1, "LRU-SCAN: removing untracked page");
+  MCP_REQUIRE(entries_.erase(page), "LRU-SCAN: removing untracked page");
 }
 
 PageId LruScanPolicy::victim(const AccessContext& /*ctx*/,
                              const EvictablePredicate& evictable) {
   PageId best = kInvalidPage;
   Time best_time = 0;
-  for (const auto& [page, used] : last_use_) {
-    if (!evictable(page)) continue;
-    if (best == kInvalidPage || used < best_time ||
-        (used == best_time && page < best)) {
-      best = page;
-      best_time = used;
+  for (const Entry& entry : entries_.entries()) {
+    if (!evictable(entry.page)) continue;
+    if (best == kInvalidPage || entry.last_use < best_time ||
+        (entry.last_use == best_time && entry.page < best)) {
+      best = entry.page;
+      best_time = entry.last_use;
     }
   }
   return best;

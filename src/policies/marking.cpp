@@ -12,28 +12,33 @@ void MarkingPolicy::reset() {
   phases_ = 0;
 }
 
+void MarkingPolicy::set_capacity(std::size_t cells) {
+  entries_.reserve(cells);
+  unmarked_.reserve(cells);
+  marked_.reserve(cells);
+}
+
 void MarkingPolicy::on_insert(PageId page, const AccessContext& ctx) {
-  auto [it, inserted] = entries_.try_emplace(page, Entry{true, ctx.now});
-  MCP_REQUIRE(inserted, "MARK: inserting tracked page");
-  (void)it;
+  MCP_REQUIRE(entries_.insert({page, true, ctx.now}),
+              "MARK: inserting tracked page");
   ++marked_count_;
 }
 
 void MarkingPolicy::on_hit(PageId page, const AccessContext& ctx) {
-  auto it = entries_.find(page);
-  MCP_REQUIRE(it != entries_.end(), "MARK: hit on untracked page");
-  if (!it->second.marked) {
-    it->second.marked = true;
+  Entry* const entry = entries_.find(page);
+  MCP_REQUIRE(entry != nullptr, "MARK: hit on untracked page");
+  if (!entry->marked) {
+    entry->marked = true;
     ++marked_count_;
   }
-  it->second.last_use = ctx.now;
+  entry->last_use = ctx.now;
 }
 
 void MarkingPolicy::on_remove(PageId page) {
-  auto it = entries_.find(page);
-  MCP_REQUIRE(it != entries_.end(), "MARK: removing untracked page");
-  if (it->second.marked) --marked_count_;
-  entries_.erase(it);
+  const Entry* const entry = entries_.find(page);
+  MCP_REQUIRE(entry != nullptr, "MARK: removing untracked page");
+  if (entry->marked) --marked_count_;
+  entries_.erase(page);
 }
 
 PageId MarkingPolicy::victim(const AccessContext& /*ctx*/,
@@ -41,22 +46,22 @@ PageId MarkingPolicy::victim(const AccessContext& /*ctx*/,
   if (entries_.empty()) return kInvalidPage;
   if (marked_count_ == entries_.size()) {
     // Every page is marked: the phase ends, all marks clear.
-    for (auto& [page, entry] : entries_) entry.marked = false;
+    for (Entry& entry : entries_.entries()) entry.marked = false;
     marked_count_ = 0;
     ++phases_;
   }
   if (tie_break_ == TieBreak::kRandom) {
     // Randomized marking: uniform over unmarked evictable pages; fall back
     // to a uniform marked evictable page only if none (reserved cells).
-    std::vector<PageId> unmarked;
-    std::vector<PageId> marked;
-    for (const auto& [page, entry] : entries_) {
-      if (!evictable(page)) continue;
-      (entry.marked ? marked : unmarked).push_back(page);
+    unmarked_.clear();
+    marked_.clear();
+    for (const Entry& entry : entries_.entries()) {
+      if (!evictable(entry.page)) continue;
+      (entry.marked ? marked_ : unmarked_).push_back(entry.page);
     }
-    std::vector<PageId>& pool = unmarked.empty() ? marked : unmarked;
+    std::vector<PageId>& pool = unmarked_.empty() ? marked_ : unmarked_;
     if (pool.empty()) return kInvalidPage;
-    std::sort(pool.begin(), pool.end());  // iteration-order independence
+    std::sort(pool.begin(), pool.end());  // storage-order independence
     return pool[rng_.below(pool.size())];
   }
   // Evict the least recently used *unmarked* evictable page; fall back to a
@@ -66,8 +71,9 @@ PageId MarkingPolicy::victim(const AccessContext& /*ctx*/,
   Time best_unmarked_time = kTimeNever;
   PageId best_marked = kInvalidPage;
   Time best_marked_time = kTimeNever;
-  for (const auto& [page, entry] : entries_) {
-    if (!evictable(page)) continue;
+  for (const Entry& entry : entries_.entries()) {
+    if (!evictable(entry.page)) continue;
+    const PageId page = entry.page;
     if (!entry.marked) {
       if (best_unmarked == kInvalidPage || entry.last_use < best_unmarked_time ||
           (entry.last_use == best_unmarked_time && page < best_unmarked)) {

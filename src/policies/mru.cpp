@@ -3,34 +3,26 @@
 
 namespace mcp {
 
-void MruPolicy::reset() {
-  order_.clear();
-  index_.clear();
-}
-
 void MruPolicy::on_insert(PageId page, const AccessContext& /*ctx*/) {
-  MCP_REQUIRE(!index_.contains(page), "MRU: inserting tracked page");
-  order_.push_front(page);
-  index_[page] = order_.begin();
+  MCP_REQUIRE(order_.push_front(page) != PageList<>::kNone,
+              "MRU: inserting tracked page");
 }
 
 void MruPolicy::on_hit(PageId page, const AccessContext& /*ctx*/) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "MRU: hit on untracked page");
-  order_.splice(order_.begin(), order_, it->second);
+  const std::uint32_t node = order_.find(page);
+  MCP_REQUIRE(node != PageList<>::kNone, "MRU: hit on untracked page");
+  order_.move_to_front(node);
 }
 
 void MruPolicy::on_remove(PageId page) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "MRU: removing untracked page");
-  order_.erase(it->second);
-  index_.erase(it);
+  MCP_REQUIRE(order_.erase(page), "MRU: removing untracked page");
 }
 
 PageId MruPolicy::victim(const AccessContext& /*ctx*/,
                          const EvictablePredicate& evictable) {
-  for (PageId page : order_) {  // front = most recent
-    if (evictable(page)) return page;
+  for (std::uint32_t node = order_.front(); node != PageList<>::kNone;
+       node = order_[node].next) {  // front = most recent
+    if (evictable(order_[node].page)) return order_[node].page;
   }
   return kInvalidPage;
 }

@@ -7,48 +7,58 @@
 // conservative algorithm), FIFO (conservative), marking algorithms as a
 // class, and FITF; the remaining policies round out the shootout benchmark
 // (experiment E12) with the classics every paging suite is expected to have.
+//
+// The online policies keep their pages in flat arrays (policies/
+// page_table.hpp): recency lists and the CLOCK ring are intrusive lists of
+// node ids, the scan policies a dense entry array, all behind a
+// capacity-sized open-addressing page index.  set_capacity() sizes them,
+// so a policy whose region stays within its capacity never allocates after
+// attach; more pages than that (a part over budget while a shrink is
+// pending, or a policy driven without set_capacity) grow the arrays by
+// doubling.  Memory is O(pages tracked), whatever the page ids.  The
+// list/map implementations these replaced are the differential oracles in
+// tests/reference_policies.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "policies/eviction_policy.hpp"
 #include "policies/future_oracle.hpp"
+#include "policies/page_table.hpp"
 
 namespace mcp {
 
 /// Least Recently Used.  Victim = least recently requested evictable page.
 class LruPolicy final : public EvictionPolicy {
  public:
-  void reset() override;
+  void reset() override { order_.clear(); }
+  void set_capacity(std::size_t cells) override { order_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return order_.find(page) != Order::kNone;
   }
   [[nodiscard]] std::string name() const override { return "LRU"; }
 
   /// Least recently used tracked page regardless of evictability (used by
   /// the Lemma-3 dynamic-partition controller to find the global LRU page).
   [[nodiscard]] PageId least_recent() const {
-    return order_.empty() ? kInvalidPage : order_.back();
+    return order_.empty() ? kInvalidPage : order_[order_.back()].page;
   }
   /// Timestep of the page's last use; kTimeNever if untracked.
   [[nodiscard]] Time last_use(PageId page) const;
 
  private:
-  void touch(PageId page, Time now);
-  std::list<PageId> order_;  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_;
-  std::unordered_map<PageId, Time> last_use_;
+  using Order = PageList<Time>;  // front = most recent; data = last use
+  Order order_;
 };
 
 /// LRU implemented by timestamp scan instead of an intrusive list — the
@@ -59,40 +69,45 @@ class LruPolicy final : public EvictionPolicy {
 /// instead of touch order.
 class LruScanPolicy final : public EvictionPolicy {
  public:
-  void reset() override { last_use_.clear(); }
+  void reset() override { entries_.clear(); }
+  void set_capacity(std::size_t cells) override { entries_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return last_use_.size(); }
+  [[nodiscard]] std::size_t size() const override { return entries_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return last_use_.contains(page);
+    return entries_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override { return "LRU-SCAN"; }
 
  private:
-  std::unordered_map<PageId, Time> last_use_;
+  struct Entry {
+    PageId page = kInvalidPage;
+    Time last_use = 0;
+  };
+  PageArray<Entry> entries_;
 };
 
 /// First-In First-Out.  Victim = evictable page resident the longest.
 class FifoPolicy final : public EvictionPolicy {
  public:
-  void reset() override;
+  void reset() override { order_.clear(); }
+  void set_capacity(std::size_t cells) override { order_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId /*page*/, const AccessContext& /*ctx*/) override {}
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return order_.find(page) != PageList<>::kNone;
   }
   [[nodiscard]] std::string name() const override { return "FIFO"; }
 
  private:
-  std::list<PageId> order_;  // front = newest arrival
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_;
+  PageList<> order_;  // front = newest arrival
 };
 
 /// CLOCK (second-chance).  A circular hand sweeps pages; referenced bits are
@@ -101,31 +116,35 @@ class FifoPolicy final : public EvictionPolicy {
 class ClockPolicy final : public EvictionPolicy {
  public:
   void reset() override;
+  void set_capacity(std::size_t cells) override { ring_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  [[nodiscard]] std::size_t size() const override { return ring_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return ring_.find(page) != Ring::kNone;
   }
   [[nodiscard]] std::string name() const override { return "CLOCK"; }
 
  private:
-  struct Entry {
-    PageId page = kInvalidPage;
-    bool referenced = false;
-  };
-  std::vector<Entry> ring_;
-  std::size_t hand_ = 0;
-  std::unordered_map<PageId, std::size_t> index_;  // page -> ring slot
+  // The ring in list order from front to back, wrapping around; data = the
+  // referenced bit.  The hand is a node of the ring.
+  using Ring = PageList<bool>;
+  [[nodiscard]] std::uint32_t after(std::uint32_t node) const noexcept {
+    const std::uint32_t next = ring_[node].next;
+    return next == Ring::kNone ? ring_.front() : next;
+  }
+  Ring ring_;
+  std::uint32_t hand_ = Ring::kNone;
 };
 
 /// Least Frequently Used, with LRU tie-breaking.
 class LfuPolicy final : public EvictionPolicy {
  public:
-  void reset() override;
+  void reset() override { entries_.clear(); }
+  void set_capacity(std::size_t cells) override { entries_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
@@ -133,37 +152,38 @@ class LfuPolicy final : public EvictionPolicy {
                               const EvictablePredicate& evictable) override;
   [[nodiscard]] std::size_t size() const override { return entries_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return entries_.contains(page);
+    return entries_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override { return "LFU"; }
 
  private:
   struct Entry {
+    PageId page = kInvalidPage;
     Count uses = 0;
     Time last_use = 0;
   };
-  std::unordered_map<PageId, Entry> entries_;
+  PageArray<Entry> entries_;
 };
 
 /// Most Recently Used (good for cyclic scans longer than the cache; included
 /// as the textbook anti-LRU baseline).
 class MruPolicy final : public EvictionPolicy {
  public:
-  void reset() override;
+  void reset() override { order_.clear(); }
+  void set_capacity(std::size_t cells) override { order_.reserve(cells); }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return order_.find(page) != PageList<>::kNone;
   }
   [[nodiscard]] std::string name() const override { return "MRU"; }
 
  private:
-  std::list<PageId> order_;  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_;
+  PageList<> order_;  // front = most recent
 };
 
 /// Segmented LRU: a probation segment absorbs new arrivals; a hit promotes
@@ -175,42 +195,42 @@ class SlruPolicy final : public EvictionPolicy {
   void reset() override;
   void set_capacity(std::size_t cells) override {
     protected_cap_ = cells == 0 ? 1 : std::max<std::size_t>(1, cells / 2);
+    probation_.reserve(cells);
+    protected_.reserve(protected_cap_ + 1);
   }
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
   [[nodiscard]] PageId victim(const AccessContext& ctx,
                               const EvictablePredicate& evictable) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  [[nodiscard]] std::size_t size() const override {
+    return probation_.size() + protected_.size();
+  }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return probation_.find(page) != PageList<>::kNone ||
+           protected_.find(page) != PageList<>::kNone;
   }
   [[nodiscard]] std::string name() const override { return "SLRU"; }
 
   /// Pages currently in the protected segment (for tests).
   [[nodiscard]] std::size_t protected_size() const noexcept {
-    return protected_count_;
+    return protected_.size();
   }
 
  private:
-  struct Node {
-    std::list<PageId>::iterator where;
-    bool is_protected = false;
-  };
   void demote_if_needed();
 
-  std::list<PageId> probation_;   // front = most recent
-  std::list<PageId> protected_;   // front = most recent
-  std::unordered_map<PageId, Node> index_;
+  PageList<> probation_;  // front = most recent
+  PageList<> protected_;  // front = most recent
   std::size_t protected_cap_ = 1;
-  std::size_t protected_count_ = 0;
 };
 
 /// Uniform random eviction (seeded, reproducible).
 class RandomPolicy final : public EvictionPolicy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 0xC0FFEE) : rng_(seed) {}
-  void reset() override;
+  void reset() override { pages_.clear(); }
+  void set_capacity(std::size_t cells) override;
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId /*page*/, const AccessContext& /*ctx*/) override {}
   void on_remove(PageId page) override;
@@ -218,14 +238,17 @@ class RandomPolicy final : public EvictionPolicy {
                               const EvictablePredicate& evictable) override;
   [[nodiscard]] std::size_t size() const override { return pages_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return index_.contains(page);
+    return pages_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override { return "RANDOM"; }
 
  private:
+  struct Entry {
+    PageId page = kInvalidPage;
+  };
   Rng rng_;
-  std::vector<PageId> pages_;
-  std::unordered_map<PageId, std::size_t> index_;  // page -> slot in pages_
+  PageArray<Entry> pages_;  // the draw's order: insertion, up to moves
+  std::vector<PageId> candidates_;  // victim() scratch
 };
 
 /// Generic marking algorithm.  Requests mark their page; when every tracked
@@ -243,6 +266,7 @@ class MarkingPolicy final : public EvictionPolicy {
       : tie_break_(tie_break), rng_(seed) {}
 
   void reset() override;
+  void set_capacity(std::size_t cells) override;
   void on_insert(PageId page, const AccessContext& ctx) override;
   void on_hit(PageId page, const AccessContext& ctx) override;
   void on_remove(PageId page) override;
@@ -250,7 +274,7 @@ class MarkingPolicy final : public EvictionPolicy {
                               const EvictablePredicate& evictable) override;
   [[nodiscard]] std::size_t size() const override { return entries_.size(); }
   [[nodiscard]] bool contains(PageId page) const override {
-    return entries_.contains(page);
+    return entries_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override {
     return tie_break_ == TieBreak::kLru ? "MARK" : "MARK-RAND";
@@ -261,12 +285,15 @@ class MarkingPolicy final : public EvictionPolicy {
 
  private:
   struct Entry {
+    PageId page = kInvalidPage;
     bool marked = false;
     Time last_use = 0;
   };
   TieBreak tie_break_;
   Rng rng_;
-  std::unordered_map<PageId, Entry> entries_;
+  PageArray<Entry> entries_;
+  std::vector<PageId> unmarked_;  // victim() scratch (randomized tie-break)
+  std::vector<PageId> marked_;
   std::size_t marked_count_ = 0;
   Count phases_ = 0;
 };

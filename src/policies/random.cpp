@@ -3,38 +3,28 @@
 
 namespace mcp {
 
-void RandomPolicy::reset() {
-  pages_.clear();
-  index_.clear();
+void RandomPolicy::set_capacity(std::size_t cells) {
+  pages_.reserve(cells);
+  candidates_.reserve(cells);
 }
 
 void RandomPolicy::on_insert(PageId page, const AccessContext& /*ctx*/) {
-  MCP_REQUIRE(!index_.contains(page), "RANDOM: inserting tracked page");
-  index_[page] = pages_.size();
-  pages_.push_back(page);
+  MCP_REQUIRE(pages_.insert({page}), "RANDOM: inserting tracked page");
 }
 
 void RandomPolicy::on_remove(PageId page) {
-  auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "RANDOM: removing untracked page");
-  const std::size_t slot = it->second;
-  const PageId moved = pages_.back();
-  pages_[slot] = moved;
-  pages_.pop_back();
-  if (moved != page) index_[moved] = slot;
-  index_.erase(it);
+  MCP_REQUIRE(pages_.erase(page), "RANDOM: removing untracked page");
 }
 
 PageId RandomPolicy::victim(const AccessContext& /*ctx*/,
                             const EvictablePredicate& evictable) {
   // Collect the evictable subset so the draw is uniform over it.
-  std::vector<PageId> candidates;
-  candidates.reserve(pages_.size());
-  for (PageId page : pages_) {
-    if (evictable(page)) candidates.push_back(page);
+  candidates_.clear();
+  for (const Entry& entry : pages_.entries()) {
+    if (evictable(entry.page)) candidates_.push_back(entry.page);
   }
-  if (candidates.empty()) return kInvalidPage;
-  return candidates[rng_.below(candidates.size())];
+  if (candidates_.empty()) return kInvalidPage;
+  return candidates_[rng_.below(candidates_.size())];
 }
 
 }  // namespace mcp

@@ -6,68 +6,49 @@ namespace mcp {
 void SlruPolicy::reset() {
   probation_.clear();
   protected_.clear();
-  index_.clear();
-  protected_count_ = 0;
 }
 
 void SlruPolicy::demote_if_needed() {
-  while (protected_count_ > protected_cap_) {
+  while (protected_.size() > protected_cap_) {
     // Protected overflow: its LRU page drops to the front of probation
     // (still warm, but exposed to eviction again).
-    const PageId demoted = protected_.back();
-    protected_.pop_back();
-    probation_.push_front(demoted);
-    Node& node = index_.at(demoted);
-    node.where = probation_.begin();
-    node.is_protected = false;
-    --protected_count_;
+    const PageId demoted = protected_[protected_.back()].page;
+    protected_.erase(demoted);
+    (void)probation_.push_front(demoted);
   }
 }
 
 void SlruPolicy::on_insert(PageId page, const AccessContext& /*ctx*/) {
-  MCP_REQUIRE(!index_.contains(page), "SLRU: inserting tracked page");
-  probation_.push_front(page);
-  index_[page] = Node{probation_.begin(), false};
+  MCP_REQUIRE(protected_.find(page) == PageList<>::kNone &&
+                  probation_.push_front(page) != PageList<>::kNone,
+              "SLRU: inserting tracked page");
 }
 
 void SlruPolicy::on_hit(PageId page, const AccessContext& /*ctx*/) {
-  const auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "SLRU: hit on untracked page");
-  Node& node = it->second;
-  if (node.is_protected) {
-    protected_.splice(protected_.begin(), protected_, node.where);
-    node.where = protected_.begin();
+  const std::uint32_t node = protected_.find(page);
+  if (node != PageList<>::kNone) {
+    protected_.move_to_front(node);
     return;
   }
   // Promotion: probation -> protected.
-  probation_.erase(node.where);
-  protected_.push_front(page);
-  node.where = protected_.begin();
-  node.is_protected = true;
-  ++protected_count_;
+  MCP_REQUIRE(probation_.erase(page), "SLRU: hit on untracked page");
+  (void)protected_.push_front(page);
   demote_if_needed();
 }
 
 void SlruPolicy::on_remove(PageId page) {
-  const auto it = index_.find(page);
-  MCP_REQUIRE(it != index_.end(), "SLRU: removing untracked page");
-  if (it->second.is_protected) {
-    protected_.erase(it->second.where);
-    --protected_count_;
-  } else {
-    probation_.erase(it->second.where);
-  }
-  index_.erase(it);
+  MCP_REQUIRE(protected_.erase(page) || probation_.erase(page),
+              "SLRU: removing untracked page");
 }
 
 PageId SlruPolicy::victim(const AccessContext& /*ctx*/,
                           const EvictablePredicate& evictable) {
   // Probation LRU first; fall back to protected LRU.
-  for (auto it = probation_.rbegin(); it != probation_.rend(); ++it) {
-    if (evictable(*it)) return *it;
-  }
-  for (auto it = protected_.rbegin(); it != protected_.rend(); ++it) {
-    if (evictable(*it)) return *it;
+  for (const PageList<>* segment : {&probation_, &protected_}) {
+    for (std::uint32_t node = segment->back(); node != PageList<>::kNone;
+         node = (*segment)[node].prev) {
+      if (evictable((*segment)[node].page)) return (*segment)[node].page;
+    }
   }
   return kInvalidPage;
 }

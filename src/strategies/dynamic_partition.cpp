@@ -12,23 +12,25 @@ namespace mcp {
 
 void Lemma3DynamicPartition::attach(const SimConfig& config,
                                     std::size_t num_cores,
-                                    const RequestSet* /*requests*/) {
+                                    const RequestSet* requests) {
   cache_size_ = config.cache_size;
   sizes_ = even_partition(cache_size_, num_cores);
   parts_.clear();
   for (std::size_t j = 0; j < num_cores; ++j) {
+    // Any part may grow to the whole cache.
     parts_.push_back(std::make_unique<LruPolicy>());
+    parts_.back()->set_capacity(cache_size_);
   }
   occupancy_.assign(num_cores, 0);
-  owner_.clear();
+  owner_.reset(requests);
   total_occupancy_ = 0;
   changes_ = 0;
 }
 
 void Lemma3DynamicPartition::on_hit(const AccessContext& ctx) {
-  const auto it = owner_.find(ctx.page);
-  MCP_ASSERT_MSG(it != owner_.end(), "lemma3: hit on unowned page");
-  parts_[it->second]->on_hit(ctx.page, ctx);
+  const CoreId owner = owner_[ctx.page];
+  MCP_ASSERT_MSG(owner != kInvalidCore, "lemma3: hit on unowned page");
+  parts_[owner]->on_hit(ctx.page, ctx);
 }
 
 void Lemma3DynamicPartition::on_fault(const AccessContext& ctx,
@@ -75,7 +77,7 @@ void Lemma3DynamicPartition::on_fault(const AccessContext& ctx,
       MCP_REQUIRE(victim != kInvalidPage,
                   "lemma3: no evictable page anywhere (all reserved)");
       parts_[donor]->on_remove(victim);
-      owner_.erase(victim);
+      owner_.clear(victim);
       --occupancy_[donor];
       --total_occupancy_;
       if (donor != j) {
@@ -88,7 +90,7 @@ void Lemma3DynamicPartition::on_fault(const AccessContext& ctx,
   }
 
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_[ctx.page] = j;
+  owner_.set(ctx.page, j);
   ++occupancy_[j];
   ++total_occupancy_;
 }

@@ -18,7 +18,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -45,10 +44,10 @@ class Lemma3DynamicPartition final : public CacheStrategy {
   [[nodiscard]] Count partition_changes() const noexcept { return changes_; }
 
  private:
-  std::vector<std::unique_ptr<LruPolicy>> parts_;
+  std::vector<std::unique_ptr<LruPolicy>> parts_;  // each sized for K pages
   Partition sizes_;
   std::vector<std::size_t> occupancy_;
-  std::unordered_map<PageId, CoreId> owner_;
+  PageOwners owner_;
   std::size_t cache_size_ = 0;
   std::size_t total_occupancy_ = 0;
   Count changes_ = 0;

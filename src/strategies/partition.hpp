@@ -5,10 +5,12 @@
 // least one cell to every active core.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "core/request.hpp"
 #include "core/types.hpp"
 
 namespace mcp {
@@ -40,5 +42,36 @@ void validate_partition(const Partition& sizes, std::size_t cache_size,
 
 /// "[4,2,2]" — used in strategy display names.
 [[nodiscard]] std::string partition_to_string(const Partition& sizes);
+
+/// Which part holds each resident page: the page-indexed owner table of a
+/// partitioned strategy.  One table per strategy (its parts' policies keep
+/// storage sized by their cells), sized from the request set's page bound
+/// at attach, so a materialized run never grows it, and grown by doubling
+/// when a streamed page lies past its end.
+class PageOwners {
+ public:
+  /// Forgets every owner; `requests`, if non-null, sizes the table.
+  void reset(const RequestSet* requests) {
+    owner_.assign(requests != nullptr ? requests->page_bound() : 0,
+                  kInvalidCore);
+  }
+  /// The part holding `page`, or kInvalidCore.
+  [[nodiscard]] CoreId operator[](PageId page) const noexcept {
+    return page < owner_.size() ? owner_[page] : kInvalidCore;
+  }
+  void set(PageId page, CoreId part) {
+    if (page >= owner_.size()) {
+      owner_.resize(std::max<std::size_t>(std::size_t{page} + 1,
+                                          2 * owner_.size()),
+                    kInvalidCore);
+    }
+    owner_[page] = part;
+  }
+  /// `page` (which has an owner) left the cache.
+  void clear(PageId page) noexcept { owner_[page] = kInvalidCore; }
+
+ private:
+  std::vector<CoreId> owner_;
+};
 
 }  // namespace mcp

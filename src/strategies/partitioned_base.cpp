@@ -18,7 +18,7 @@ Partition BudgetedPartitionStrategy::initial_sizes() const {
 
 void BudgetedPartitionStrategy::attach(const SimConfig& config,
                                        std::size_t num_cores,
-                                       const RequestSet* /*requests*/) {
+                                       const RequestSet* requests) {
   cache_size_ = config.cache_size;
   parts_.clear();
   for (std::size_t j = 0; j < num_cores; ++j) {
@@ -26,7 +26,7 @@ void BudgetedPartitionStrategy::attach(const SimConfig& config,
     parts_.back()->reset();
   }
   occupancy_.assign(num_cores, 0);
-  owner_.clear();
+  owner_.reset(requests);
   total_occupancy_ = 0;
   repartitions_ = 0;
   sizes_ = initial_sizes();
@@ -58,7 +58,7 @@ PageId BudgetedPartitionStrategy::evict_from_part(CoreId part,
       ctx, [&cache](PageId page) { return cache.contains(page); });
   if (victim == kInvalidPage) return kInvalidPage;
   parts_[part]->on_remove(victim);
-  owner_.erase(victim);
+  owner_.clear(victim);
   --occupancy_[part];
   --total_occupancy_;
   return victim;
@@ -78,9 +78,10 @@ void BudgetedPartitionStrategy::on_step_begin(Time now, const CacheView& cache,
 }
 
 void BudgetedPartitionStrategy::on_hit(const AccessContext& ctx) {
-  const auto it = owner_.find(ctx.page);
-  MCP_ASSERT_MSG(it != owner_.end(), "budgeted partition: hit on unowned page");
-  parts_[it->second]->on_hit(ctx.page, ctx);
+  const CoreId owner = owner_[ctx.page];
+  MCP_ASSERT_MSG(owner != kInvalidCore,
+                 "budgeted partition: hit on unowned page");
+  parts_[owner]->on_hit(ctx.page, ctx);
   observe_hit(ctx);
 }
 
@@ -117,7 +118,7 @@ void BudgetedPartitionStrategy::on_fault(const AccessContext& ctx,
   }
 
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_[ctx.page] = j;
+  owner_.set(ctx.page, j);
   ++occupancy_[j];
   ++total_occupancy_;
 }

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -59,7 +58,7 @@ class BudgetedPartitionStrategy : public CacheStrategy {
   std::vector<std::unique_ptr<EvictionPolicy>> parts_;
   Partition sizes_;
   std::vector<std::size_t> occupancy_;
-  std::unordered_map<PageId, CoreId> owner_;
+  PageOwners owner_;
   std::size_t cache_size_ = 0;
   std::size_t total_occupancy_ = 0;
   Count repartitions_ = 0;

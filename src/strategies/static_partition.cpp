@@ -28,7 +28,7 @@ void StaticPartitionStrategy::attach(const SimConfig& config,
   validate_partition(sizes_, config.cache_size, num_cores, /*min_per_core=*/1);
   parts_.clear();
   occupancy_.assign(num_cores, 0);
-  owner_.clear();
+  owner_.reset(requests);
   if (offline_fitf_) {
     MCP_REQUIRE(requests != nullptr,
                 "sP_FITF is offline: it needs the materialized request set");
@@ -53,9 +53,9 @@ void StaticPartitionStrategy::on_hit(const AccessContext& ctx) {
   maybe_advance_oracle(ctx);
   // The hit may land in another core's part for non-disjoint inputs (the
   // partition governs placement, not lookup); credit the owning part.
-  const auto it = owner_.find(ctx.page);
-  MCP_ASSERT_MSG(it != owner_.end(), "hit on a page no part owns");
-  parts_[it->second]->on_hit(ctx.page, ctx);
+  const CoreId owner = owner_[ctx.page];
+  MCP_ASSERT_MSG(owner != kInvalidCore, "hit on a page no part owns");
+  parts_[owner]->on_hit(ctx.page, ctx);
 }
 
 void StaticPartitionStrategy::on_fault(const AccessContext& ctx,
@@ -71,12 +71,12 @@ void StaticPartitionStrategy::on_fault(const AccessContext& ctx,
                 name() + ": part " + std::to_string(j) +
                     " has no evictable page (all reserved)");
     parts_[j]->on_remove(victim);
-    owner_.erase(victim);
+    owner_.clear(victim);
     --occupancy_[j];
     evictions.push_back(victim);
   }
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_[ctx.page] = j;
+  owner_.set(ctx.page, j);
   ++occupancy_[j];
 }
 

@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -43,7 +42,7 @@ class StaticPartitionStrategy final : public CacheStrategy {
   PolicyFactory factory_;
   std::vector<std::unique_ptr<EvictionPolicy>> parts_;
   std::vector<std::size_t> occupancy_;       // resident pages owned per part
-  std::unordered_map<PageId, CoreId> owner_;  // resident page -> owning part
+  PageOwners owner_;                    // resident page -> owning part
   FutureOracle oracle_;
   bool offline_fitf_ = false;
 };

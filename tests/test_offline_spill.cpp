@@ -28,6 +28,9 @@ struct SpillArenaTestAccess {
     ASSERT_NE(arena.segments_[segment].map, nullptr);
     static_cast<std::uint64_t*>(arena.segments_[segment].map)[word] = value;
   }
+  static bool resident(const SpillArena& arena, std::size_t segment) {
+    return arena.segments_.at(segment).resident;
+  }
 };
 
 namespace {
@@ -93,6 +96,70 @@ TEST(SpillArena, BudgetModeEvictsAndReloads) {
     EXPECT_EQ(block[0], v);
     EXPECT_EQ(block[3], v * v);
   }
+  arena.validate();
+}
+
+TEST(SpillArena, CleanSegmentsDropWithoutWriteBack) {
+  SpillArena arena(4, tight_budget());  // 8 blocks per 256-byte segment
+  for (std::uint64_t v = 0; v < 200; ++v) {  // 25 segments, all full
+    const std::uint64_t words[4] = {v, ~v, v << 7, v * 3};
+    arena.append(words);
+  }
+  EXPECT_GT(arena.bytes_spilled(), 0u);
+  EXPECT_LE(arena.bytes_spilled(), 24u * 256u);
+  arena.validate();
+  // Hostile re-reads fault every segment in and evict it again.  The first
+  // pass writes back the segments the appends left dirty, once each; the
+  // append segment (the 25th) never is.  Later passes evict only clean
+  // segments and write nothing.  Every block reads back intact.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint64_t v = 200; v-- > 0;) {
+      const std::uint32_t id = static_cast<std::uint32_t>(
+          pass == 1 ? (v * 37) % 200 : v);
+      const std::uint64_t* block = arena.block(id);
+      EXPECT_EQ(block[0], id);
+      EXPECT_EQ(block[1], ~std::uint64_t{id});
+      EXPECT_EQ(block[2], std::uint64_t{id} << 7);
+      EXPECT_EQ(block[3], std::uint64_t{id} * 3);
+    }
+    EXPECT_EQ(arena.bytes_spilled(), 24u * 256u) << "pass " << pass;
+    arena.validate();
+  }
+  // A new append segment makes the old one evictable: it is written back
+  // at most once more.
+  const std::uint64_t words[4] = {200, ~std::uint64_t{200}, 200 << 7, 600};
+  arena.append(words);
+  EXPECT_LE(arena.bytes_spilled(), 25u * 256u);
+  EXPECT_EQ(arena.block(200)[3], 600u);
+  EXPECT_EQ(arena.block(199)[0], 199u);
+  arena.validate();
+}
+
+TEST(SpillArena, NeverEvictsTheAppendSegment) {
+  SpillArena arena(4, tight_budget());
+  std::uint64_t next = 0;
+  for (; next < 60; ++next) {  // 7 full segments and 4 blocks of an 8th
+    const std::uint64_t words[4] = {next, 0, 0, next + 1};
+    arena.append(words);
+  }
+  const std::size_t tail = 7;
+  for (int round = 0; round < 4; ++round) {
+    // Touch two older segments per round: with two segments of budget, an
+    // LRU choice alone would evict the tail.
+    for (const std::uint32_t id : {std::uint32_t{3}, std::uint32_t{19},
+                                   std::uint32_t{35}, std::uint32_t{11}}) {
+      EXPECT_EQ(arena.block(id)[0], id);
+      EXPECT_TRUE(SpillArenaTestAccess::resident(arena, tail)) << round;
+    }
+    const std::uint64_t words[4] = {next, 0, 0, next + 1};
+    EXPECT_EQ(arena.append(words), next);
+    ++next;
+    EXPECT_TRUE(SpillArenaTestAccess::resident(arena, tail)) << round;
+  }
+  for (std::uint64_t v = 0; v < next; ++v) {
+    EXPECT_EQ(arena.block(static_cast<std::uint32_t>(v))[3], v + 1);
+  }
+  EXPECT_LE(arena.bytes_in_ram(), 512u);
   arena.validate();
 }
 

@@ -38,6 +38,7 @@
 #include "policies/mattson.hpp"
 #include "policies/policy_registry.hpp"
 #include "strategies/shared.hpp"
+#include "strategies/static_partition.hpp"
 #include "test_support.hpp"
 
 namespace mcp {
@@ -159,8 +160,8 @@ TEST(AllocSentry, GuardIsSilentOnAllocationFreeCode) {
 
 TEST(AllocSentry, SimulatorHitSteadyStateIsAllocationFree) {
   // Two cores cycling inside working sets that fit the cache together:
-  // cold faults during warm-up, pure hits afterwards.  S_LRU's hit path is
-  // a list splice — allocation-free.
+  // cold faults during warm-up, pure hits afterwards.  S_LRU's hit path
+  // relinks a node in flat arrays — allocation-free.
   RequestSet rs;
   for (CoreId j = 0; j < 2; ++j) {
     RequestSequence seq;
@@ -180,10 +181,52 @@ TEST(AllocSentry, SimulatorHitSteadyStateIsAllocationFree) {
 }
 
 namespace {
+/// Two cores, each cycling over 6 pages of its own, then over 6 pages the
+/// other core also requests: with K = 8 every policy keeps faulting.
+RequestSet faulting_workload() {
+  RequestSet rs;
+  for (CoreId j = 0; j < 2; ++j) {
+    RequestSequence seq;
+    for (PageId round = 0; round < 40; ++round) {
+      for (PageId p = 0; p < 6; ++p) {
+        seq.push_back(static_cast<PageId>(j * 6) + (p * 5 + round) % 6);
+      }
+    }
+    for (int round = 0; round < 20; ++round) {
+      for (PageId p = 0; p < 6; ++p) seq.push_back(20 + (p + j) % 6);
+    }
+    rs.add_sequence(std::move(seq));
+  }
+  return rs;
+}
+}  // namespace
+
+TEST(AllocSentry, PolicyStrategiesFaultAllocationFreeFromStepOne) {
+  // Every online policy on flat arrays sized at attach (set_capacity) and
+  // the static partition's owner table sized from the materialized set's
+  // page bound: after attach, neither the fault path (victim, remove,
+  // insert) nor the hit path allocates, so the guard arms from step 1.
+  const RequestSet rs = faulting_workload();
+  SimConfig cfg = sim_config(/*cache_size=*/8, /*tau=*/2);
+  cfg.alloc_guard_after_step = 1;
+  for (const std::string& name : online_policy_names()) {
+    SharedStrategy shared(make_policy_factory(name));
+    StaticPartitionStrategy partition({3, 5}, make_policy_factory(name));
+    for (CacheStrategy* strategy :
+         {static_cast<CacheStrategy*>(&shared),
+          static_cast<CacheStrategy*>(&partition)}) {
+      Simulator sim(cfg);
+      const RunStats stats = sim.run(rs, *strategy);
+      EXPECT_GT(stats.total_faults(), 200u) << strategy->name();
+    }
+  }
+}
+
+namespace {
 /// Minimal non-allocating test strategy: evict the smallest-id present
-/// page.  Exists because real policies (LRU's list/map nodes) allocate per
-/// insert — this keeps the *fault* path itself under guard.  It tracks the
-/// pages it admitted in a buffer sized at attach().
+/// page.  It keeps the fault path under guard without any policy, as a
+/// baseline for the policy-backed test above.  It tracks the pages it
+/// admitted in a buffer sized at attach().
 class MinPresentStrategy final : public CacheStrategy {
  public:
   void attach(const SimConfig& config, std::size_t,
@@ -510,10 +553,8 @@ struct ParkedFixture {
   RequestSet trace{std::size_t{2}};
 
   ParkedFixture() {
-    const PageId pages_a[] = {1, 2, 1, 3};
-    const PageId pages_b[] = {5, 6, 5};
-    trace.sequence(0).append(pages_a);
-    trace.sequence(1).append(pages_b);
+    trace.sequence(0) = RequestSequence{1, 2, 1, 3};
+    trace.sequence(1) = RequestSequence{5, 6, 5};
     engine.feed(trace, 8, /*closed=*/false);
     (void)engine.advance();
   }
@@ -562,10 +603,8 @@ struct InFlightFixture {
   RequestSet trace{std::size_t{2}};
 
   InFlightFixture() {
-    const PageId pages_a[] = {1, 2};
-    const PageId pages_b[] = {5};
-    trace.sequence(0).append(pages_a);
-    trace.sequence(1).append(pages_b);
+    trace.sequence(0) = RequestSequence{1, 2};
+    trace.sequence(1) = RequestSequence{5};
     engine.feed(trace, 8, /*closed=*/false);
     (void)engine.advance();
   }
