@@ -302,6 +302,60 @@ void BM_BatchSweep(benchmark::State& state) {
   state.counters["sweep_wall_s"] = wall;
 }
 
+void BM_SweepGridJobs(benchmark::State& state) {
+  // One sweep_grid-shaped grid through SweepRunner::run_jobs: Zipf and
+  // working-set traces at p = 3 and 4 (32 pages and 192 requests per core,
+  // K = 10, tau = 4), every static partition of K under LRU and FIFO plus
+  // shared LRU per trace — 484 jobs of a few microseconds each, 480 of
+  // them composed from 208 per-core runs.  At this grain the per-call
+  // costs (planning, pool dispatch, composition) rather than paging set
+  // the speed.  Arg = worker cap (1 = one runner, 0 = all runners); the
+  // perf-smoke job gates the /0 over /1 ratio of cells_per_sec, which a
+  // per-cell lock or a serial planner pulls towards 1.
+  const std::size_t max_threads = static_cast<std::size_t>(state.range(0));
+  std::vector<RequestSet> traces;
+  std::uint64_t seed = 7;
+  for (const AccessPattern pattern :
+       {AccessPattern::kZipf, AccessPattern::kWorkingSet}) {
+    for (const std::size_t p : {std::size_t{3}, std::size_t{4}}) {
+      CoreWorkload core;
+      core.pattern = pattern;
+      core.num_pages = 32;
+      core.length = 192;
+      core.working_set = 4;
+      traces.push_back(make_workload(homogeneous_spec(p, core, true, ++seed)));
+    }
+  }
+  SimConfig cfg;
+  cfg.cache_size = 10;
+  cfg.fault_penalty = 4;
+  cfg.record_fault_timeline = false;
+  std::vector<SimJob> jobs;
+  for (const RequestSet& rs : traces) {
+    for (const Partition& partition :
+         enumerate_partitions(cfg.cache_size, rs.num_cores())) {
+      for (const BatchPolicy policy : {BatchPolicy::kLru, BatchPolicy::kFifo}) {
+        jobs.push_back(
+            {cfg, &rs, BatchStrategySpec::static_partition(partition, policy)});
+      }
+    }
+    jobs.push_back({cfg, &rs, BatchStrategySpec::shared(BatchPolicy::kLru)});
+  }
+  std::size_t cells = 0;
+  double wall = 0.0;
+  for (auto _ : state) {
+    SweepRunner sweep(SweepOptions{/*master_seed=*/13, max_threads});
+    const std::vector<RunStats> stats = sweep.run_jobs(jobs);
+    benchmark::DoNotOptimize(stats.data());
+    cells += sweep.last_timing().cells;
+    wall += sweep.last_timing().wall_seconds;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
+  state.counters["cells_per_sec"] =
+      benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
+  state.counters["sweep_wall_s"] = wall;
+}
+
 void BM_McpdIngest(benchmark::State& state) {
   // End-to-end daemon ingest for one epoch-batched round: submit eight
   // pre-encoded tenant documents (open + chunks + close + fault query) and
@@ -370,6 +424,9 @@ BENCHMARK(BM_LruFaultCurve)->Arg(64);
 // the calling thread's CPU time otherwise, which overstates the rate.
 BENCHMARK(BM_PartitionSweep)->Arg(1)->Arg(2)->Arg(0)->UseRealTime();
 BENCHMARK(BM_BatchSweep)->UseRealTime();
+// Arg = SweepRunner cap: the perf-smoke --speedup gate requires /0
+// cells_per_sec >= 1.25x /1.
+BENCHMARK(BM_SweepGridJobs)->Arg(1)->Arg(0)->UseRealTime();
 // Arg = shard count: single-shard baseline vs the sharded daemon.
 BENCHMARK(BM_McpdIngest)->Arg(1)->Arg(4)->UseRealTime();
 

@@ -13,11 +13,14 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
   # --gate is given), plus the
   # within-run ratio of the run_jobs sweep (composed from per-core runs,
   # each a one-region paging pass) to strategy objects on the same
-  # partition grid (real-time benchmarks carry google-benchmark's
+  # partition grid, and of the sweep_grid-shaped run_jobs grid at all
+  # runners to one runner (real-time benchmarks carry google-benchmark's
   # /real_time suffix)
   scripts/check_perf_regression.py CURRENT.json \
       --speedup 'BM_BatchSweep/real_time:cells_per_sec' \
-                'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0
+                'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0 \
+      --speedup 'BM_SweepGridJobs/0/real_time:cells_per_sec' \
+                'BM_SweepGridJobs/1/real_time:cells_per_sec' 1.25
   # offline solver gate (BENCH_OFFLINE.json), plus the within-run ratio of
   # independent FTF solves at all SweepRunner runners vs one
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_OFFLINE.json \

@@ -18,13 +18,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <compare>
-#include <functional>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <source_location>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/bits.hpp"
@@ -48,7 +48,8 @@ constexpr std::uint64_t kReservedKey = std::uint64_t{1} << 62;
 constexpr std::uint64_t kFreeKey = std::numeric_limits<std::uint64_t>::max();
 
 /// The hook instantiation's pull cursor bound: a stream core's core_len,
-/// so core_next counts the requests pulled from the stream.
+/// so core_next counts the requests pulled from the stream.  Also the
+/// longest sequence a core reads in place (core_len is 32 bits).
 constexpr std::uint32_t kStreamCursorEnd =
     std::numeric_limits<std::uint32_t>::max();
 
@@ -104,7 +105,7 @@ class SlotView final : public CacheView {
 
 struct BatchEngine::Hooks {
   CacheStrategy& strategy;
-  RequestStream& stream;
+  RequestStream* stream;  ///< null over a materialized set (cursor reads)
   std::span<SimObserver* const> observers;
   SlotView view;
   Time guard_after = 0;  ///< SimConfig::alloc_guard_after_step
@@ -201,23 +202,48 @@ RunStats BatchEngine::run_strategy(const SimConfig& config,
                                    CacheStrategy& strategy,
                                    const RequestSet* offline_info,
                                    std::span<SimObserver* const> observers) {
-  const std::size_t p = stream.num_cores();
+  return run_hooks(config, &stream, offline_info, strategy, observers);
+}
+
+RunStats BatchEngine::run_strategy(const SimConfig& config,
+                                   const RequestSet& requests,
+                                   CacheStrategy& strategy,
+                                   std::span<SimObserver* const> observers) {
+  for (const RequestSequence& seq : requests) {
+    MCP_REQUIRE(seq.size() <= kStreamCursorEnd,
+                "request stream ran past 2^32 - 1 requests on one core");
+  }
+  return run_hooks(config, nullptr, &requests, strategy, observers);
+}
+
+RunStats BatchEngine::run_hooks(const SimConfig& config, RequestStream* stream,
+                                const RequestSet* requests,
+                                CacheStrategy& strategy,
+                                std::span<SimObserver* const> observers) {
+  const std::size_t p =
+      stream != nullptr ? stream->num_cores() : requests->num_cores();
   // One region spanning the cache: the strategy, not the kernel, decides
   // how cells are shared.  The spec's policy goes unused.
   BatchEngine engine(config, p, BatchStrategySpec::shared(BatchPolicy::kLru));
-  strategy.attach(config, p, offline_info);
+  strategy.attach(config, p, requests);
   BatchState& st = engine.state_;
   st.closed = true;
-  st.core_len.assign(p, kStreamCursorEnd);
-  if (offline_info != nullptr) {
+  if (stream != nullptr) st.core_len.assign(p, kStreamCursorEnd);
+  if (requests != nullptr) {
     // A materialized universe sizes the page index once; streams grow it.
-    st.page_bound = offline_info->page_bound();
+    st.page_bound = requests->page_bound();
     st.page_slot.assign(st.page_bound, kNoBatchSlot);
-    if (config.record_fault_timeline) {
-      // Worst case every request faults; one reserve beats per-fault growth.
-      for (CoreId j = 0; j < p; ++j) {
-        engine.stats_.core(j).fault_times.reserve(
-            offline_info->sequence(j).size());
+    for (CoreId j = 0; j < p; ++j) {
+      const RequestSequence& seq = requests->sequence(j);
+      if (stream == nullptr) {
+        // The cores read their sequences in place, as in the stamp kernels.
+        st.core_seq[j] = seq.pages().data();
+        st.core_len[j] = static_cast<std::uint32_t>(seq.size());
+      }
+      if (config.record_fault_timeline) {
+        // Worst case every request faults; one reserve beats per-fault
+        // growth.
+        engine.stats_.core(j).fault_times.reserve(seq.size());
       }
     }
   }
@@ -288,6 +314,9 @@ bool BatchEngine::step_loop() {
   std::uint32_t* const region_free_top = st.region_free_top.data();
   CoreStats* const cores = &stats_.core(0);
   Hooks* const hooks = hooks_;  // non-null exactly in the hook instantiation
+  // Only the hook instantiation pulls from a stream, and only when it does
+  // not run over a materialized set; every other core reads core_seq.
+  RequestStream* const stream = kHooks ? hooks->stream : nullptr;
 
   const Time tau = st.tau;
   // The clock and stamp counter live in registers across the loop (every
@@ -306,8 +335,19 @@ bool BatchEngine::step_loop() {
         static_cast<std::uint32_t>(slot);
     --region_occ[region];
   };
+  // Core j served its last request.
+  const auto finish_core = [&](std::uint32_t j, std::uint8_t flags) {
+    core_flags[j] = static_cast<std::uint8_t>(flags | kBatchCoreDone);
+    cores[j].completion_time = core_finish[j];
+    --st.active_cores;
+    if constexpr (kHooks) {
+      hooks->strategy.on_core_done(j, now);
+      hooks->notify(
+          [&](SimObserver& obs) { obs.on_core_done(j, core_finish[j]); });
+    }
+  };
   // Hook instantiation: the AccessContext of core j's request for `page`
-  // (core_next counts the requests pulled from the stream).
+  // (core_next counts the requests the core has read or pulled).
   const auto context = [&](std::uint32_t j, PageId page) {
     return AccessContext{j, page, now, std::size_t{core_next[j]} - 1};
   };
@@ -428,15 +468,30 @@ bool BatchEngine::step_loop() {
       PageId page;
       if ((flags & kBatchCorePending) != 0) {
         page = core_pending[j];
+      } else if (stream == nullptr) {
+        if (core_next[j] >= core_len[j]) {
+          if (!st.closed) {
+            // The feed may still grow, so the job parks mid-step before
+            // core j — a later same-step core must never be served ahead of
+            // an earlier one.  This branch lives on the already-cold
+            // cursor-exhausted path, so the hot loop is untouched while the
+            // job has buffered requests.  (The hook instantiation's feed is
+            // always closed.)
+            st.in_step = true;
+            st.resume_core = j;
+            st.next_time_partial = next_time;
+            st.now = now;
+            st.stamp = stamp;
+            return false;
+          }
+          finish_core(j, flags);
+          continue;
+        }
+        page = core_seq[j][core_next[j]++];
       } else if constexpr (kHooks) {
-        const std::optional<PageId> next = hooks->stream.next(j);
+        const std::optional<PageId> next = stream->next(j);
         if (!next.has_value()) {
-          core_flags[j] = static_cast<std::uint8_t>(flags | kBatchCoreDone);
-          cores[j].completion_time = core_finish[j];
-          --st.active_cores;
-          hooks->strategy.on_core_done(j, now);
-          hooks->notify(
-              [&](SimObserver& obs) { obs.on_core_done(j, core_finish[j]); });
+          finish_core(j, flags);
           continue;
         }
         page = *next;
@@ -457,27 +512,6 @@ bool BatchEngine::step_loop() {
           page_slot = st.page_slot.data();
           hooks->view.grow(grown);
         }
-      } else {
-        if (core_next[j] >= core_len[j]) {
-          if (!st.closed) {
-            // The feed may still grow, so the job parks mid-step before
-            // core j — a later same-step core must never be served ahead of
-            // an earlier one.  This branch lives on the already-cold
-            // cursor-exhausted path, so the hot loop is untouched while the
-            // job has buffered requests.
-            st.in_step = true;
-            st.resume_core = j;
-            st.next_time_partial = next_time;
-            st.now = now;
-            st.stamp = stamp;
-            return false;
-          }
-          core_flags[j] = static_cast<std::uint8_t>(flags | kBatchCoreDone);
-          cores[j].completion_time = core_finish[j];
-          --st.active_cores;
-          continue;
-        }
-        page = core_seq[j][core_next[j]++];
       }
       if constexpr (kHooks) {
         // Model extension (experiment E18): a deferred request stays
@@ -831,6 +865,9 @@ void BatchEngine::validate() const {
 // end_time their latest done step.  Everything else — shared jobs,
 // non-disjoint traces, traces whose jobs share no run, malformed jobs —
 // runs BatchEngine::run as one job.
+//
+// Planning is linear in jobs x cores: jobs are grouped by trace and runs
+// deduplicated through a hash index on packed keys, with no sort.
 
 namespace {
 
@@ -839,21 +876,66 @@ namespace {
 /// a fault timeline's one word per request: such jobs stay on the kernel.
 constexpr Time kMaxComposedTau = 63;
 
-/// What a core's trajectory alone depends on, besides its sequence.
-struct PartRunKey {
-  CoreId core = 0;
-  std::size_t cells = 0;
-  BatchPolicy policy = BatchPolicy::kLru;
-  Time tau = 0;
+/// Composed jobs' shape limits, so a run key packs into 64 bits: tau in
+/// bits 58-63, the policy in bit 57, the core in bits 32-56 and the part
+/// size in bits 0-31.  (The kernel keeps cache sizes in 32 bits anyway.)
+constexpr std::size_t kMaxComposedCores = std::size_t{1} << 25;
+constexpr std::size_t kMaxComposedCells =
+    std::numeric_limits<std::uint32_t>::max();
 
-  auto operator<=>(const PartRunKey&) const = default;
+/// What a core's trajectory alone depends on, besides its sequence, packed
+/// as above.  Never 0: a composed job's parts hold at least one cell.
+std::uint64_t run_key(CoreId core, std::size_t cells, BatchPolicy policy,
+                      Time tau) {
+  return tau << 58 |
+         std::uint64_t{policy == BatchPolicy::kFifo ? 1U : 0U} << 57 |
+         std::uint64_t{core} << 32 | cells;
+}
+
+/// Open-addressing map from nonzero u64 keys to dense ids (linear probing,
+/// Fibonacci hashing, load <= 1/2): the planner's only lookup structure.
+class KeyIndex {
+ public:
+  /// Empties the index and sizes it for up to `keys` distinct keys.
+  void reset(std::size_t keys) {
+    std::size_t slots = 4;
+    shift_ = 62;
+    while (slots < 2 * keys) {
+      slots *= 2;
+      --shift_;
+    }
+    keys_.assign(slots, 0);
+    ids_.resize(slots);
+  }
+
+  /// The id of `key`, which is `fresh` if the key is new.
+  std::size_t id(std::uint64_t key, std::size_t fresh) {
+    const std::size_t mask = keys_.size() - 1;
+    for (std::size_t s = (key * 0x9E3779B97F4A7C15ULL) >> shift_;;
+         s = (s + 1) & mask) {
+      if (keys_[s] == key) return ids_[s];
+      if (keys_[s] == 0) {
+        keys_[s] = key;
+        ids_[s] = static_cast<std::uint32_t>(fresh);
+        return fresh;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> ids_;
+  unsigned shift_ = 62;
 };
 
 /// One distinct per-core run and what composing a job needs of it.
 struct PartRun {
   const RequestSequence* sequence = nullptr;  ///< R_j, borrowed from the job
+  CoreId core = 0;        ///< j
   PageId page_bound = 0;  ///< exceeds every page id of R_j
-  PartRunKey key;
+  std::size_t cells = 0;
+  BatchPolicy policy = BatchPolicy::kLru;
+  Time tau = 0;
   bool keep_timeline = false;  ///< some job using the run records it
   CoreStats stats{};
   Time done = 0;  ///< step at which the core finishes
@@ -875,14 +957,17 @@ struct CompositionPlan {
 
 /// A static-partition job that passes BatchEngine's shape checks (a
 /// malformed one stays on the kernel, which reports it) at a fault penalty
-/// the acting-step bitsets can afford.
+/// the acting-step bitsets can afford and a shape run keys can pack.
 bool composable(const SimJob& job) {
   if (job.strategy.kind != BatchStrategySpec::Kind::kStaticPartition ||
-      job.requests == nullptr || job.config.fault_penalty > kMaxComposedTau) {
+      job.requests == nullptr || job.config.fault_penalty > kMaxComposedTau ||
+      job.config.cache_size > kMaxComposedCells) {
     return false;
   }
   const std::size_t p = job.requests->num_cores();
-  if (p == 0 || job.strategy.partition.size() != p) return false;
+  if (p == 0 || p >= kMaxComposedCores || job.strategy.partition.size() != p) {
+    return false;
+  }
   std::size_t sum = 0;
   for (const std::size_t part : job.strategy.partition) {
     if (part == 0) return false;
@@ -916,66 +1001,68 @@ bool disjoint(const RequestSet& trace, std::vector<CoreId>& owner,
 /// and the trace is disjoint.
 CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
   CompositionPlan plan;
-  std::vector<std::size_t> candidates;
+  KeyIndex index;
+
+  // Composable jobs grouped by trace address: groups in first-appearance
+  // order, each group's jobs in job order.
+  std::vector<std::vector<std::size_t>> groups;
+  index.reset(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (composable(jobs[i])) candidates.push_back(i);
+    if (!composable(jobs[i])) continue;
+    const auto address = reinterpret_cast<std::uintptr_t>(jobs[i].requests);
+    const std::size_t g = index.id(address, groups.size());
+    if (g == groups.size()) groups.emplace_back();
+    groups[g].push_back(i);
   }
-  // Group by trace, each trace's jobs in job order.
-  std::sort(candidates.begin(), candidates.end(),
-            [jobs](std::size_t a, std::size_t b) {
-              const RequestSet* const ra = jobs[a].requests;
-              const RequestSet* const rb = jobs[b].requests;
-              return ra != rb ? std::less<const RequestSet*>{}(ra, rb) : a < b;
-            });
 
   std::vector<bool> is_composed(jobs.size(), false);
-  std::vector<PartRunKey> keys;
-  std::vector<PartRunKey> distinct;
+  std::vector<std::size_t> ids;  // local run id per (group job, core)
   std::vector<CoreId> owner;
   std::vector<PageId> bounds;
-  for (std::size_t begin = 0, end = 0; begin < candidates.size();
-       begin = end) {
-    const RequestSet& trace = *jobs[candidates[begin]].requests;
-    end = begin + 1;
-    while (end < candidates.size() && jobs[candidates[end]].requests == &trace) {
-      ++end;
-    }
-    if (end - begin < 2) continue;  // one job's cores are all distinct runs
-
+  for (const std::vector<std::size_t>& group : groups) {
+    if (group.size() < 2) continue;  // one job's cores are all distinct runs
+    const RequestSet& trace = *jobs[group.front()].requests;
     const std::size_t p = trace.num_cores();
-    keys.clear();
-    for (std::size_t c = begin; c < end; ++c) {
-      const SimJob& job = jobs[candidates[c]];
+
+    // Local run ids in first-appearance order; new runs are appended to
+    // the plan and dropped again if the trace does not decompose.
+    const std::size_t run_base = plan.runs.size();
+    index.reset(group.size() * p);
+    ids.clear();
+    for (const std::size_t i : group) {
+      const SimJob& job = jobs[i];
       for (CoreId j = 0; j < p; ++j) {
-        keys.push_back({j, job.strategy.partition[j], job.strategy.policy,
-                        job.config.fault_penalty});
+        const std::size_t cells = job.strategy.partition[j];
+        const std::size_t fresh = plan.runs.size() - run_base;
+        const std::size_t id =
+            index.id(run_key(j, cells, job.strategy.policy,
+                             job.config.fault_penalty),
+                     fresh);
+        if (id == fresh) {
+          plan.runs.push_back({.sequence = &trace[j],
+                               .core = j,
+                               .cells = cells,
+                               .policy = job.strategy.policy,
+                               .tau = job.config.fault_penalty});
+        }
+        ids.push_back(id);
       }
     }
-    distinct = keys;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    if (distinct.size() == keys.size() || !disjoint(trace, owner, bounds)) {
+    if (plan.runs.size() - run_base == ids.size() ||
+        !disjoint(trace, owner, bounds)) {
+      plan.runs.resize(run_base);
       continue;
     }
 
-    const std::size_t run_base = plan.runs.size();
-    for (const PartRunKey& key : distinct) {
-      plan.runs.push_back({.sequence = &trace[key.core],
-                           .page_bound = bounds[key.core],
-                           .key = key});
+    for (std::size_t r = run_base; r < plan.runs.size(); ++r) {
+      plan.runs[r].page_bound = bounds[plan.runs[r].core];
     }
-    for (std::size_t c = begin; c < end; ++c) {
-      const std::size_t i = candidates[c];
+    for (std::size_t c = 0; c < group.size(); ++c) {
+      const std::size_t i = group[c];
       is_composed[i] = true;
       plan.composed.push_back({i, plan.core_runs.size()});
       for (std::size_t j = 0; j < p; ++j) {
-        const PartRunKey& key = keys[(c - begin) * p + j];
-        const std::size_t id =
-            run_base + static_cast<std::size_t>(
-                           std::lower_bound(distinct.begin(), distinct.end(),
-                                            key) -
-                           distinct.begin());
+        const std::size_t id = run_base + ids[c * p + j];
         plan.runs[id].keep_timeline |= jobs[i].config.record_fault_timeline;
         plan.core_runs.push_back(id);
       }
@@ -991,27 +1078,33 @@ CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
 /// pass over R_j reproduces the stamp kernel's one-region trajectory.  Each
 /// cell carries the stamp the kernel would give it — the request index at
 /// insertion, refreshed by a hit under LRU only — and a fault in a full
-/// region evicts the minimum stamp (stamps are unique).  Alone, the core
-/// issues its next request one step after a hit and tau + 1 steps after a
-/// fault, and finishes one such gap after its last request; those issue
-/// steps and the done step are the steps at which it acts.
+/// region evicts the minimum stamp (stamps are unique).  Under FIFO that
+/// minimum cycles: cells fill in index order and no hit refreshes them, so
+/// the oldest insertion is always the cell after the last victim, and a
+/// ring cursor replaces the scan.  Alone, the core issues its next request
+/// one step after a hit and tau + 1 steps after a fault, and finishes one
+/// such gap after its last request; those issue steps and the done step
+/// are the steps at which it acts.
 void simulate_part(PartRun& run) {
   constexpr std::uint32_t kNoCell = std::numeric_limits<std::uint32_t>::max();
   const std::span<const PageId> sequence = run.sequence->pages();
-  const std::size_t cells = run.key.cells;
-  const bool lru = run.key.policy == BatchPolicy::kLru;
-  const Time fault_gap = run.key.tau + 1;
+  const std::size_t cells = run.cells;
+  const bool lru = run.policy == BatchPolicy::kLru;
+  const Time fault_gap = run.tau + 1;
   std::vector<std::uint32_t> cell_of(run.page_bound, kNoCell);
   std::vector<PageId> cell_page(cells, kInvalidPage);
-  std::vector<std::uint64_t> stamp(cells, 0);
+  std::vector<std::uint64_t> stamp(lru ? cells : 0, 0);
   std::size_t used = 0;
+  std::size_t ring = 0;  // FIFO: the next victim once the cells are full
 
-  CoreStats& stats = run.stats;
-  const auto mark = [&run](Time t) {
-    const std::size_t word = static_cast<std::size_t>(t / 64);
-    if (word >= run.acting.size()) run.acting.resize(word + 1, 0);
-    run.acting[word] |= std::uint64_t{1} << (t % 64);
+  // The done step is at most n (tau + 1), so one allocation covers every
+  // acting step; the words past the done step are trimmed at the end.
+  run.acting.assign(sequence.size() * fault_gap / 64 + 1, 0);
+  std::uint64_t* const acting = run.acting.data();
+  const auto mark = [acting](Time t) {
+    acting[t / 64] |= std::uint64_t{1} << (t % 64);
   };
+  CoreStats& stats = run.stats;
   Time t = 0;
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     const PageId page = sequence[i];
@@ -1028,16 +1121,22 @@ void simulate_part(PartRun& run) {
     if (used < cells) {
       cell = static_cast<std::uint32_t>(used++);
     } else {
-      cell = static_cast<std::uint32_t>(
-          std::min_element(stamp.begin(), stamp.end()) - stamp.begin());
+      if (lru) {
+        cell = static_cast<std::uint32_t>(
+            std::min_element(stamp.begin(), stamp.end()) - stamp.begin());
+      } else {
+        cell = static_cast<std::uint32_t>(ring);
+        ring = ring + 1 == cells ? 0 : ring + 1;
+      }
       cell_of[cell_page[cell]] = kNoCell;
     }
     cell_page[cell] = page;
     cell_of[page] = cell;
-    stamp[cell] = i;
+    if (lru) stamp[cell] = i;
     t += fault_gap;
   }
   mark(t);
+  run.acting.resize(static_cast<std::size_t>(t / 64) + 1);
   stats.requests = sequence.size();
   stats.completion_time = t == 0 ? 0 : t - 1;
   run.done = t;

@@ -15,9 +15,12 @@
 //    (batch_engine.cpp; BM_BatchSweep against BM_PartitionSweep, E13
 //    `batch_sweep` series);
 //  * the hook instantiation takes every decision from a CacheStrategy
-//    object, pulls requests from a RequestStream and fires the SimObserver
-//    callbacks.  Simulator::run, run_stream and simulate are thin wrappers
-//    over it (run_strategy below).
+//    object and fires the SimObserver callbacks.  Over a materialized
+//    RequestSet its cores read their sequences through the same cursors as
+//    the stamp kernels; only a RequestStream (adaptive adversaries) is
+//    pulled through the virtual RequestStream::next.  Simulator::run,
+//    run_stream and simulate are thin wrappers over it (run_strategy
+//    below).
 // A stamp kernel is bit-equal to the hook instantiation driving the
 // corresponding strategy object — same RunStats field for field, including
 // fault timelines, end_time and sim_steps (tests/core/
@@ -80,11 +83,22 @@ class BatchEngine {
   /// and pre-sizes the page index and fault timelines.  Throws ModelError
   /// when the strategy breaks the model's contract (an eviction of an
   /// absent, reserved, incoming or duplicate page, or no free cell for a
-  /// fault), on SimConfig::max_steps, and on a 2^20-step deferral livelock.
+  /// fault), on SimConfig::max_steps, on a 2^20-step deferral livelock, and
+  /// when one core pulls more than 2^32 - 1 requests.
   [[nodiscard]] static RunStats run_strategy(
       const SimConfig& config, RequestStream& stream, CacheStrategy& strategy,
       const RequestSet* offline_info,
       std::span<SimObserver* const> observers);
+
+  /// The hook instantiation over a materialized set (what Simulator::run
+  /// does): the same run as the stream overload with a FixedStream over
+  /// `requests` and offline_info = &requests, but the cores read their
+  /// sequences in place through the stamp kernels' cursors instead of one
+  /// virtual pull per request.  A sequence longer than 2^32 - 1 requests
+  /// throws ModelError before the run starts.
+  [[nodiscard]] static RunStats run_strategy(
+      const SimConfig& config, const RequestSet& requests,
+      CacheStrategy& strategy, std::span<SimObserver* const> observers);
 
   /// Points the cores at `trace`'s sequences (borrowed until the next feed;
   /// sequences may only grow between feeds).  `page_bound` must exceed
@@ -119,6 +133,13 @@ class BatchEngine {
  private:
   friend struct BatchEngineTestAccess;
   struct Hooks;  ///< Hook-instantiation state (batch_engine.cpp).
+
+  /// Both run_strategy overloads: `stream` is null when the cores read
+  /// `requests` in place.
+  static RunStats run_hooks(const SimConfig& config, RequestStream* stream,
+                            const RequestSet* requests,
+                            CacheStrategy& strategy,
+                            std::span<SimObserver* const> observers);
 
   /// The step loop.  kHooks selects the hook instantiation (decisions from
   /// hooks_->strategy); otherwise it is a stamp kernel specialized on

@@ -15,8 +15,9 @@ void Simulator::add_observer(SimObserver* observer) {
 }
 
 RunStats Simulator::run(const RequestSet& requests, CacheStrategy& strategy) {
-  FixedStream stream(requests);
-  return run_stream(stream, strategy, &requests);
+  // A FixedStream has no observer of its own, so the run fires exactly the
+  // registered observers.
+  return BatchEngine::run_strategy(config_, requests, strategy, observers_);
 }
 
 RunStats Simulator::run_stream(RequestStream& stream, CacheStrategy& strategy,

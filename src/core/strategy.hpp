@@ -58,6 +58,14 @@ class CacheView {
   [[nodiscard]] bool contains(PageId page) const noexcept {
     return page < presence_.size() && presence_[page] != 0;
   }
+  /// One past the largest page id the presence table covers.  The engine
+  /// covers a materialized request set's whole universe from the first
+  /// step and grows the table for a streamed page before any strategy
+  /// callback sees it, so page-indexed strategy tables can size themselves
+  /// from it instead of rescanning the requests.
+  [[nodiscard]] std::size_t page_bound() const noexcept {
+    return presence_.size();
+  }
   /// Cells in use: present pages plus cells reserved by in-flight fetches.
   [[nodiscard]] virtual std::size_t occupied() const = 0;
   /// K, the number of cells.

@@ -76,7 +76,8 @@ class SweepRunner {
 
   /// Evaluates fn(cell_index, rng) for every cell in [0, cells) on the
   /// shared pool and returns the results in cell order.  The result type
-  /// must be default-constructible.  Deterministic for any max_threads.
+  /// must be default-constructible.  Deterministic for any max_threads:
+  /// the pool's block claims decide only which runner evaluates a cell.
   template <typename Fn>
   auto run(std::size_t cells, Fn&& fn)
       -> std::vector<
@@ -106,10 +107,14 @@ class SweepRunner {
   /// jobs of a disjoint trace whose jobs share per-core runs — the same
   /// (core, part size, policy, tau) — are composed from those runs, each
   /// computed once by a one-region paging pass over the core's sequence
-  /// (R_j alone on its k_j cells is classic paging).  Results, sim_steps
-  /// and errors included, are bit-identical to running each job through
-  /// mcp::Simulator with the matching strategy object, for any worker
-  /// count.  Records last_timing() like run().  Defined in
+  /// (R_j alone on its k_j cells is classic paging).  Planning is serial
+  /// and linear in jobs x cores: jobs group by trace and runs deduplicate
+  /// through hash indexes on packed keys, with no sort.  The kernel jobs
+  /// and runs, then the compositions, are each one run_indexed call, so a
+  /// grid of cheap jobs pays the pool per claimed block (thread_pool.hpp).
+  /// Results, sim_steps and errors included, are bit-identical to running
+  /// each job through mcp::Simulator with the matching strategy object,
+  /// for any worker count.  Records last_timing() like run().  Defined in
   /// batch_engine.cpp.
   [[nodiscard]] std::vector<RunStats> run_jobs(std::span<const SimJob> jobs);
 

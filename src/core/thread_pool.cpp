@@ -1,5 +1,6 @@
 #include "core/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -82,56 +83,75 @@ void ThreadPool::run_indexed(std::size_t count,
                              std::size_t max_workers) {
   if (count == 0) return;
 
+  std::size_t limit = max_workers == 0 ? num_workers() + 1 : max_workers;
+  // The caller is one runner; at most num_workers() helpers are useful.
+  const std::size_t helpers =
+      std::min({count, limit, num_workers() + 1}) - 1;
+
   // Shared between the caller and the helper tasks.  Held by shared_ptr
-  // because a queued helper may only get scheduled after this call returned
-  // (it then claims an exhausted index and exits immediately).
+  // because a queued helper may only get scheduled after this call returned:
+  // it then finds every index claimed and exits without touching `fn`,
+  // which is why the caller's reference may be borrowed.
   struct Job {
-    std::function<void(std::size_t)> fn;
+    const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
+    std::size_t runners = 1;
+    std::atomic<std::size_t> next{0};      ///< first unclaimed index
+    std::atomic<std::size_t> finished{0};  ///< cells run or skipped
     std::atomic<bool> failed{false};
     Mutex mutex;
     std::condition_variable done_cv;
-    /// Cells finished or skipped.
-    std::size_t completed MCP_GUARDED_BY(mutex) = 0;
+    bool done MCP_GUARDED_BY(mutex) = false;  ///< finished == count
     /// First failure.
     std::exception_ptr error MCP_GUARDED_BY(mutex);
   };
   auto job = std::make_shared<Job>();
-  job->fn = fn;
+  job->fn = &fn;
   job->count = count;
+  job->runners = helpers + 1;
 
   const auto runner = [job] {
     for (;;) {
-      const std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job->count) return;
-      if (!job->failed.load(std::memory_order_relaxed)) {
+      // Guided claim: about remaining / (2 x runners) indices, at least one,
+      // so early blocks amortize the claim and late ones balance the tail.
+      std::size_t begin = job->next.load(std::memory_order_relaxed);
+      std::size_t end = 0;
+      do {
+        if (begin >= job->count) return;
+        end = begin + std::max<std::size_t>(
+                          1, (job->count - begin) / (2 * job->runners));
+      } while (!job->next.compare_exchange_weak(begin, end,
+                                                std::memory_order_relaxed));
+      for (std::size_t i = begin; i < end; ++i) {
+        if (job->failed.load(std::memory_order_relaxed)) break;
         try {
-          job->fn(i);
+          (*job->fn)(i);
         } catch (...) {
           LockGuard lock(job->mutex);
           if (!job->error) job->error = std::current_exception();
           job->failed.store(true, std::memory_order_relaxed);
         }
       }
-      bool all_done = false;
-      {
-        LockGuard lock(job->mutex);
-        all_done = ++job->completed == job->count;
+      // One completion add per block, skipped cells included.  Every add is
+      // a read-modify-write, so the last one acquires every earlier block's
+      // writes and hands them to the caller through the mutex.
+      const std::size_t cells = end - begin;
+      if (job->finished.fetch_add(cells, std::memory_order_acq_rel) + cells ==
+          job->count) {
+        {
+          LockGuard lock(job->mutex);
+          job->done = true;
+        }
+        job->done_cv.notify_all();
       }
-      if (all_done) job->done_cv.notify_all();
     }
   };
 
-  std::size_t limit = max_workers == 0 ? num_workers() + 1 : max_workers;
-  // The caller is one runner; at most num_workers() helpers are useful.
-  const std::size_t helpers =
-      std::min({count, limit, num_workers() + 1}) - 1;
   for (std::size_t h = 0; h < helpers; ++h) enqueue(runner);
   runner();
 
   UniqueLock lock(job->mutex);
-  while (job->completed != job->count) job->done_cv.wait(lock.native());
+  while (!job->done) job->done_cv.wait(lock.native());
   if (job->error) {
     std::exception_ptr error = std::exchange(job->error, nullptr);
     lock.unlock();

@@ -18,7 +18,12 @@
 //  * run_indexed() is the blocking data-parallel primitive: the caller
 //    participates as a runner, so it is safe to call from inside a pool
 //    task (the inline runner guarantees progress even when every worker is
-//    busy — no deadlock by construction).
+//    busy — no deadlock by construction).  Runners claim guided blocks of
+//    indices (about remaining / (2 x runners), at least one) with one CAS
+//    and count a finished block with one atomic add, so a sweep of cheap
+//    cells pays per block, not per cell; the job's mutex is taken only by
+//    a failing cell, the runner that finishes the last block, and the
+//    caller's final wait.
 //
 // Lock discipline: all mutable pool state is guarded by `mutex_` and
 // annotated MCP_GUARDED_BY (core/annotations.hpp), so the `analyze` CI
@@ -68,12 +73,15 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Blocking indexed dispatch: runs fn(i) for every i in [0, count) using
-  /// at most `max_workers` concurrent runners (0 = one per pool worker plus
-  /// the caller).  The caller thread is always one of the runners, so this
+  /// Blocking indexed dispatch: runs fn(i) once for each i in [0, count)
+  /// using at most `max_workers` concurrent runners (0 = one per pool
+  /// worker plus the caller).  Runners claim contiguous blocks of indices
+  /// and run each block in increasing order; with one runner that is plain
+  /// index order.  The caller thread is always one of the runners, so this
   /// never deadlocks even when called from inside a pool task with every
-  /// worker busy.  The first exception thrown by any fn(i) cancels the
-  /// remaining cells and is rethrown on the caller.
+  /// worker busy.  The first exception thrown by any fn(i) cancels every
+  /// cell not yet started, in any runner's block, and is rethrown on the
+  /// caller once every claimed block is done.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& fn,
                    std::size_t max_workers = 0) MCP_EXCLUDES(mutex_);

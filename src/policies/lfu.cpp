@@ -1,3 +1,5 @@
+#include <tuple>
+
 #include "core/error.hpp"
 #include "policies/policies.hpp"
 
@@ -21,23 +23,15 @@ void LfuPolicy::on_remove(PageId page) {
 
 PageId LfuPolicy::victim(const AccessContext& /*ctx*/,
                          const EvictablePredicate& evictable) {
-  PageId best = kInvalidPage;
-  Count best_uses = 0;
-  Time best_last = 0;
-  for (const Entry& entry : entries_.entries()) {
-    if (!evictable(entry.page)) continue;
-    const bool better =
-        best == kInvalidPage || entry.uses < best_uses ||
-        (entry.uses == best_uses &&
-         (entry.last_use < best_last ||
-          (entry.last_use == best_last && entry.page < best)));
-    if (better) {
-      best = entry.page;
-      best_uses = entry.uses;
-      best_last = entry.last_use;
-    }
-  }
-  return best;
+  // Fewest uses, then least recent use, then lowest page id.
+  const Entry* const best = best_evictable(
+      entries_.entries(),
+      [](const Entry& a, const Entry& b) {
+        return std::tie(a.uses, a.last_use, a.page) <
+               std::tie(b.uses, b.last_use, b.page);
+      },
+      evictable);
+  return best == nullptr ? kInvalidPage : best->page;
 }
 
 }  // namespace mcp

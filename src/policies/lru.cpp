@@ -1,3 +1,5 @@
+#include <tuple>
+
 #include "core/error.hpp"
 #include "policies/policies.hpp"
 
@@ -58,17 +60,14 @@ void LruScanPolicy::on_remove(PageId page) {
 
 PageId LruScanPolicy::victim(const AccessContext& /*ctx*/,
                              const EvictablePredicate& evictable) {
-  PageId best = kInvalidPage;
-  Time best_time = 0;
-  for (const Entry& entry : entries_.entries()) {
-    if (!evictable(entry.page)) continue;
-    if (best == kInvalidPage || entry.last_use < best_time ||
-        (entry.last_use == best_time && entry.page < best)) {
-      best = entry.page;
-      best_time = entry.last_use;
-    }
-  }
-  return best;
+  // Least recent use, then lowest page id.
+  const Entry* const best = best_evictable(
+      entries_.entries(),
+      [](const Entry& a, const Entry& b) {
+        return std::tie(a.last_use, a.page) < std::tie(b.last_use, b.page);
+      },
+      evictable);
+  return best == nullptr ? kInvalidPage : best->page;
 }
 
 }  // namespace mcp

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
@@ -66,29 +67,16 @@ PageId MarkingPolicy::victim(const AccessContext& /*ctx*/,
   }
   // Evict the least recently used *unmarked* evictable page; fall back to a
   // marked page only if no unmarked page is evictable (reserved cells can
-  // force this), preferring the least recently used again.
-  PageId best_unmarked = kInvalidPage;
-  Time best_unmarked_time = kTimeNever;
-  PageId best_marked = kInvalidPage;
-  Time best_marked_time = kTimeNever;
-  for (const Entry& entry : entries_.entries()) {
-    if (!evictable(entry.page)) continue;
-    const PageId page = entry.page;
-    if (!entry.marked) {
-      if (best_unmarked == kInvalidPage || entry.last_use < best_unmarked_time ||
-          (entry.last_use == best_unmarked_time && page < best_unmarked)) {
-        best_unmarked = page;
-        best_unmarked_time = entry.last_use;
-      }
-    } else {
-      if (best_marked == kInvalidPage || entry.last_use < best_marked_time ||
-          (entry.last_use == best_marked_time && page < best_marked)) {
-        best_marked = page;
-        best_marked_time = entry.last_use;
-      }
-    }
-  }
-  return best_unmarked != kInvalidPage ? best_unmarked : best_marked;
+  // force this), preferring the least recently used again.  Ties in time
+  // break by page id.
+  const Entry* const best = best_evictable(
+      entries_.entries(),
+      [](const Entry& a, const Entry& b) {
+        return std::tie(a.marked, a.last_use, a.page) <
+               std::tie(b.marked, b.last_use, b.page);
+      },
+      evictable);
+  return best == nullptr ? kInvalidPage : best->page;
 }
 
 }  // namespace mcp

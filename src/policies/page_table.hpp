@@ -12,7 +12,8 @@
 //    ids recycled through a free list;
 //  * PageArray<T> — a dense array with swap-with-last removal (the scan
 //    policies LFU, LRU-SCAN, Marking and Random), so a scan reads exactly
-//    the tracked entries.
+//    the tracked entries; best_evictable() is the ranked scan LFU, LRU-SCAN
+//    and Marking's LRU tie-break pick their victims with.
 //
 // Storage is allocated by reserve() (EvictionPolicy::set_capacity calls it
 // at attach and on every resize) and grows by doubling only when an insert
@@ -320,5 +321,30 @@ class PageArray {
   PageIndex index_;
   std::vector<T> entries_;
 };
+
+/// The victim of a ranked scan: the first entry under the strict total
+/// order `before` among the entries whose page `evictable` accepts, or
+/// nullptr if none does.  The entries are ranked without the predicate and
+/// the predicate is asked about the winner alone — one indirect call per
+/// victim, not one per entry.  Only when that page is reserved (its fetch
+/// still in flight) does a second scan rank the evictable entries.  The
+/// result is the same either way: the overall winner, when evictable, also
+/// wins among the evictable entries.
+template <typename T, typename Before, typename Evictable>
+[[nodiscard]] T* best_evictable(std::span<T> entries, Before before,
+                                const Evictable& evictable) {
+  T* best = nullptr;
+  for (T& entry : entries) {
+    if (best == nullptr || before(entry, *best)) best = &entry;
+  }
+  if (best == nullptr || evictable(best->page)) return best;
+  best = nullptr;
+  for (T& entry : entries) {
+    if (evictable(entry.page) && (best == nullptr || before(entry, *best))) {
+      best = &entry;
+    }
+  }
+  return best;
+}
 
 }  // namespace mcp

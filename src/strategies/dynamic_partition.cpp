@@ -12,7 +12,7 @@ namespace mcp {
 
 void Lemma3DynamicPartition::attach(const SimConfig& config,
                                     std::size_t num_cores,
-                                    const RequestSet* requests) {
+                                    const RequestSet* /*requests*/) {
   cache_size_ = config.cache_size;
   sizes_ = even_partition(cache_size_, num_cores);
   parts_.clear();
@@ -22,7 +22,7 @@ void Lemma3DynamicPartition::attach(const SimConfig& config,
     parts_.back()->set_capacity(cache_size_);
   }
   occupancy_.assign(num_cores, 0);
-  owner_.reset(requests);
+  owner_.reset();
   total_occupancy_ = 0;
   changes_ = 0;
 }
@@ -90,7 +90,7 @@ void Lemma3DynamicPartition::on_fault(const AccessContext& ctx,
   }
 
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_.set(ctx.page, j);
+  owner_.set(ctx.page, j, cache);
   ++occupancy_[j];
   ++total_occupancy_;
 }

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/request.hpp"
+#include "core/strategy.hpp"
 #include "core/types.hpp"
 
 namespace mcp {
@@ -45,24 +45,24 @@ void validate_partition(const Partition& sizes, std::size_t cache_size,
 
 /// Which part holds each resident page: the page-indexed owner table of a
 /// partitioned strategy.  One table per strategy (its parts' policies keep
-/// storage sized by their cells), sized from the request set's page bound
-/// at attach, so a materialized run never grows it, and grown by doubling
-/// when a streamed page lies past its end.
+/// storage sized by their cells).  The first page it records sizes it to
+/// the engine's page bound (CacheView::page_bound), so a run over a
+/// materialized set sizes it once, in its first step, without a second
+/// pass over the requests; a streamed page past its end grows it by
+/// doubling.
 class PageOwners {
  public:
-  /// Forgets every owner; `requests`, if non-null, sizes the table.
-  void reset(const RequestSet* requests) {
-    owner_.assign(requests != nullptr ? requests->page_bound() : 0,
-                  kInvalidCore);
-  }
+  /// Forgets every owner.
+  void reset() noexcept { owner_.clear(); }
   /// The part holding `page`, or kInvalidCore.
   [[nodiscard]] CoreId operator[](PageId page) const noexcept {
     return page < owner_.size() ? owner_[page] : kInvalidCore;
   }
-  void set(PageId page, CoreId part) {
+  /// `part` now holds `page`; `cache` is the view of the run.
+  void set(PageId page, CoreId part, const CacheView& cache) {
     if (page >= owner_.size()) {
-      owner_.resize(std::max<std::size_t>(std::size_t{page} + 1,
-                                          2 * owner_.size()),
+      owner_.resize(std::max({std::size_t{page} + 1, 2 * owner_.size(),
+                              cache.page_bound()}),
                     kInvalidCore);
     }
     owner_[page] = part;

@@ -18,7 +18,7 @@ Partition BudgetedPartitionStrategy::initial_sizes() const {
 
 void BudgetedPartitionStrategy::attach(const SimConfig& config,
                                        std::size_t num_cores,
-                                       const RequestSet* requests) {
+                                       const RequestSet* /*requests*/) {
   cache_size_ = config.cache_size;
   parts_.clear();
   for (std::size_t j = 0; j < num_cores; ++j) {
@@ -26,7 +26,7 @@ void BudgetedPartitionStrategy::attach(const SimConfig& config,
     parts_.back()->reset();
   }
   occupancy_.assign(num_cores, 0);
-  owner_.reset(requests);
+  owner_.reset();
   total_occupancy_ = 0;
   repartitions_ = 0;
   sizes_ = initial_sizes();
@@ -118,7 +118,7 @@ void BudgetedPartitionStrategy::on_fault(const AccessContext& ctx,
   }
 
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_.set(ctx.page, j);
+  owner_.set(ctx.page, j, cache);
   ++occupancy_[j];
   ++total_occupancy_;
 }

@@ -28,7 +28,7 @@ void StaticPartitionStrategy::attach(const SimConfig& config,
   validate_partition(sizes_, config.cache_size, num_cores, /*min_per_core=*/1);
   parts_.clear();
   occupancy_.assign(num_cores, 0);
-  owner_.reset(requests);
+  owner_.reset();
   if (offline_fitf_) {
     MCP_REQUIRE(requests != nullptr,
                 "sP_FITF is offline: it needs the materialized request set");
@@ -76,7 +76,7 @@ void StaticPartitionStrategy::on_fault(const AccessContext& ctx,
     evictions.push_back(victim);
   }
   parts_[j]->on_insert(ctx.page, ctx);
-  owner_.set(ctx.page, j);
+  owner_.set(ctx.page, j, cache);
   ++occupancy_[j];
 }
 

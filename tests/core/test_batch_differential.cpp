@@ -520,6 +520,45 @@ TEST(BatchDifferential, ComposedStaticPartitionsMatchOracle) {
   }
 }
 
+TEST(BatchDifferential, ComposedRunsKeyOnTauAndPolicy) {
+  // One call over one disjoint trace: every partition under both policies
+  // at two fault penalties, so each (core, cells, policy) run appears under
+  // both taus and each (core, cells, tau) under both policies, and one job
+  // records its fault timeline.  A planner that merged runs across tau or
+  // policy would hand a job another run's trajectory.
+  Rng rng(0x7A0);
+  const RequestSet rs = disjoint_trace(rng, {70, 55, 90}, 6);
+  const std::size_t K = 7;
+  std::vector<SimJob> jobs;
+  std::vector<RunStats> expected;
+  std::vector<std::string> labels;
+  for (const Time tau : {Time{1}, Time{6}}) {
+    for (const std::string policy : {"lru", "fifo"}) {
+      for (const Partition& partition : enumerate_partitions(K, 3)) {
+        SimConfig config = testing::sim_config(K, tau);
+        config.record_fault_timeline = jobs.empty();
+        jobs.push_back({config, &rs,
+                        BatchStrategySpec::static_partition(
+                            partition, batch_policy(policy))});
+        expected.push_back(static_oracle(config, rs, partition, policy));
+        labels.push_back(partition_to_string(partition) + "/" + policy +
+                         "/tau=" + std::to_string(tau));
+      }
+    }
+  }
+  ASSERT_FALSE(expected.front().core(0).fault_times.empty());
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    SweepRunner sweep(SweepOptions{1, workers});
+    const std::vector<RunStats> got = sweep.run_jobs(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      expect_same_stats(got[k], expected[k],
+                        labels[k] + "/workers=" + std::to_string(workers));
+    }
+  }
+}
+
 TEST(BatchDifferential, ComposedStaticPartitionsFailLikeTheKernel) {
   Rng rng(0xFA11);
   const RequestSet rs = disjoint_trace(rng, {35, 60, 1, 48}, 6);

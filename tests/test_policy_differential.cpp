@@ -6,6 +6,8 @@
 //     interface with random non-evictable predicates, sparse and huge page
 //     ids, growth past the reserved capacity, and reset-and-reuse across
 //     runs — same victims, sizes, memberships and errors;
+//   * LFU, LRU-SCAN and MARK victims when the best-ranked page is reserved
+//     (their one-predicate-call fast path falls back to the full scan);
 //   * the same policies inside SharedStrategy, StaticPartitionStrategy and
 //     StagedPartitionStrategy runs (the strategies' page-indexed owner
 //     tables), and the flat Lemma-3 controller against the map-based one —
@@ -14,10 +16,12 @@
 //     is 2^20 - 1 allocates one page-indexed table, not one per part.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -374,6 +378,113 @@ TEST(PolicyDifferential, StrategiesOnFlatPoliciesMatchOracleRuns) {
       expect_same_stats(simulate(cfg, rs, staged),
                         simulate(cfg, rs, staged_ref), what + " staged");
     }
+  }
+}
+
+/// Forwards to `inner` and counts the victim calls that asked the
+/// predicate about more than one page: the best-ranked page was reserved
+/// and the fallback scan ran.
+class FallbackCounter final : public EvictionPolicy {
+ public:
+  FallbackCounter(std::unique_ptr<EvictionPolicy> inner, int* fallbacks)
+      : inner_(std::move(inner)), fallbacks_(fallbacks) {}
+  void reset() override { inner_->reset(); }
+  void set_capacity(std::size_t cells) override { inner_->set_capacity(cells); }
+  void on_insert(PageId page, const AccessContext& ctx) override {
+    inner_->on_insert(page, ctx);
+  }
+  void on_hit(PageId page, const AccessContext& ctx) override {
+    inner_->on_hit(page, ctx);
+  }
+  void on_remove(PageId page) override { inner_->on_remove(page); }
+  [[nodiscard]] PageId victim(const AccessContext& ctx,
+                              const EvictablePredicate& evictable) override {
+    int calls = 0;
+    const auto counted = [&](PageId page) {
+      ++calls;
+      return evictable(page);
+    };
+    const PageId victim = inner_->victim(ctx, counted);
+    if (calls > 1) ++*fallbacks_;
+    return victim;
+  }
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+  [[nodiscard]] bool contains(PageId page) const override {
+    return inner_->contains(page);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<EvictionPolicy> inner_;
+  int* fallbacks_;
+};
+
+TEST(PolicyDifferential, ReservedBestRankedPageFallsBackToTheEvictableScan) {
+  // LFU, LRU-SCAN and MARK rank their pages without the predicate and ask
+  // it about the winner alone.  Reserving exactly that page, as a fetch in
+  // flight does, must send them to the evictable scan and the oracle's
+  // victim; with every page evictable one predicate call settles it.
+  Rng rng(606);
+  for (const PolicyPair& pair : policy_pairs()) {
+    if (pair.name != "lfu" && pair.name != "lru-scan" && pair.name != "mark") {
+      continue;
+    }
+    const auto flat = pair.flat();
+    const auto ref = pair.oracle();
+    constexpr std::size_t kCells = 6;
+    flat->set_capacity(kCells);
+    ref->set_capacity(kCells);
+    std::vector<PageId> tracked;
+    int victims = 0;
+    for (Time step = 0; step < 3000; ++step) {
+      const PageId page = static_cast<PageId>(rng.below(kCells + 4));
+      const AccessContext ctx{0, page, step / 2, 0};  // ties in time
+      if (std::find(tracked.begin(), tracked.end(), page) != tracked.end()) {
+        flat->on_hit(page, ctx);
+        ref->on_hit(page, ctx);
+        continue;
+      }
+      if (tracked.size() == kCells) {
+        const std::string what = pair.name + " step=" + std::to_string(step);
+        int calls = 0;
+        const PageId best = flat->victim(ctx, [&calls](PageId) {
+          ++calls;
+          return true;
+        });
+        ASSERT_EQ(calls, 1) << what;
+        ASSERT_EQ(best, ref->victim(ctx, [](PageId) { return true; })) << what;
+        const auto in_flight = [best](PageId q) { return q != best; };
+        const PageId victim = flat->victim(ctx, in_flight);
+        ASSERT_EQ(victim, ref->victim(ctx, in_flight)) << what;
+        ASSERT_NE(victim, best) << what;
+        ASSERT_NE(victim, kInvalidPage) << what;
+        ++victims;
+        flat->on_remove(victim);
+        ref->on_remove(victim);
+        std::erase(tracked, victim);
+      }
+      flat->on_insert(page, ctx);
+      ref->on_insert(page, ctx);
+      tracked.push_back(page);
+    }
+    EXPECT_GT(victims, 500) << pair.name;
+  }
+
+  // Inside a shared LFU run the page just faulted in holds one use, so it
+  // often ranks first while its fetch is still in flight: same RunStats as
+  // the oracle policy, with the fallback taken.
+  for (const PolicyPair& pair : policy_pairs()) {
+    if (pair.name != "lfu") continue;
+    int fallbacks = 0;
+    SharedStrategy shared([&pair, &fallbacks] {
+      return std::make_unique<FallbackCounter>(pair.flat(), &fallbacks);
+    });
+    SharedStrategy shared_ref(pair.oracle);
+    const RequestSet rs = random_shared_workload(rng, 4, 12, 300);
+    const SimConfig cfg = sim_config(6, 3);
+    expect_same_stats(simulate(cfg, rs, shared), simulate(cfg, rs, shared_ref),
+                      "lfu in flight");
+    EXPECT_GT(fallbacks, 0);
   }
 }
 

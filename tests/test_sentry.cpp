@@ -203,9 +203,10 @@ RequestSet faulting_workload() {
 
 TEST(AllocSentry, PolicyStrategiesFaultAllocationFreeFromStepOne) {
   // Every online policy on flat arrays sized at attach (set_capacity) and
-  // the static partition's owner table sized from the materialized set's
-  // page bound: after attach, neither the fault path (victim, remove,
-  // insert) nor the hit path allocates, so the guard arms from step 1.
+  // the static partition's owner table sized from the engine's page bound
+  // by the first fault, which a materialized run takes in step 1: past
+  // step 1, neither the fault path (victim, remove, insert) nor the hit
+  // path allocates, so the guard arms from step 1 on.
   const RequestSet rs = faulting_workload();
   SimConfig cfg = sim_config(/*cache_size=*/8, /*tau=*/2);
   cfg.alloc_guard_after_step = 1;

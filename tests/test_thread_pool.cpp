@@ -120,6 +120,92 @@ TEST(ThreadPool, RunIndexedCoversEveryIndexOnceAtAnyWidth) {
   }
 }
 
+TEST(ThreadPool, BlockClaimsRunEveryIndexOnce) {
+  // Guided blocks shrink with the remaining count and the runner count, so
+  // sweep both: every index runs exactly once, whatever the block sizes.
+  ThreadPool pool(7);
+  std::vector<std::atomic<int>> touched(300);
+  for (std::size_t width = 1; width <= 8; ++width) {
+    for (std::size_t count = 0; count <= 300; ++count) {
+      for (std::size_t i = 0; i < count; ++i) touched[i].store(0);
+      pool.run_indexed(
+          count, [&](std::size_t i) { touched[i].fetch_add(1); }, width);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(touched[i].load(), 1)
+            << "width=" << width << " count=" << count << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ExceptionInABlockCancelsLaterCells) {
+  ThreadPool pool(4);
+  // One runner claims blocks in index order (150, 75, 37, ... cells of
+  // 300), so a throw cancels exactly the cells after it: the rest of its
+  // own block and every later block.
+  for (const std::size_t thrower : {std::size_t{0}, std::size_t{10},
+                                    std::size_t{149}, std::size_t{150},
+                                    std::size_t{200}, std::size_t{299}}) {
+    std::vector<int> ran(300, 0);
+    EXPECT_THROW(pool.run_indexed(
+                     300,
+                     [&](std::size_t i) {
+                       ++ran[i];
+                       if (i == thrower) throw std::runtime_error("cell");
+                     },
+                     1),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < ran.size(); ++i) {
+      ASSERT_EQ(ran[i], i <= thrower ? 1 : 0)
+          << "thrower=" << thrower << " i=" << i;
+    }
+  }
+  // At any width the first exception is rethrown, no cell runs twice, and
+  // the pool stays usable.
+  for (std::size_t width = 2; width <= 5; ++width) {
+    std::vector<std::atomic<int>> ran(1000);
+    EXPECT_THROW(pool.run_indexed(
+                     1000,
+                     [&](std::size_t i) {
+                       ran[i].fetch_add(1);
+                       if (i % 97 == 3) throw std::runtime_error("cell");
+                     },
+                     width),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < ran.size(); ++i) {
+      ASSERT_LE(ran[i].load(), 1) << "width=" << width << " i=" << i;
+    }
+    std::atomic<int> count{0};
+    pool.run_indexed(50, [&](std::size_t) { count.fetch_add(1); }, width);
+    EXPECT_EQ(count.load(), 50);
+  }
+}
+
+TEST(ThreadPool, NestedRunIndexedFromACellCompletes) {
+  // Outer cells occupy every runner and each starts its own dispatch over
+  // the same pool; the nested calls run inline on their callers, so every
+  // (outer, inner) pair runs exactly once at every width.
+  ThreadPool pool(3);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{0}}) {
+    constexpr std::size_t kOuter = 24;
+    constexpr std::size_t kInner = 37;
+    std::vector<std::atomic<int>> pairs(kOuter * kInner);
+    pool.run_indexed(
+        kOuter,
+        [&](std::size_t o) {
+          pool.run_indexed(
+              kInner,
+              [&](std::size_t i) { pairs[o * kInner + i].fetch_add(1); },
+              width);
+        },
+        width);
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      ASSERT_EQ(pairs[k].load(), 1) << "width=" << width << " pair=" << k;
+    }
+  }
+}
+
 TEST(ThreadPool, SingleRunnerIsInOrder) {
   ThreadPool pool(4);
   std::vector<int> order;  // no lock needed: one runner (the caller)
