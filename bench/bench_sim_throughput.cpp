@@ -7,7 +7,7 @@
 // pass --benchmark_format=json to capture the counters machine-readably).
 #include <benchmark/benchmark.h>
 
-#include "core/batch_state.hpp"
+#include "core/batch_engine.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "offline/ftf_solver.hpp"
@@ -356,6 +356,47 @@ void BM_SweepGridJobs(benchmark::State& state) {
   state.counters["sweep_wall_s"] = wall;
 }
 
+void BM_StampKernel(benchmark::State& state, bool hit_loop) {
+  // One whole job per iteration on the shared-LRU stamp kernel
+  // (BatchEngine::run): p = 4, tau = 4, 4096 requests per core.  Arg = K.
+  // The Zipf trace draws from 4096 pages per core, so most requests fault
+  // and each fault in the full cache picks a victim; in the hit loop each
+  // core cycles over 4 pages of its own, all resident at K = 16 after 16
+  // cold faults, which times the LRU hit path.  The perf-smoke --speedup
+  // gate compares requests_per_sec at K = 512 against K = 8: a victim
+  // search that grows with K pulls that ratio far below 1.
+  constexpr std::size_t kCores = 4;
+  constexpr std::size_t kRequests = 4096;
+  RequestSet rs;
+  if (hit_loop) {
+    rs = RequestSet(kCores);
+    for (CoreId j = 0; j < kCores; ++j) {
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        rs.sequence(j).push_back(static_cast<PageId>(4 * j + i % 4));
+      }
+    }
+  } else {
+    rs = zipf_workload(kCores, 4096, kRequests, 14);
+  }
+  SimJob job;
+  job.config.cache_size = static_cast<std::size_t>(state.range(0));
+  job.config.fault_penalty = 4;
+  job.config.record_fault_timeline = false;
+  job.requests = &rs;
+  job.strategy = BatchStrategySpec::shared(BatchPolicy::kLru);
+  Count faults = 0;
+  for (auto _ : state) {
+    const RunStats stats = BatchEngine::run(job);
+    benchmark::DoNotOptimize(stats.end_time);
+    faults += stats.total_faults();
+  }
+  const double requests = static_cast<double>(state.iterations()) *
+                          static_cast<double>(rs.total_requests());
+  state.counters["requests_per_sec"] =
+      benchmark::Counter(requests, benchmark::Counter::kIsRate);
+  state.counters["fault_share"] = static_cast<double>(faults) / requests;
+}
+
 void BM_McpdIngest(benchmark::State& state) {
   // End-to-end daemon ingest for one epoch-batched round: submit eight
   // pre-encoded tenant documents (open + chunks + close + fault query) and
@@ -427,6 +468,10 @@ BENCHMARK(BM_BatchSweep)->UseRealTime();
 // Arg = SweepRunner cap: the perf-smoke --speedup gate requires /0
 // cells_per_sec >= 1.25x /1.
 BENCHMARK(BM_SweepGridJobs)->Arg(1)->Arg(0)->UseRealTime();
+// Arg = K: the perf-smoke --speedup gate requires /zipf/512 requests_per_sec
+// >= 0.35x /zipf/8.
+BENCHMARK_CAPTURE(BM_StampKernel, zipf, false)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK_CAPTURE(BM_StampKernel, hit_loop, true)->Arg(16);
 // Arg = shard count: single-shard baseline vs the sharded daemon.
 BENCHMARK(BM_McpdIngest)->Arg(1)->Arg(4)->UseRealTime();
 

@@ -13,14 +13,16 @@ Gates are `BENCHMARK:COUNTER` pairs, repeatable:
   # --gate is given), plus the
   # within-run ratio of the run_jobs sweep (composed from per-core runs,
   # each a one-region paging pass) to strategy objects on the same
-  # partition grid, and of the sweep_grid-shaped run_jobs grid at all
+  # partition grid, of the sweep_grid-shaped run_jobs grid at all
   # runners to one runner (real-time benchmarks carry google-benchmark's
-  # /real_time suffix)
+  # /real_time suffix), and of a stamp-kernel job at K = 512 to K = 8
   scripts/check_perf_regression.py CURRENT.json \
       --speedup 'BM_BatchSweep/real_time:cells_per_sec' \
                 'BM_PartitionSweep/0/real_time:cells_per_sec' 3.0 \
       --speedup 'BM_SweepGridJobs/0/real_time:cells_per_sec' \
-                'BM_SweepGridJobs/1/real_time:cells_per_sec' 1.25
+                'BM_SweepGridJobs/1/real_time:cells_per_sec' 1.25 \
+      --speedup 'BM_StampKernel/zipf/512:requests_per_sec' \
+                'BM_StampKernel/zipf/8:requests_per_sec' 0.35
   # offline solver gate (BENCH_OFFLINE.json), plus the within-run ratio of
   # independent FTF solves at all SweepRunner runners vs one
   scripts/check_perf_regression.py CURRENT.json bench/baseline/BENCH_OFFLINE.json \

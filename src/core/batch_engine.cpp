@@ -5,21 +5,20 @@
 // specialized at compile time for LRU or FIFO, and the hook instantiation,
 // which takes its decisions from a CacheStrategy object.  Hook-only state
 // and work sit behind `if constexpr (kHooks)`, so the stamp kernels carry
-// none of it.  Bit-equality between a stamp kernel and the hook instantiation
-// driving the equivalent strategy object is argued in DESIGN.md §12; the
-// load-bearing piece is the stamp representation of the policies: stamps
-// are unique and monotonic per job, LRU writes them on insert and hit, FIFO
-// on insert only, so "first evictable page scanning the policy list from
-// the back" is exactly "minimum stamp among the region's present slots".
-// The scan itself reads one array: non-present slots carry tagged keys
-// (kReservedKey / kFreeKey below) that can never win the min while an
-// evictable slot exists.
+// none of it.  Bit-equality between a stamp kernel and the hook
+// instantiation driving the equivalent strategy object is argued in
+// DESIGN.md §12; the load-bearing piece is that each region's recency list
+// is the policy's list: a slot joins the newest end when its fetch starts,
+// LRU moves it there again on a hit, FIFO never does, so "first evictable
+// page scanning the policy list from the back" is exactly "first present
+// slot walking the region's list from its oldest end".
 #include "core/batch_engine.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <source_location>
 #include <span>
@@ -36,22 +35,13 @@ namespace mcp {
 
 namespace {
 
-/// Victim-scan keys, folded into slot_stamp: a present slot holds its
-/// policy stamp verbatim, a fetching slot holds stamp | kReservedKey (the
-/// tag loses every min-comparison while an evictable slot exists and the
-/// fetch landing clears it, restoring the stamp), and a free slot holds
-/// kFreeKey.  The eviction scan then reduces to an unsigned min over the
-/// region's contiguous key array — no status-byte loads, no data-dependent
-/// branches — and "no evictable page" is simply min >= kReservedKey.
-/// Stamps count serves per job, so they stay far below 2^62.
-constexpr std::uint64_t kReservedKey = std::uint64_t{1} << 62;
-constexpr std::uint64_t kFreeKey = std::numeric_limits<std::uint64_t>::max();
-
 /// The hook instantiation's pull cursor bound: a stream core's core_len,
 /// so core_next counts the requests pulled from the stream.  Also the
 /// longest sequence a core reads in place (core_len is 32 bits).
 constexpr std::uint32_t kStreamCursorEnd =
     std::numeric_limits<std::uint32_t>::max();
+constexpr const char* kCoreTooLong =
+    "more than 2^32 - 1 requests on one core";
 
 /// Deferral-only steps with nothing in flight that the hook instantiation
 /// tolerates before it calls the stall a livelock.
@@ -103,6 +93,11 @@ class SlotView final : public CacheView {
 
 }  // namespace
 
+std::uint32_t checked_core_len(std::size_t requests) {
+  MCP_REQUIRE(requests <= kStreamCursorEnd, kCoreTooLong);
+  return static_cast<std::uint32_t>(requests);
+}
+
 struct BatchEngine::Hooks {
   CacheStrategy& strategy;
   RequestStream* stream;  ///< null over a materialized set (cursor reads)
@@ -128,6 +123,12 @@ BatchEngine::BatchEngine(const SimConfig& config, std::size_t num_cores,
   MCP_REQUIRE(num_cores > 0, "request stream has no cores");
   const bool partitioned =
       strategy.kind == BatchStrategySpec::Kind::kStaticPartition;
+  const std::size_t regions = partitioned ? num_cores : 1;
+  // Slot ids and the lists' sentinel ids (K + r) are 32 bits, and
+  // kNoBatchSlot must stay free.
+  MCP_REQUIRE(cache_size + regions <= kNoBatchSlot,
+              "SimConfig.cache_size leaves no 32-bit slot ids for the "
+              "recency lists");
   if (partitioned) {
     MCP_REQUIRE(strategy.partition.size() == num_cores,
                 "static partition spec must have one part per core");
@@ -156,7 +157,6 @@ BatchEngine::BatchEngine(const SimConfig& config, std::size_t num_cores,
   st.slot_page.assign(cache_size, kInvalidPage);
   st.slot_status.assign(cache_size, BatchSlotStatus::kFree);
   st.slot_ready.assign(cache_size, 0);
-  st.slot_stamp.assign(cache_size, kFreeKey);
   st.inflight.assign(cache_size, 0);
   // The identity fill seeds every region's free-stack segment with its own
   // slot range (region slot ranges tile [0, K) in region order, so slot and
@@ -173,7 +173,10 @@ BatchEngine::BatchEngine(const SimConfig& config, std::size_t num_cores,
   st.core_pending.assign(num_cores, kInvalidPage);
   st.core_flags.assign(num_cores, 0);
 
-  const std::size_t regions = partitioned ? num_cores : 1;
+  // Every node starts linked to itself: each sentinel's list is empty.
+  st.list_prev.resize(cache_size + regions);
+  std::iota(st.list_prev.begin(), st.list_prev.end(), std::uint32_t{0});
+  st.list_next = st.list_prev;
   st.region_size.resize(regions);
   st.region_occ.assign(regions, 0);
   st.region_slot_base.resize(regions);
@@ -209,10 +212,6 @@ RunStats BatchEngine::run_strategy(const SimConfig& config,
                                    const RequestSet& requests,
                                    CacheStrategy& strategy,
                                    std::span<SimObserver* const> observers) {
-  for (const RequestSequence& seq : requests) {
-    MCP_REQUIRE(seq.size() <= kStreamCursorEnd,
-                "request stream ran past 2^32 - 1 requests on one core");
-  }
   return run_hooks(config, nullptr, &requests, strategy, observers);
 }
 
@@ -238,7 +237,7 @@ RunStats BatchEngine::run_hooks(const SimConfig& config, RequestStream* stream,
       if (stream == nullptr) {
         // The cores read their sequences in place, as in the stamp kernels.
         st.core_seq[j] = seq.pages().data();
-        st.core_len[j] = static_cast<std::uint32_t>(seq.size());
+        st.core_len[j] = checked_core_len(seq.size());
       }
       if (config.record_fault_timeline) {
         // Worst case every request faults; one reserve beats per-fault
@@ -275,7 +274,7 @@ void BatchEngine::feed(const RequestSet& trace, PageId page_bound,
     MCP_REQUIRE(seq.size() >= st.core_len[j],
                 "BatchEngine::feed: a feed may only grow");
     st.core_seq[j] = seq.pages().data();
-    st.core_len[j] = static_cast<std::uint32_t>(seq.size());
+    st.core_len[j] = checked_core_len(seq.size());
     if (st.record_timeline) {
       // Worst case one fault per request: reserve here so advance() stays
       // allocation-free.
@@ -288,7 +287,7 @@ void BatchEngine::feed(const RequestSet& trace, PageId page_bound,
 template <bool kHooks, bool kPartitioned, bool kLruTouch>
 bool BatchEngine::step_loop() {
   static_assert(!kHooks || (!kPartitioned && !kLruTouch),
-                "the hook instantiation keeps one region and no stamp touch");
+                "the hook instantiation keeps one region and no lists");
   BatchState& st = state_;
   // The arrays as raw locals: hoisting the data pointers out of the vectors
   // keeps the optimizer from reloading them after every store (byte-typed
@@ -296,9 +295,10 @@ bool BatchEngine::step_loop() {
   PageId* const slot_page = st.slot_page.data();
   BatchSlotStatus* const slot_status = st.slot_status.data();
   Time* const slot_ready = st.slot_ready.data();
-  std::uint64_t* const slot_stamp = st.slot_stamp.data();
   std::uint32_t* const free_stack = st.free_stack.data();
   std::uint32_t* const inflight = st.inflight.data();
+  std::uint32_t* const list_prev = st.list_prev.data();
+  std::uint32_t* const list_next = st.list_next.data();
   // Not const: the hook instantiation re-reads it after the index grows.
   std::uint32_t* page_slot = st.page_slot.data();
   Time* const core_ready = st.core_ready.data();
@@ -319,20 +319,33 @@ bool BatchEngine::step_loop() {
   RequestStream* const stream = kHooks ? hooks->stream : nullptr;
 
   const Time tau = st.tau;
-  // The clock and stamp counter live in registers across the loop (every
-  // serve touches both) and are written back at each exit.
+  // Region r's list sentinel is node sentinels + r.
+  const std::uint32_t sentinels = st.cache_size;
+  // The clock lives in a register across the loop (every serve reads it)
+  // and is written back at each exit.
   Time now = st.now;
-  std::uint64_t stamp = st.stamp;
 
+  // The stamp kernels' recency lists: link_newest puts `slot` at the
+  // newest end of the list `sentinel` heads; unlink takes it out.
+  const auto link_newest = [&](std::uint32_t slot, std::uint32_t sentinel) {
+    const std::uint32_t newest = list_prev[sentinel];
+    list_prev[slot] = newest;
+    list_next[slot] = sentinel;
+    list_next[newest] = slot;
+    list_prev[sentinel] = slot;
+  };
+  const auto unlink = [&](std::uint32_t slot) {
+    list_next[list_prev[slot]] = list_next[slot];
+    list_prev[list_next[slot]] = list_prev[slot];
+  };
   // Frees `slot` of `region` (whose slots start at `region_begin`).
-  const auto release_slot = [&](std::size_t slot, std::uint32_t region,
+  const auto release_slot = [&](std::uint32_t slot, std::uint32_t region,
                                 std::size_t region_begin) {
     page_slot[slot_page[slot]] = kNoBatchSlot;
     slot_page[slot] = kInvalidPage;
     slot_status[slot] = BatchSlotStatus::kFree;
-    slot_stamp[slot] = kFreeKey;
-    free_stack[region_begin + region_free_top[region]++] =
-        static_cast<std::uint32_t>(slot);
+    if constexpr (!kHooks) unlink(slot);
+    free_stack[region_begin + region_free_top[region]++] = slot;
     --region_occ[region];
   };
   // Core j served its last request.
@@ -399,7 +412,6 @@ bool BatchEngine::step_loop() {
       ++st.steps;
       if (st.max_steps != 0 && st.steps > st.max_steps) {
         st.now = now;  // keep the state consistent even on this exit
-        st.stamp = stamp;
         MCP_REQUIRE(st.steps <= st.max_steps,
                     "simulation exceeded SimConfig.max_steps");
       }
@@ -413,13 +425,13 @@ bool BatchEngine::step_loop() {
 
       // 1. Land fetches due now, before any request is served this step.  The
       //    in-flight array holds at most min(p, K) entries; backwards
-      //    swap-remove keeps it packed.  Landing order is unobservable in the
-      //    stamp kernels; the hook instantiation sorts the batch below.
+      //    swap-remove keeps it packed.  A landing slot keeps its place on
+      //    its region's list.  Landing order is unobservable in the stamp
+      //    kernels; the hook instantiation sorts the batch below.
       for (std::uint32_t i = st.fetching; i-- > 0;) {
         const std::uint32_t slot = inflight[i];
         if (slot_ready[slot] <= now) {
           slot_status[slot] = BatchSlotStatus::kPresent;
-          slot_stamp[slot] &= ~kReservedKey;  // evictable again, stamp intact
           inflight[i] = inflight[--st.fetching];
           if constexpr (kHooks) {
             hooks->landed.push_back(slot_page[slot]);
@@ -481,7 +493,6 @@ bool BatchEngine::step_loop() {
             st.resume_core = j;
             st.next_time_partial = next_time;
             st.now = now;
-            st.stamp = stamp;
             return false;
           }
           finish_core(j, flags);
@@ -495,8 +506,7 @@ bool BatchEngine::step_loop() {
           continue;
         }
         page = *next;
-        MCP_REQUIRE(core_next[j] < core_len[j],
-                    "request stream ran past 2^32 - 1 requests on one core");
+        MCP_REQUIRE(core_next[j] < core_len[j], kCoreTooLong);
         ++core_next[j];
         if (page >= st.page_bound) {
           // Declared growth: a stream's universe is unknown up front, so
@@ -533,10 +543,28 @@ bool BatchEngine::step_loop() {
 
       if (slot_of_page != kNoBatchSlot &&
           slot_status[slot_of_page] == BatchSlotStatus::kPresent) {
-        // Hit: served within the step; LRU freshens the slot's stamp.
+        // Hit: served within the step; LRU makes the slot its region's
+        // newest.  The region is core j's own except on a static partition's
+        // cross-region hit (a non-disjoint trace), where the slot moves
+        // within the list of the region holding it.
         ++core_stats.hits;
         ++core_stats.requests;
-        if constexpr (kLruTouch) slot_stamp[slot_of_page] = ++stamp;
+        if constexpr (kLruTouch) {
+          const std::uint32_t slot = slot_of_page;
+          std::uint32_t sentinel = sentinels;
+          if constexpr (kPartitioned) {
+            sentinel +=
+                slot - region_slot_base[j] < region_size[j]
+                    ? j
+                    : static_cast<std::uint32_t>(
+                          std::upper_bound(region_slot_base,
+                                           region_slot_base + st.num_cores,
+                                           slot) -
+                          region_slot_base - 1);
+          }
+          unlink(slot);
+          link_newest(slot, sentinel);
+        }
         if constexpr (kHooks) {
           const AccessContext ctx = context(j, page);
           hooks->strategy.on_hit(ctx);
@@ -605,26 +633,21 @@ bool BatchEngine::step_loop() {
         MCP_REQUIRE(region_occ[0] < region_size[0],
                     "strategy left no free cell for a faulting request");
       } else if (region_occ[region] == region_size[region]) {
-        // Victim: minimum stamp among the region's present slots (fetching
-        // slots carry kReservedKey-tagged keys and free ones kFreeKey, so the
-        // min pass needs no status checks and no data-dependent branches —
-        // it compiles to a straight-line reduction the hardware can overlap).
-        // A second short pass recovers the slot: stamps are unique and the
-        // tagged keys can never equal an untagged minimum.  The scan covers
-        // only the region's own slot range — K/p slots, not K.
-        const std::size_t end = region_begin + region_size[region];
-        std::uint64_t oldest = kFreeKey;
-        for (std::size_t s = region_begin; s < end; ++s) {
-          oldest = std::min(oldest, slot_stamp[s]);
+        // Victim: the oldest present slot on the region's list.  The full
+        // region's list holds all of its slots, and the walk from the oldest
+        // end passes only slots still fetching — at most `fetching` <=
+        // min(p, K) of them.
+        const std::uint32_t sentinel = sentinels + region;
+        std::uint32_t victim = list_next[sentinel];
+        while (victim != sentinel &&
+               slot_status[victim] != BatchSlotStatus::kPresent) {
+          victim = list_next[victim];
         }
-        if (oldest >= kReservedKey) {
+        if (victim == sentinel) {
           st.now = now;  // keep the state consistent even on this exit
-          st.stamp = stamp;
-          MCP_REQUIRE(oldest < kReservedKey,
+          MCP_REQUIRE(victim != sentinel,
                       "batch engine: no evictable page (all reserved)");
         }
-        std::size_t victim = region_begin;
-        while (slot_stamp[victim] != oldest) ++victim;
         release_slot(victim, region, region_begin);
       }
       MCP_ASSERT(region_free_top[region] > 0);
@@ -633,7 +656,7 @@ bool BatchEngine::step_loop() {
       slot_page[slot] = page;
       slot_status[slot] = BatchSlotStatus::kFetching;
       slot_ready[slot] = now + tau + 1;
-      slot_stamp[slot] = ++stamp | kReservedKey;
+      if constexpr (!kHooks) link_newest(slot, sentinels + region);
       slot_of_page = slot;
       inflight[st.fetching++] = slot;
       ++region_occ[region];
@@ -657,7 +680,6 @@ bool BatchEngine::step_loop() {
       stats_.end_time = now;
       stats_.sim_steps = st.steps;
       st.now = now;
-      st.stamp = stamp;
       return true;
     }
 
@@ -716,37 +738,21 @@ void BatchEngine::validate() const {
   AllocAllow allow;
   const BatchState& st = state_;
   const std::size_t slots = st.cache_size;
+  const std::size_t regions = st.region_size.size();
   MCP_REQUIRE(st.slot_page.size() == slots && st.slot_status.size() == slots &&
                   st.slot_ready.size() == slots &&
-                  st.slot_stamp.size() == slots &&
                   st.free_stack.size() == slots && st.inflight.size() == slots,
               "batch state: slot arrays are not sized to the cache");
+  MCP_REQUIRE(st.list_prev.size() == slots + regions &&
+                  st.list_next.size() == slots + regions,
+              "batch state: recency lists are not sized to the slots and "
+              "regions");
   MCP_REQUIRE(st.page_bound <= st.page_slot.size(),
               "batch state: page index does not cover the page bound");
 
   std::vector<std::uint8_t> slot_seen(slots, 0);  // free-stack + in-flight
   std::size_t fetching = 0;
   for (std::size_t s = 0; s < slots; ++s) {
-    // Eviction-key coherence: the victim scan trusts the key tags alone,
-    // so a status/key desync would silently evict a reserved slot (or
-    // never evict a present one) — check the folding invariant per slot.
-    switch (st.slot_status[s]) {
-      case BatchSlotStatus::kFree:
-        MCP_REQUIRE(st.slot_stamp[s] == kFreeKey,
-                    "batch state: free slot's eviction key is not kFreeKey");
-        break;
-      case BatchSlotStatus::kFetching:
-        MCP_REQUIRE((st.slot_stamp[s] & kReservedKey) != 0 &&
-                        st.slot_stamp[s] != kFreeKey,
-                    "batch state: fetching slot's eviction key lacks the "
-                    "reserved tag");
-        break;
-      case BatchSlotStatus::kPresent:
-        MCP_REQUIRE(st.slot_stamp[s] < kReservedKey,
-                    "batch state: present slot's eviction key carries a "
-                    "reserved or free tag");
-        break;
-    }
     if (st.slot_status[s] == BatchSlotStatus::kFree) {
       MCP_REQUIRE(st.slot_page[s] == kInvalidPage,
                   "batch state: free slot still names a page");
@@ -788,8 +794,9 @@ void BatchEngine::validate() const {
     slot_seen[f] = 1;
   }
 
+  std::vector<std::uint8_t> linked(slots, 0);  // reached from a sentinel
   std::size_t region_slot = 0;
-  for (std::size_t r = 0; r < st.region_size.size(); ++r) {
+  for (std::size_t r = 0; r < regions; ++r) {
     const std::size_t rsize = st.region_size[r];
     MCP_REQUIRE(st.region_slot_base[r] == region_slot,
                 "batch state: region slot ranges do not tile the slots in "
@@ -801,6 +808,30 @@ void BatchEngine::validate() const {
     MCP_REQUIRE(st.region_occ[r] == occupied,
                 "batch state: region occupancy disagrees with the slot "
                 "statuses of its range");
+    // The recency list: the walk from the sentinel must come back to it
+    // through each of the region's non-free slots once, and no others (a
+    // cycle that misses the sentinel revisits a node and fails below).
+    // The hook instantiation keeps every list empty.
+    const std::size_t sentinel = slots + r;
+    std::size_t listed = 0;
+    for (std::size_t node = sentinel;;) {
+      const std::size_t next = st.list_next[node];
+      MCP_REQUIRE(next < slots + regions && st.list_prev[next] == node,
+                  "batch state: recency list links are not inverse");
+      if (next == sentinel) break;
+      MCP_REQUIRE(next < slots && next >= region_slot &&
+                      next < region_slot + rsize &&
+                      st.slot_status[next] != BatchSlotStatus::kFree &&
+                      linked[next] == 0,
+                  "batch state: recency list names a free, foreign, or "
+                  "duplicate slot");
+      linked[next] = 1;
+      ++listed;
+      node = next;
+    }
+    MCP_REQUIRE(listed == (hooks_ != nullptr ? 0 : occupied),
+                "batch state: recency list misses a non-free slot of its "
+                "region, or the hook instantiation linked one");
     const std::size_t free_top = st.region_free_top[r];
     MCP_REQUIRE(free_top == rsize - occupied,
                 "batch state: free-stack depth disagrees with occupancy");
@@ -1075,16 +1106,17 @@ CompositionPlan plan_compositions(std::span<const SimJob> jobs) {
 }
 
 /// Computes `run`: R_j alone on its k_j cells is classic paging, so one
-/// pass over R_j reproduces the stamp kernel's one-region trajectory.  Each
-/// cell carries the stamp the kernel would give it — the request index at
-/// insertion, refreshed by a hit under LRU only — and a fault in a full
-/// region evicts the minimum stamp (stamps are unique).  Under FIFO that
-/// minimum cycles: cells fill in index order and no hit refreshes them, so
-/// the oldest insertion is always the cell after the last victim, and a
-/// ring cursor replaces the scan.  Alone, the core issues its next request
-/// one step after a hit and tau + 1 steps after a fault, and finishes one
-/// such gap after its last request; those issue steps and the done step
-/// are the steps at which it acts.
+/// pass over R_j reproduces the stamp kernel's one-region trajectory.
+/// Each cell carries a stamp — the request index at insertion, refreshed by
+/// a hit under LRU only — so the minimum stamp is the oldest entry of the
+/// kernel's recency list (stamps are unique; alone, the core never finds
+/// its oldest cell still fetching), and a fault in a full region evicts
+/// it.  Under FIFO that minimum cycles: cells fill in index order and no
+/// hit refreshes them, so the oldest insertion is always the cell after
+/// the last victim, and a ring cursor replaces the scan.  Alone, the core
+/// issues its next request one step after a hit and tau + 1 steps after a
+/// fault, and finishes one such gap after its last request; those issue
+/// steps and the done step are the steps at which it acts.
 void simulate_part(PartRun& run) {
   constexpr std::uint32_t kNoCell = std::numeric_limits<std::uint32_t>::max();
   const std::span<const PageId> sequence = run.sequence->pages();

@@ -5,13 +5,15 @@
 //
 // step_loop() has three instantiations (DESIGN.md §12):
 //  * two stamp kernels — shared cache and static partition, each for LRU
-//    or FIFO — decide evictions from a monotonic stamp array with no
-//    virtual dispatch, no hash maps and no list nodes, so a sweep of small
-//    jobs runs at a multiple of the strategy-object throughput.  They run
+//    or FIFO — take each victim from the faulting region's recency list
+//    (the oldest slot not still fetching) with no virtual dispatch and no
+//    hash maps, so a sweep of small jobs runs at a multiple of the
+//    strategy-object throughput.  (They are named for the stamp array
+//    that ordered the slots before the lists.)  They run
 //    every mcpd session and every SweepRunner::run_jobs job that run_jobs
 //    does not compose: the static-partition jobs of a disjoint trace that
 //    share per-core runs are composed from those runs, each computed by a
-//    one-region paging pass that reproduces the kernel's min-stamp victims
+//    one-region paging pass that reproduces the kernel's victims
 //    (batch_engine.cpp; BM_BatchSweep against BM_PartitionSweep, E13
 //    `batch_sweep` series);
 //  * the hook instantiation takes every decision from a CacheStrategy
@@ -95,7 +97,7 @@ class BatchEngine {
   /// `requests` and offline_info = &requests, but the cores read their
   /// sequences in place through the stamp kernels' cursors instead of one
   /// virtual pull per request.  A sequence longer than 2^32 - 1 requests
-  /// throws ModelError before the run starts.
+  /// throws ModelError before the run starts (checked_core_len).
   [[nodiscard]] static RunStats run_strategy(
       const SimConfig& config, const RequestSet& requests,
       CacheStrategy& strategy, std::span<SimObserver* const> observers);
@@ -103,7 +105,8 @@ class BatchEngine {
   /// Points the cores at `trace`'s sequences (borrowed until the next feed;
   /// sequences may only grow between feeds).  `page_bound` must exceed
   /// every page id in `trace`; `closed` is sticky.  All growth happens
-  /// here: the page index and the fault-timeline reserves.
+  /// here: the page index and the fault-timeline reserves.  A sequence
+  /// longer than 2^32 - 1 requests throws ModelError (checked_core_len).
   void feed(const RequestSet& trace, PageId page_bound, bool closed);
 
   /// Steps until every core served its last request (returns true) or the

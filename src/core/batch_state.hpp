@@ -9,18 +9,17 @@
 //
 // The stamp kernels decide evictions from this state alone, which covers
 // the shared cache S_A and static partitions sP^B_A under LRU or FIFO
-// (BatchStrategySpec).  Recency/insertion order is represented by a
-// monotonic stamp written into slot_stamp on insert (LRU and FIFO) and on
-// hit (LRU only); the victim is the minimum-stamp present slot of the
-// faulting region, which reproduces the list-backed policies' order
-// exactly because stamps are unique.  Fetching and free slots hold
-// high-tagged keys (batch_engine.cpp) so the victim scan is a branchless
-// min over one array.  Every other strategy (dynamic partitions, marking,
-// FITF, adaptive adversary streams) runs as a CacheStrategy object on the
-// hook instantiation of the same loop, which keeps one region of K slots
-// and reads requests from a RequestStream (core_len is then the pull
-// bound and core_next counts pulls).  The independent differential oracle
-// is tests/reference_engine.hpp.
+// (BatchStrategySpec).  Each region keeps its non-free slots on a
+// doubly-linked recency list, oldest first: a slot is linked at the newest
+// end when its fetch starts (LRU and FIFO), relinked there on a hit (LRU
+// only) and unlinked on release, so the list is the policy's own list and
+// the victim is the oldest present slot on it.  Every other strategy
+// (dynamic partitions, marking, FITF, adaptive adversary streams) runs as
+// a CacheStrategy object on the hook instantiation of the same loop, which
+// keeps one region of K slots and no lists, and reads requests from a
+// RequestStream (core_len is then the pull bound and core_next counts
+// pulls).  The independent differential oracle is
+// tests/reference_engine.hpp.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +35,7 @@
 
 namespace mcp {
 
-/// Eviction policies the batch kernel can express with stamp arrays.
+/// Eviction policies the stamp kernels express with recency lists.
 enum class BatchPolicy : std::uint8_t { kLru, kFifo };
 
 /// Maps a policy display name to its batched counterpart.  Exact-name match
@@ -83,14 +82,19 @@ enum class BatchSlotStatus : std::uint8_t { kFree = 0, kFetching, kPresent };
 inline constexpr std::uint32_t kNoBatchSlot =
     std::numeric_limits<std::uint32_t>::max();
 
+/// core_len of a core holding `requests` requests.  Throws ModelError past
+/// 2^32 - 1 (the cursors are 32 bits), the error a stream core raises when
+/// it pulls that many.
+[[nodiscard]] std::uint32_t checked_core_len(std::size_t requests);
+
 /// core_flags bits.
 inline constexpr std::uint8_t kBatchCorePending = 0x1;  ///< has_pending
 inline constexpr std::uint8_t kBatchCoreDone = 0x2;     ///< sequence drained
 
 /// One job's state.  Invariants (enforced by BatchEngine::validate()):
 ///  * regions' slot ranges tile [0, K) in region order, so a slot's owning
-///    region is implied by its index — the victim scan and the free stack
-///    of region r touch only [region_slot_base[r],
+///    region is implied by its index — the recency list and the free stack
+///    of region r hold only slots of [region_slot_base[r],
 ///    region_slot_base[r] + region_size[r]);
 ///  * page_slot and (slot_page, slot_status) are a bijection: a
 ///    non-sentinel page_slot entry points at a non-free slot holding that
@@ -99,6 +103,9 @@ inline constexpr std::uint8_t kBatchCoreDone = 0x2;     ///< sequence drained
 ///    once each;
 ///  * in-flight entries are exactly the fetching slots;
 ///  * region occupancy equals the count of non-free slots in its range;
+///  * in the stamp kernels, walking region r's list from its sentinel
+///    visits each of the region's non-free slots once, with list_prev and
+///    list_next inverse; in the hook instantiation every list is empty;
 ///  * a core is done only once the feed is closed, and a parked step
 ///    (in_step) resumes at a live core whose cursor caught the feed end.
 struct BatchState {
@@ -119,7 +126,6 @@ struct BatchState {
   // Mutable scalars.
   Time now = 0;
   Time steps = 0;               ///< step-loop iterations executed
-  std::uint64_t stamp = 0;      ///< monotonic recency/insertion counter
   std::uint32_t active_cores = 0;
   std::uint32_t fetching = 0;   ///< live entries in `inflight`
 
@@ -134,11 +140,15 @@ struct BatchState {
   std::vector<PageId> slot_page;
   std::vector<BatchSlotStatus> slot_status;
   std::vector<Time> slot_ready;             ///< fetch completion time
-  std::vector<std::uint64_t> slot_stamp;    ///< eviction key: stamp, tagged
-                                            ///< while fetching/free
   std::vector<std::uint32_t> free_stack;    ///< slot ids, segmented per
                                             ///< region like the slots
   std::vector<std::uint32_t> inflight;      ///< slot ids
+
+  // Recency lists (size K + regions): node K + r is region r's sentinel,
+  // list_next[K + r] its oldest slot and list_prev[K + r] its newest.  A
+  // free slot's links are stale; only the walk from a sentinel counts.
+  std::vector<std::uint32_t> list_prev;
+  std::vector<std::uint32_t> list_next;
 
   // Page index (size >= page_bound): slot id or kNoBatchSlot.
   std::vector<std::uint32_t> page_slot;

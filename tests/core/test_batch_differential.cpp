@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -735,6 +737,120 @@ TEST(BatchDifferential, OneCoreGrantsBitEqualToScalar) {
   }
 }
 
+/// RunStats of `job` run three ways — the reference oracle, the hook
+/// instantiation and the stamp kernel (whole, or fed in `chunk`-request
+/// grants to every core when `chunk` > 0) — checked equal, with a
+/// ModelError from the oracle required of the other two.  Returns whether
+/// the oracle completed.
+bool expect_three_way(const SimJob& job, const BatchableCase& sc,
+                      std::size_t chunk, const std::string& label) {
+  const auto kernel_run = [&] {
+    return chunk == 0 ? BatchEngine::run(job)
+                      : run_chunked(job, chunk, Grant::kEveryCore);
+  };
+  RunStats want;
+  try {
+    want = oracle_run(job.config, *job.requests, sc);
+  } catch (const ModelError&) {
+    EXPECT_THROW((void)hook_run(job.config, *job.requests, sc), ModelError)
+        << label;
+    EXPECT_THROW((void)kernel_run(), ModelError) << label;
+    return false;
+  }
+  expect_same_stats(hook_run(job.config, *job.requests, sc), want,
+                    label + "/hook");
+  expect_same_stats(kernel_run(), want, label + "/kernel");
+  return true;
+}
+
+TEST(BatchDifferential, VictimWalkSkipsReservedOldestSlots) {
+  // The victim is the oldest present slot on the region's recency list,
+  // and slots still fetching can sit at its oldest end: under LRU, every
+  // slot touched while a long fetch is in flight moves past it.  By hand,
+  // shared LRU, K = 3, tau = 8: pages 1 and 10 land at t = 9, when core 0
+  // faults on page 2 (in flight until t = 18) and core 1 hits 10; at
+  // t = 10 core 1 hits page 1, so the list reads 2 (fetching), 10, 1, and
+  // core 1's fault on 11 at t = 11 must pass over page 2 and evict 10.
+  RequestSet by_hand;
+  by_hand.add_sequence({1, 2, 10});
+  by_hand.add_sequence({10, 10, 1, 11, 10, 2});
+  const std::vector<BatchableCase> shared_cases = batchable_grid(2, 2);
+  for (const BatchableCase& sc : {shared_cases[0], shared_cases[1]}) {
+    const SimJob job{testing::sim_config(3, 8), &by_hand, sc.spec};
+    EXPECT_TRUE(expect_three_way(job, sc, 0, "by_hand/" + sc.label));
+  }
+
+  // Shared caches at K = p .. p + 2 under long fetches, where faults often
+  // find the oldest slots reserved (or every slot, which must abort like
+  // the oracle), on disjoint and shared pages, whole and chunked.
+  const std::size_t p = 4;
+  Rng rng(0x0DD5);
+  const RequestSet disjoint = random_disjoint_workload(rng, p, 3, 90);
+  const RequestSet shared = random_shared_workload(rng, p, 7, 90);
+  std::size_t completed = 0;
+  for (const RequestSet* rs : {&disjoint, &shared}) {
+    for (const std::size_t K : {p, p + 1, p + 2}) {
+      for (const BatchableCase& sc : batchable_grid(p, K)) {
+        if (sc.spec.kind != BatchStrategySpec::Kind::kShared) continue;
+        for (const Time tau : {Time{8}, Time{13}}) {
+          const SimJob job{testing::sim_config(K, tau), rs, sc.spec};
+          const std::string label =
+              std::string(rs == &disjoint ? "disjoint" : "shared") + "/" +
+              sc.label + "/K=" + std::to_string(K) +
+              "/tau=" + std::to_string(tau);
+          for (const std::size_t chunk : {std::size_t{0}, std::size_t{5}}) {
+            if (expect_three_way(job, sc, chunk,
+                                 label + "/chunk=" + std::to_string(chunk))) {
+              ++completed;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(completed, 0u);
+}
+
+TEST(BatchDifferential, WideCachesOnChunkedFeedsBitEqualToScalar) {
+  // K = 512: shared and static regions far wider than the reserved slots,
+  // filled and then evicting, streamed in chunks.  Disjoint Zipf over 300
+  // pages per core, and pages shared between cores (cross-region hits on
+  // the static partitions).
+  const std::size_t p = 4;
+  const std::size_t K = 512;
+  CoreWorkload core;
+  core.pattern = AccessPattern::kZipf;
+  core.num_pages = 300;
+  core.length = 1500;
+  const RequestSet disjoint =
+      make_workload(homogeneous_spec(p, core, true, 0x512));
+  Rng rng(0x5120);
+  const RequestSet shared = random_shared_workload(rng, p, 700, 1500);
+  for (const RequestSet* rs : {&disjoint, &shared}) {
+    for (const BatchableCase& sc : batchable_grid(p, K)) {
+      SimConfig config = testing::sim_config(K, 3);
+      config.record_fault_timeline = true;
+      const SimJob job{config, rs, sc.spec};
+      for (const std::size_t chunk : {std::size_t{64}, std::size_t{1000}}) {
+        EXPECT_TRUE(expect_three_way(
+            job, sc, chunk,
+            std::string(rs == &disjoint ? "disjoint" : "shared") + "/" +
+                sc.label + "/chunk=" + std::to_string(chunk)));
+      }
+    }
+  }
+}
+
+TEST(BatchDifferential, CheckedCoreLengthStopsAtTheCursorWidth) {
+  // Cursors are 32 bits: a core of 2^32 - 1 requests fits and one more
+  // throws, for a fed job as for the hook instantiation (a real core that
+  // long would take 16 GiB, so the helper is checked directly).
+  const std::size_t widest = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(checked_core_len(widest), widest);
+  EXPECT_EQ(checked_core_len(0), 0u);
+  EXPECT_THROW((void)checked_core_len(widest + 1), ModelError);
+}
+
 TEST(BatchDifferential, CohortRefreshContract) {
   const SimConfig config = testing::sim_config(4, 0);
   const BatchStrategySpec lru = BatchStrategySpec::shared(BatchPolicy::kLru);
@@ -795,6 +911,12 @@ TEST(BatchDifferential, RejectsMalformedJobs) {
   starved.strategy =
       BatchStrategySpec::static_partition({4, 0}, BatchPolicy::kLru);
   EXPECT_THROW((void)BatchEngine::run(starved), ModelError);
+
+  // Slot and sentinel ids are 32 bits: K + regions must stay below
+  // kNoBatchSlot (rejected before any array is sized).
+  EXPECT_THROW(BatchEngine(testing::sim_config(kNoBatchSlot, 0), 1,
+                           BatchStrategySpec::shared(BatchPolicy::kLru)),
+               ModelError);
 }
 
 }  // namespace

@@ -641,6 +641,36 @@ TEST(BatchStateValidate, CatchesInFlightEntryForPresentSlot) {
   EXPECT_THROW(fx.engine.validate(), ModelError);
 }
 
+TEST(BatchStateValidate, CatchesPresentSlotMissingFromItsList) {
+  InFlightFixture fx;
+  EXPECT_NO_THROW(fx.engine.validate());
+  BatchState& state = BatchEngineTestAccess::state(fx.engine);
+  // Unlink page 1's slot (present) from the recency list, as a release
+  // that forgot to free it would: the kernel could never evict page 1.
+  const std::uint32_t slot = state.page_slot[1];
+  ASSERT_EQ(state.slot_status[slot], BatchSlotStatus::kPresent);
+  state.list_next[state.list_prev[slot]] = state.list_next[slot];
+  state.list_prev[state.list_next[slot]] = state.list_prev[slot];
+  EXPECT_THROW(fx.engine.validate(), ModelError);
+}
+
+TEST(BatchStateValidate, CatchesFreeSlotLeftOnTheList) {
+  InFlightFixture fx;
+  BatchState& state = BatchEngineTestAccess::state(fx.engine);
+  // Link a free slot at the newest end of the shared region's list (node K
+  // is its sentinel), with consistent links: the victim walk could then
+  // evict a slot holding no page.
+  const std::uint32_t slot = state.free_stack[0];
+  ASSERT_EQ(state.slot_status[slot], BatchSlotStatus::kFree);
+  const std::uint32_t sentinel = state.cache_size;
+  const std::uint32_t newest = state.list_prev[sentinel];
+  state.list_prev[slot] = newest;
+  state.list_next[slot] = sentinel;
+  state.list_next[newest] = slot;
+  state.list_prev[sentinel] = slot;
+  EXPECT_THROW(fx.engine.validate(), ModelError);
+}
+
 TEST(InternerValidate, PassesAfterInterning) {
   StateInterner interner(2);
   for (std::uint64_t i = 0; i < 100; ++i) {
