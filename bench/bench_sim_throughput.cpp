@@ -7,6 +7,8 @@
 // pass --benchmark_format=json to capture the counters machine-readably).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/batch_engine.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
@@ -107,29 +109,59 @@ void BM_SharedFitf(benchmark::State& state) {
                           static_cast<std::int64_t>(rs.total_requests()));
 }
 
-void BM_FtfSolver(benchmark::State& state) {
-  // states_per_sec is the offline perf-smoke gate (BENCH_OFFLINE.json).
-  const std::size_t per_core = static_cast<std::size_t>(state.range(0));
+/// Uniform FTF instance over 5 pages per core with tau = 2 (E8's
+/// bytes_per_state family, and offline_exact's FTF shape at p = 3).
+OfflineInstance uniform_ftf_instance(std::size_t p, std::size_t per_core,
+                                     std::size_t k, std::uint64_t seed) {
   CoreWorkload core;
   core.pattern = AccessPattern::kUniform;
   core.num_pages = 5;
   core.length = per_core;
   OfflineInstance inst;
-  inst.requests = make_workload(homogeneous_spec(2, core, true, 78));
-  inst.cache_size = 4;
+  inst.requests = make_workload(homogeneous_spec(p, core, true, seed));
+  inst.cache_size = k;
   inst.tau = 2;
+  return inst;
+}
+
+/// Solves every instance once per iteration.  states_per_sec counts stored
+/// states; it is the offline perf-smoke gate (BENCH_OFFLINE.json).
+void time_ftf_solves(benchmark::State& state,
+                     const std::vector<OfflineInstance>& instances) {
   std::size_t states = 0;
   for (auto _ : state) {
-    const FtfResult result = solve_ftf(inst);
-    benchmark::DoNotOptimize(result.min_faults);
-    states += result.states_stored;
-    state.counters["states"] = static_cast<double>(result.states_stored);
+    std::size_t pass_states = 0;
+    std::size_t pass_bytes = 0;
+    for (const OfflineInstance& inst : instances) {
+      const FtfResult result = solve_ftf(inst);
+      benchmark::DoNotOptimize(result.min_faults);
+      pass_states += result.states_stored;
+      pass_bytes += result.peak_bytes_in_ram;
+    }
+    states += pass_states;
+    state.counters["states"] = static_cast<double>(pass_states);
     state.counters["bytes_per_state"] =
-        static_cast<double>(result.peak_bytes_in_ram) /
-        static_cast<double>(result.states_stored);
+        static_cast<double>(pass_bytes) / static_cast<double>(pass_states);
   }
   state.counters["states_per_sec"] = benchmark::Counter(
       static_cast<double>(states), benchmark::Counter::kIsRate);
+}
+
+void BM_FtfSolver(benchmark::State& state) {
+  time_ftf_solves(state, {uniform_ftf_instance(
+                             2, static_cast<std::size_t>(state.range(0)), 4,
+                             78)});
+}
+
+void BM_FtfSolverThreeCores(benchmark::State& state) {
+  // offline_exact's FTF instances (p = 3, K = 5, 18 requests per core), six
+  // per iteration as in one round of that workload.  Up to three cores evict
+  // in one step here; at p = 2 at most two do.
+  std::vector<OfflineInstance> instances;
+  for (std::uint64_t seed = 200; seed < 206; ++seed) {
+    instances.push_back(uniform_ftf_instance(3, 18, 5, seed));
+  }
+  time_ftf_solves(state, instances);
 }
 
 void BM_FtfSolverSweep(benchmark::State& state) {
@@ -141,16 +173,9 @@ void BM_FtfSolverSweep(benchmark::State& state) {
   // within one run.
   constexpr std::size_t kSolves = 16;
   const std::size_t max_threads = static_cast<std::size_t>(state.range(0));
-  CoreWorkload core;
-  core.pattern = AccessPattern::kUniform;
-  core.num_pages = 5;
-  core.length = 40;
-  std::vector<OfflineInstance> instances(kSolves);
+  std::vector<OfflineInstance> instances;
   for (std::size_t i = 0; i < kSolves; ++i) {
-    instances[i].requests =
-        make_workload(homogeneous_spec(2, core, true, 100 + i));
-    instances[i].cache_size = 4;
-    instances[i].tau = 2;
+    instances.push_back(uniform_ftf_instance(2, 40, 4, 100 + i));
   }
   std::size_t solves = 0;
   for (auto _ : state) {
@@ -453,6 +478,7 @@ BENCHMARK(BM_SharedFitf);
 // Arg = requests per core; the instance family matches E8's bytes_per_state
 // series (5 pages/core, K=4, tau=2 — wide victim branching).
 BENCHMARK(BM_FtfSolver)->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK(BM_FtfSolverThreeCores);
 // Arg = SweepRunner cap: the perf-smoke --speedup gate requires /0
 // solves_per_sec >= 1.5x /1.
 BENCHMARK(BM_FtfSolverSweep)->Arg(1)->Arg(0)->UseRealTime();

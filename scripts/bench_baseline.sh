@@ -7,7 +7,9 @@
 #                                       1 and at all runners, stamp-kernel
 #                                       requests/sec across cache sizes)
 #   bench/baseline/BENCH_OFFLINE.json — offline solvers (states/sec for the
-#                                       FTF and PIF searches, and solves/sec
+#                                       FTF searches at p = 2 and on
+#                                       offline_exact's p = 3 instances and
+#                                       for the PIF search, and solves/sec
 #                                       of sixteen independent FTF solves as
 #                                       SweepRunner cells at 1 and at all
 #                                       runners)
@@ -38,7 +40,7 @@ BUILD=${BUILD_DIR:-build-bench}
 # Multi-threaded benchmarks run on real time, which google-benchmark marks
 # with a /real_time name suffix.
 FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0/real_time$|BM_BatchSweep/real_time$|BM_SweepGridJobs/(1|0)/real_time$|BM_StampKernel/|BM_McpdIngest/(1|4)/real_time$'}
-OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(24|40|48)$|BM_FtfSolverSweep/(1|0)/real_time$|BM_PifSolver/(32|64|128)$'}
+OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(24|40|48)$|BM_FtfSolverThreeCores$|BM_FtfSolverSweep/(1|0)/real_time$|BM_PifSolver/(32|64|128)$'}
 LOADGEN_ARGS=${LOADGEN_ARGS:---shards=1,2,4,8 --tenants=64 --producers=2 --repetitions=5 --homogeneous}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release \

@@ -801,6 +801,9 @@ void BatchEngine::validate() const {
     MCP_REQUIRE(st.region_slot_base[r] == region_slot,
                 "batch state: region slot ranges do not tile the slots in "
                 "region order");
+    // Bounds the reads of the region's slots and free-stack segment below.
+    MCP_REQUIRE(rsize <= slots - region_slot,
+                "batch state: region sizes run past the cache size");
     std::size_t occupied = 0;
     for (std::size_t s = region_slot; s < region_slot + rsize; ++s) {
       if (st.slot_status[s] != BatchSlotStatus::kFree) ++occupied;

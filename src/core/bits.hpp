@@ -2,8 +2,9 @@
 //
 // The project builds for the baseline x86-64 ISA (no -mpopcnt), where
 // std::popcount compiles to a call into libgcc's __popcountdi2.  The Mattson
-// scan counts mark bits per request, so it uses popcount64, the branch-free
-// SWAR sum, which inlines to a dozen ALU operations.
+// scan counts mark bits per request and the offline expansion kernel counts
+// cache fill and faulting cores per state, so both use popcount64, the
+// branch-free SWAR sum, which inlines to a dozen ALU operations.
 #pragma once
 
 #include <cstdint>

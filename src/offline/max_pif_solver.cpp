@@ -1,9 +1,9 @@
 #include "offline/max_pif_solver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
+#include "core/bits.hpp"
 #include "core/error.hpp"
 
 namespace mcp {
@@ -38,7 +38,7 @@ MaxPifResult solve_max_pif(const PifInstance& instance,
   const std::uint32_t all = p == 32 ? ~0u : ((1u << p) - 1u);
   for (std::size_t size = p; size > 0; --size) {
     for (std::uint32_t subset = 1; subset <= all; ++subset) {
-      if (std::popcount(subset) != static_cast<int>(size)) continue;
+      if (popcount64(subset) != static_cast<int>(size)) continue;
       // Monotonicity: if a sub-subset already failed, this one fails too.
       const bool doomed =
           std::any_of(infeasible.begin(), infeasible.end(),

@@ -15,16 +15,33 @@
 // the core count, and throws InputError naming the bound an instance
 // exceeds; no solver falls back to another search.
 //
-// expand() mirrors the heap-backed oracle's expansion
-// (tests/reference_offline.hpp) branch for branch — cores in logical order,
-// victims in ascending page order — but with zero allocation in steady
-// state: the caller provides a reusable StepScratch (the library's
-// caller-provided-buffer contract), membership tests are bitset probes,
-// victim enumeration iterates set bits of an on-stack word snapshot, and
-// outcomes are emitted into a sink the expansion is templated over, so the
-// per-outcome relaxation inlines into the kernel (expansion is the
-// searches' innermost loop, where even a function_ref's indirect call per
-// outcome is measurable).
+// expand() enumerates the step the way the heap-backed oracle
+// (tests/reference_offline.hpp) does: cores in logical order, each faulting
+// core's victims in ascending page order.  It emits the first occurrence of
+// every (successor, faulted cores) outcome of the oracle's enumeration, in
+// the oracle's order, and skips most later repeats.  Repeats arise because
+// the victims of one step form an ordered tuple: when several cores evict
+// pages that no core requests this step, every ordering of the same victim
+// set reaches the same successor.  Under VictimRule::kAllPages, once a core
+// takes such an unrequested victim v, later cores of the step skip the
+// unrequested candidates below v + 1; a requested victim leaves the bound as
+// it is.  A skipped branch repeats an earlier one: swap its two out-of-order
+// victims between their cores.  Neither page is requested this step, so no
+// hit turns into a fault, the swapped branch is valid, reaches the same
+// successor with the same faulting cores, and comes first in ascending
+// order.  Every search keeps only an outcome's first occurrence from one
+// expansion (a repeat carries the same fault vector), so ids, distances,
+// parents, schedules and search counters are unchanged.  kFitfPerSequence
+// keeps the full enumeration: its per-core candidates depend on the cores'
+// positions, so the swap can leave its candidate sets.
+//
+// The kernel allocates nothing in steady state: the caller provides a
+// reusable StepScratch (the library's caller-provided-buffer contract),
+// membership tests are bitset probes, victim enumeration iterates set bits
+// of an on-stack word snapshot, and outcomes are emitted into a sink the
+// expansion is templated over, so the per-outcome relaxation inlines into
+// the kernel (expansion is the searches' innermost loop, where even a
+// function_ref's indirect call per outcome is measurable).
 #pragma once
 
 #include <array>
@@ -33,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "core/bits.hpp"
 #include "core/error.hpp"
 #include "core/types.hpp"
 #include "offline/instance.hpp"
@@ -61,7 +79,7 @@ struct PackedOutcome {
   std::span<const PageId> evictions;    ///< victims, faulting-core order
                                         ///< (kInvalidPage = free-cell fault)
   [[nodiscard]] Count fault_count() const noexcept {
-    return static_cast<Count>(std::popcount(faulted_cores));
+    return static_cast<Count>(popcount64(faulted_cores));
   }
 };
 
@@ -71,6 +89,8 @@ class PackedTransitionSystem {
   static constexpr std::uint32_t kMaxPosition = (1u << 24) - 1;
   static constexpr Time kMaxTau = 255;
   static constexpr std::size_t kMaxCores = 32;       ///< faulted_cores mask
+  static constexpr std::size_t kMaxCacheWords = kMaxUniverse / 64;
+  static constexpr std::size_t kMaxStateWords = kMaxCacheWords + kMaxCores / 2;
 
   /// True iff the instance fits the packed encoding (page-id, sequence
   /// length, tau and core-count bounds).
@@ -96,35 +116,43 @@ class PackedTransitionSystem {
 
   /// Reusable expansion scratch — one per thread, handed to every expand().
   struct StepScratch {
-    std::vector<std::uint64_t> work;      ///< mutable state copy (stride)
-    std::vector<std::uint64_t> locked;    ///< in-flight bitset (cache words)
-    std::vector<PageId> evictions;        ///< per-branch victim stack
+    std::array<std::uint64_t, kMaxStateWords> work{};  ///< mutable state copy
+    std::array<std::uint64_t, kMaxCacheWords> locked{};     ///< in flight
+    std::array<std::uint64_t, kMaxCacheWords> requested{};  ///< this step
+    std::vector<PageId> evictions;  ///< per-branch victim stack
   };
 
   /// Invokes `sink(const PackedOutcome&)` once per admissible outcome of the
-  /// next timestep.  Copies `state` into `scratch` up front, so `state` may
-  /// point into an interner arena that the sink mutates (relaxation interns
-  /// successors).
+  /// next timestep (first occurrences only under kAllPages, see above).
+  /// Copies `state` into `scratch` up front, so `state` may point into an
+  /// interner arena that the sink mutates (relaxation interns successors).
   template <class Sink>
   void expand(const std::uint64_t* state, StepScratch& scratch,
               const Sink& sink) const {
-    scratch.work.assign(state, state + stride_);
-    scratch.locked.assign(cache_words_, 0);
+    // Word loops, not library calls: states are a few words long.
+    std::uint64_t* work = scratch.work.data();
+    for (std::size_t w = 0; w < stride_; ++w) work[w] = state[w];
+    scratch.locked = {};
+    scratch.requested = {};
     scratch.evictions.clear();
     std::size_t fill = 0;
     for (std::size_t w = 0; w < cache_words_; ++w) {
-      fill += static_cast<std::size_t>(std::popcount(scratch.work[w]));
+      fill += static_cast<std::size_t>(popcount64(work[w]));
     }
     // Pages still in flight at the start of the step are locked: not
-    // hit-able, not evictable (the paper's reserved-cell convention).
+    // hit-able, not evictable (the paper's reserved-cell convention).  Every
+    // other unfinished core requests its next page.
     for (CoreId j = 0; j < p_; ++j) {
-      if (fetch_left(scratch.work.data(), j) > 0) {
-        const std::uint32_t pos = position(scratch.work.data(), j);
+      const std::uint32_t word = core_word(work, j);
+      const std::uint32_t pos = word >> 8;
+      if ((word & 0xFFu) > 0) {
         MCP_ASSERT(pos > 0);
         detail::set_bit(scratch.locked.data(), (*seqs_[j])[pos - 1]);
+      } else if (pos < seqs_[j]->size()) {
+        detail::set_bit(scratch.requested.data(), (*seqs_[j])[pos]);
       }
     }
-    expand_core(0, scratch, /*faulted=*/0, fill, sink);
+    expand_core(0, scratch, /*faulted=*/0, fill, /*bar=*/0, sink);
   }
 
   /// Core-word accessors, exposed for the solvers and tests.
@@ -154,9 +182,12 @@ class PackedTransitionSystem {
   [[nodiscard]] std::uint32_t next_occurrence(PageId page,
                                               std::uint32_t from) const;
 
+  /// Expands cores `core..p_-1` of the step.  `bar`: under kAllPages, the
+  /// unrequested candidates below it repeat an earlier branch (see above).
   template <class Sink>
   void expand_core(CoreId core, StepScratch& scratch, std::uint32_t faulted,
-                   std::size_t cache_fill, const Sink& sink) const {
+                   std::size_t cache_fill, PageId bar,
+                   const Sink& sink) const {
     if (core == p_) {
       PackedOutcome outcome;
       outcome.next = scratch.work.data();
@@ -170,14 +201,14 @@ class PackedTransitionSystem {
     const std::uint32_t fetch = word & 0xFFu;
     if (fetch > 0) {  // blocked: the fetch ticks down
       set_core_word(work, cache_words_, core, word - 1);
-      expand_core(core + 1, scratch, faulted, cache_fill, sink);
+      expand_core(core + 1, scratch, faulted, cache_fill, bar, sink);
       set_core_word(scratch.work.data(), cache_words_, core, word);
       return;
     }
     const std::uint32_t pos = word >> 8;
     const RequestSequence& seq = *seqs_[core];
     if (pos >= seq.size()) {  // finished
-      expand_core(core + 1, scratch, faulted, cache_fill, sink);
+      expand_core(core + 1, scratch, faulted, cache_fill, bar, sink);
       return;
     }
     const PageId page = seq[pos];
@@ -185,7 +216,7 @@ class PackedTransitionSystem {
     if (detail::test_bit(work, page) && !locked) {
       // Hit: consumes this step only.
       set_core_word(work, cache_words_, core, word + (1u << 8));
-      expand_core(core + 1, scratch, faulted, cache_fill, sink);
+      expand_core(core + 1, scratch, faulted, cache_fill, bar, sink);
       set_core_word(scratch.work.data(), cache_words_, core, word);
       return;
     }
@@ -199,7 +230,7 @@ class PackedTransitionSystem {
       detail::set_bit(work, page);
       detail::set_bit(scratch.locked.data(), page);
       scratch.evictions.push_back(kInvalidPage);
-      expand_core(core + 1, scratch, faulted, cache_fill + 1, sink);
+      expand_core(core + 1, scratch, faulted, cache_fill + 1, bar, sink);
       scratch.evictions.pop_back();
       detail::clear_bit(scratch.locked.data(), page);
       detail::clear_bit(scratch.work.data(), page);
@@ -207,20 +238,32 @@ class PackedTransitionSystem {
       // On-stack snapshot of the candidate bitset: deeper recursion mutates
       // the cache words, but iteration walks this frozen copy — ascending
       // page order, matching the reference's sorted candidate list.
-      std::array<std::uint64_t, kMaxUniverse / 64> candidates{};
+      std::array<std::uint64_t, kMaxCacheWords> candidates{};
       victim_bits(scratch, candidates.data());
+      for (std::size_t w = 0; w < cache_words_ && bar > w * 64; ++w) {
+        const std::size_t below = bar - w * 64;
+        const std::uint64_t low = below >= 64
+                                      ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << below) - 1;
+        candidates[w] &= scratch.requested[w] | ~low;
+      }
       for (std::size_t w = 0; w < cache_words_; ++w) {
         std::uint64_t bits = candidates[w];
         while (bits != 0) {
           const auto b = static_cast<std::size_t>(std::countr_zero(bits));
           bits &= bits - 1;
           const PageId victim = static_cast<PageId>(w * 64 + b);
+          const PageId next_bar =
+              rule_ == VictimRule::kAllPages &&
+                      !detail::test_bit(scratch.requested.data(), victim)
+                  ? victim + 1
+                  : bar;
           std::uint64_t* cur = scratch.work.data();
           detail::clear_bit(cur, victim);
           detail::set_bit(cur, page);
           detail::set_bit(scratch.locked.data(), page);
           scratch.evictions.push_back(victim);
-          expand_core(core + 1, scratch, faulted, cache_fill, sink);
+          expand_core(core + 1, scratch, faulted, cache_fill, next_bar, sink);
           scratch.evictions.pop_back();
           cur = scratch.work.data();
           detail::clear_bit(scratch.locked.data(), page);

@@ -7,8 +7,10 @@
 // in unordered containers.  It is deliberately naive — the point is that
 // test_offline_differential.cpp can run the same instance through these
 // oracles and through solve_ftf / solve_pif / solve_min_makespan and require
-// the same optimum, verdict and search counters, and that expansion matches
-// PackedTransitionSystem::expand branch for branch.
+// the same optimum, verdict and search counters.  This expansion emits every
+// branch of the step, repeats included (several victim orders can reach the
+// same successor); PackedTransitionSystem::expand must emit a subsequence of
+// it that keeps the first occurrence of every (successor, faulted cores).
 //
 // Contents: the transition system (OfflineState, StepOutcome,
 // TransitionSystem), pack()/unpack() between it and the packed layout,

@@ -671,6 +671,17 @@ TEST(BatchStateValidate, CatchesFreeSlotLeftOnTheList) {
   EXPECT_THROW(fx.engine.validate(), ModelError);
 }
 
+TEST(BatchStateValidate, CatchesRegionSizePastTheCache) {
+  InFlightFixture fx;
+  EXPECT_NO_THROW(fx.engine.validate());
+  BatchState& state = BatchEngineTestAccess::state(fx.engine);
+  // The only region reaches three slots past the cache: the validator must
+  // reject its size before it reads those slots or their free-stack
+  // entries.
+  state.region_size[0] = state.cache_size + 3;
+  EXPECT_THROW(fx.engine.validate(), ModelError);
+}
+
 TEST(InternerValidate, PassesAfterInterning) {
   StateInterner interner(2);
   for (std::uint64_t i = 0; i < 100; ++i) {
