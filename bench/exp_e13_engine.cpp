@@ -8,6 +8,7 @@
 // bit-identical at 1, 2 and all hardware workers — the PR-1 contract).
 #include <chrono>
 
+#include "core/batch_engine.hpp"
 #include "core/batch_state.hpp"
 #include "core/simulator.hpp"
 #include "core/stats.hpp"
@@ -92,8 +93,11 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
     SweepRunner sweep(SweepOptions{ctx.master_seed, workers});
     const std::vector<Count> faults =
         sweep.run(grid.size(), [&](std::size_t i, Rng& /*rng*/) {
+          // Strategy objects on the hook instantiation (simulate() would
+          // take the stamp kernel), the baseline batch_sweep is held to.
           StaticPartitionStrategy strategy(grid[i], lru_factory);
-          return simulate(sweep_cfg, sweep_rs, strategy).total_faults();
+          return BatchEngine::run_strategy(sweep_cfg, sweep_rs, strategy, {})
+              .total_faults();
         });
     if (baseline.empty()) baseline = faults;
     const bool identical = faults == baseline;

@@ -39,8 +39,10 @@ int main() {
               static_cast<unsigned long long>(opt.min_faults),
               opt.states_stored);
 
-  // Theorem 5: the same optimum is reachable evicting only
-  // furthest-in-future-within-some-sequence pages.
+  // Theorem 5's restriction: evict only furthest-in-future-within-some-
+  // sequence pages.  It matched the optimum on E11's sample, and loses one
+  // fault on 24 of 308,025 instances at p = 2 with at most 6 requests per
+  // core.
   FtfOptions restricted;
   restricted.victim_rule = VictimRule::kFitfPerSequence;
   const FtfResult fitf = solve_ftf(instance, restricted);

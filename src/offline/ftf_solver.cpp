@@ -206,13 +206,16 @@ FtfResult solve_ftf(const OfflineInstance& instance, const FtfOptions& options) 
 
       system.expand(interner.state(id), scratch,
                     [&](const PackedOutcome& outcome) {
-        // Declared growth: the relaxation sink's flat arrays (interner
-        // arena/table via intern(), distance/parent/eviction arrays,
-        // bucket queue) all grow amortized as new states are discovered.
-        AllocAllow allow;
         const std::uint32_t nd =
             d + static_cast<std::uint32_t>(outcome.fault_count());
+        // The interner declares its own growth (arena and table).
         const auto [nid, inserted] = interner.intern(outcome.next);
+        // Most outcomes reach a known state no sooner: they allocate
+        // nothing and declare nothing.
+        if (!inserted && dist[nid] <= nd) return;
+        // Declared growth: the distance/parent/eviction arrays and the
+        // bucket queue grow amortized as states are discovered or improved.
+        AllocAllow allow;
         if (inserted) {
           dist.push_back(kUnreached);
           if (schedule) {
@@ -221,7 +224,6 @@ FtfResult solve_ftf(const OfflineInstance& instance, const FtfOptions& options) 
             evict_len.push_back(0);
           }
         }
-        if (dist[nid] <= nd) return;
         dist[nid] = nd;
         if (schedule) {
           parent[nid] = id;

@@ -2,8 +2,11 @@
 //
 // The offline algorithms assume a *disjoint* request set — the paper's
 // Theorems 4 and 5 (honesty and FITF-within-a-sequence are WLOG for the
-// optimum) are stated for disjoint sequences, and our searches rely on both
-// reductions of the decision space.
+// optimum) are stated for disjoint sequences.  The searches rely on
+// honesty.  The Theorem-5 restriction is an option (VictimRule), not a
+// reduction: in this model it matched the optimum on E11's sample, and
+// loses one fault on 24 of 308,025 instances at p = 2 with at most 6
+// requests per core.
 #pragma once
 
 #include <cstddef>

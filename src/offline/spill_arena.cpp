@@ -119,7 +119,8 @@ void SpillArena::add_segment() {
   Segment seg;
   if (!spilling_) {
     const std::size_t words = segment_data_bytes_ / sizeof(std::uint64_t);
-    seg.heap = std::make_unique<std::uint64_t[]>(words);
+    // Left uninitialized: appends write every word before any read.
+    seg.heap = std::make_unique_for_overwrite<std::uint64_t[]>(words);
     seg.data = seg.heap.get();
   } else {
     const std::uint32_t index = static_cast<std::uint32_t>(segments_.size());

@@ -19,10 +19,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 
 #include "core/events.hpp"
+#include "core/strategy.hpp"
 #include "core/types.hpp"
 
 namespace mcp {
@@ -90,6 +92,14 @@ class EvictionPolicy {
 
   /// Short display name ("LRU", "FIFO", ...).
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// The stamp-kernel policy that decides exactly as this object does
+  /// (core/batch_engine.hpp), if there is one.  Only the src/policies
+  /// classes the kernels implement override it, so a wrapper or a test
+  /// oracle that reuses a display name keeps running as an object.
+  [[nodiscard]] virtual std::optional<BatchPolicy> batch_policy() const {
+    return std::nullopt;
+  }
 };
 
 /// Factory producing fresh policy instances — partitioned strategies need

@@ -47,6 +47,9 @@ class LruPolicy final : public EvictionPolicy {
     return order_.find(page) != Order::kNone;
   }
   [[nodiscard]] std::string name() const override { return "LRU"; }
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    return BatchPolicy::kLru;
+  }
 
   /// Least recently used tracked page regardless of evictability (used by
   /// the Lemma-3 dynamic-partition controller to find the global LRU page).
@@ -81,6 +84,9 @@ class LruScanPolicy final : public EvictionPolicy {
     return entries_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override { return "LRU-SCAN"; }
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    return BatchPolicy::kLruScan;
+  }
 
  private:
   struct Entry {
@@ -105,6 +111,9 @@ class FifoPolicy final : public EvictionPolicy {
     return order_.find(page) != PageList<>::kNone;
   }
   [[nodiscard]] std::string name() const override { return "FIFO"; }
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    return BatchPolicy::kFifo;
+  }
 
  private:
   PageList<> order_;  // front = newest arrival
@@ -127,6 +136,9 @@ class ClockPolicy final : public EvictionPolicy {
     return ring_.find(page) != Ring::kNone;
   }
   [[nodiscard]] std::string name() const override { return "CLOCK"; }
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    return BatchPolicy::kClock;
+  }
 
  private:
   // The ring in list order from front to back, wrapping around; data = the
@@ -155,6 +167,9 @@ class LfuPolicy final : public EvictionPolicy {
     return entries_.find(page) != nullptr;
   }
   [[nodiscard]] std::string name() const override { return "LFU"; }
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    return BatchPolicy::kLfu;
+  }
 
  private:
   struct Entry {
@@ -278,6 +293,11 @@ class MarkingPolicy final : public EvictionPolicy {
   }
   [[nodiscard]] std::string name() const override {
     return tie_break_ == TieBreak::kLru ? "MARK" : "MARK-RAND";
+  }
+  /// The LRU tie-break only: randomized marking stays an object.
+  [[nodiscard]] std::optional<BatchPolicy> batch_policy() const override {
+    if (tie_break_ == TieBreak::kLru) return BatchPolicy::kMark;
+    return std::nullopt;
   }
 
   /// Number of phase resets so far (exposed for the phase-bound tests).

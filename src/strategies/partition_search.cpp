@@ -51,21 +51,19 @@ FaultCurves policy_fault_curves(const RequestSet& requests,
                                 const PolicyFactory& factory) {
   // LRU has the stack property, so the whole column f_j(0..K) falls out of
   // one Mattson pass per core instead of K + 1 independent runs, with the
-  // cores' passes spread over the shared pool.  The name check is
-  // deliberately exact: LRU-SCAN and the other variants do not keep the
-  // inclusion property.
-  const std::string policy_name = factory()->name();
-  if (policy_name == "LRU") {
+  // cores' passes spread over the shared pool.  The check asks the policy
+  // object itself (EvictionPolicy::batch_policy), not its name: LRU-SCAN
+  // and the other variants do not keep the inclusion property.
+  const std::optional<BatchPolicy> batched = factory()->batch_policy();
+  if (batched == BatchPolicy::kLru) {
     return lru_fault_curve_batch(requests, cache_size);
   }
-  // FIFO has no stack property, but every (j, k) grid cell is a one-core
-  // simulation the batch kernel runs natively: materialize the grid as
-  // SimJobs and run them on the kernel instead of per-cell policy
-  // objects.  The k = 0 column is the no-cache limit (every request
-  // faults), same as single_core_policy_faults.
-  if (const std::optional<BatchPolicy> batched =
-          batch_policy_from_name(policy_name);
-      batched.has_value()) {
+  // FIFO, CLOCK, LFU, MARK and LRU-SCAN have no stack property, but every
+  // (j, k) grid cell is a one-core simulation a stamp kernel runs
+  // natively: materialize the grid as SimJobs and run them on the kernels
+  // instead of per-cell policy objects.  The k = 0 column is the no-cache
+  // limit (every request faults), same as single_core_policy_faults.
+  if (batched.has_value()) {
     const std::size_t p = requests.num_cores();
     std::vector<RequestSet> singles;
     singles.reserve(p);
@@ -180,14 +178,13 @@ PartitionSearchResult optimal_partition_by_simulation(
 
   // The candidate runs are independent: sweep them on the shared pool.  The
   // cells are seed-free (the simulation is deterministic), so the sweep is
-  // reproducible for any worker count by construction.  LRU and FIFO
-  // partitions are batchable: one SimJob per candidate, run on the batch
-  // kernel (bit-equal to the per-cell Simulator runs — the differential
-  // battery holds the kernel to that).
+  // reproducible for any worker count by construction.  Partitions under a
+  // policy a stamp kernel implements are batchable: one SimJob per
+  // candidate, run on the kernels (bit-equal to the per-cell strategy
+  // objects — the differential battery holds the kernels to that).
   SweepRunner sweep;
   std::vector<Count> faults;
-  if (const std::optional<BatchPolicy> batched =
-          batch_policy_from_name(factory()->name());
+  if (const std::optional<BatchPolicy> batched = factory()->batch_policy();
       batched.has_value()) {
     std::vector<SimJob> jobs(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {

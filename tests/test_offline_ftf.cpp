@@ -74,8 +74,9 @@ TEST(FtfSolver, AgreesWithExhaustiveSimulatorSearch) {
 }
 
 TEST(FtfSolver, Theorem5RestrictionPreservesOptimum) {
-  // Evicting only FITF-within-some-sequence pages must not cost anything
-  // on disjoint inputs (Theorem 5).
+  // Evicting only FITF-within-some-sequence pages costs nothing on these
+  // sampled disjoint inputs, as on E11's; in this model it can cost one
+  // fault (Theorem5RestrictionLosesAFaultOnTheMinimalInstance).
   Rng rng(777);
   for (int trial = 0; trial < 12; ++trial) {
     const RequestSet rs = random_disjoint_workload(rng, 2, 3, 6);
@@ -89,6 +90,28 @@ TEST(FtfSolver, Theorem5RestrictionPreservesOptimum) {
               solve_ftf(inst, unrestricted).min_faults)
         << "trial=" << trial << " k=" << k << " tau=" << tau;
   }
+}
+
+TEST(FtfSolver, Theorem5RestrictionLosesAFaultOnTheMinimalInstance) {
+  // The smallest instance known where the FITF-per-sequence restriction
+  // loses to the full search: p = 2, K = 3, tau = 0.  An
+  // exhaustive pass over every p = 2 instance with at most 6 requests per
+  // core finds it on 24 of 308,025.  The full optimum is 6, and its
+  // schedule replays to 6 through the simulator; the restricted search
+  // reaches only 7.
+  RequestSet rs;
+  rs.add_sequence(RequestSequence{0, 1, 2, 0, 1, 0});
+  rs.add_sequence(RequestSequence{3, 3, 3, 3, 4, 3});
+  const OfflineInstance inst = make_instance(std::move(rs), 3, 0);
+  FtfOptions full;
+  full.build_schedule = true;
+  const FtfResult optimum = solve_ftf(inst, full);
+  EXPECT_EQ(optimum.min_faults, 6u);
+  ASSERT_EQ(optimum.schedule.size(), optimum.min_faults);
+  EXPECT_EQ(replay_schedule(inst, optimum.schedule).total_faults(), 6u);
+  FtfOptions restricted;
+  restricted.victim_rule = VictimRule::kFitfPerSequence;
+  EXPECT_EQ(solve_ftf(inst, restricted).min_faults, 7u);
 }
 
 TEST(FtfSolver, StatesAtEqualPositionsHaveEqualCacheSizes) {
