@@ -11,7 +11,10 @@
 //   * the same policies inside SharedStrategy, StaticPartitionStrategy and
 //     StagedPartitionStrategy runs (the strategies' page-indexed owner
 //     tables), and the flat Lemma-3 controller against the map-based one —
-//     same RunStats field for field;
+//     same RunStats field for field.  The objects over flat policies run on
+//     the hook instantiation (Simulator::run): simulate() would take the
+//     stamp kernel for the policies that have one, so it is checked beside
+//     them, not instead of them;
 //   * memory: a 16-part static partition over a trace whose largest page id
 //     is 2^20 - 1 allocates one page-indexed table, not one per part.
 #include <gtest/gtest.h>
@@ -45,6 +48,7 @@ namespace {
 namespace oracle = testing::policy_oracle;
 using testing::random_disjoint_workload;
 using testing::random_shared_workload;
+using testing::run_both_paths;
 using testing::sim_config;
 
 struct PolicyPair {
@@ -357,14 +361,14 @@ TEST(PolicyDifferential, StrategiesOnFlatPoliciesMatchOracleRuns) {
 
       SharedStrategy shared(pair.flat);
       SharedStrategy shared_ref(pair.oracle);
-      expect_same_stats(simulate(cfg, rs, shared),
+      expect_same_stats(run_both_paths(cfg, rs, shared),
                         simulate(cfg, rs, shared_ref), what + " shared");
 
       const Partition sizes = even_partition(cache, p);
       StaticPartitionStrategy part(sizes, pair.flat);
       StaticPartitionStrategy part_ref(sizes, pair.oracle);
-      expect_same_stats(simulate(cfg, rs, part), simulate(cfg, rs, part_ref),
-                        what + " static");
+      expect_same_stats(run_both_paths(cfg, rs, part),
+                        simulate(cfg, rs, part_ref), what + " static");
 
       // A staged schedule shrinks part 0 to one cell mid-run and grows it
       // back: pending shrinks keep parts over budget (policies past their
@@ -550,8 +554,11 @@ TEST(PolicyMemory, SixteenPartStaticPartitionKeepsOnePageTable) {
   for (const std::string& policy : online_policy_names()) {
     StaticPartitionStrategy strategy(Partition(kParts, 2),
                                      make_policy_factory(policy));
+    // The object's run (Simulator::run), so the per-part policies allocate:
+    // simulate() would take the stamp kernel for most of these policies.
+    Simulator sim(cfg);
     const std::uint64_t before = sentry::thread_alloc_stats().bytes_allocated;
-    const RunStats stats = simulate(cfg, rs, strategy);
+    const RunStats stats = sim.run(rs, strategy);
     const std::uint64_t bytes =
         sentry::thread_alloc_stats().bytes_allocated - before;
     EXPECT_GT(stats.total_faults(), kParts * 20) << policy;

@@ -1,6 +1,8 @@
 // Tests for the shared strategy S_A (strategies/shared.hpp), including the
 // cross-validation that a single-core run through the full multicore
-// simulator matches the classic sequential fault counts.
+// simulator matches the classic sequential fault counts.  Runs go through
+// run_both_paths, so the object runs on the hook instantiation even where
+// simulate() takes the stamp kernel (S_LRU, S_CLOCK, ...).
 #include "strategies/shared.hpp"
 
 #include <gtest/gtest.h>
@@ -16,13 +18,14 @@ namespace {
 
 using testing::random_disjoint_workload;
 using testing::random_shared_workload;
+using testing::run_both_paths;
 using testing::sim_config;
 
 TEST(SharedStrategy, NameReflectsPolicy) {
   SharedStrategy lru(make_policy_factory("lru"));
   RequestSet rs;
   rs.add_sequence(RequestSequence{1});
-  (void)simulate(sim_config(2, 0), rs, lru);
+  (void)run_both_paths(sim_config(2, 0), rs, lru);
   EXPECT_EQ(lru.name(), "S_LRU");
 }
 
@@ -60,7 +63,8 @@ TEST_P(SingleCoreAgreement, SimulatorMatchesSequentialRunner) {
     for (std::size_t k : {2u, 4u, 7u}) {
       for (Time tau : {Time{0}, Time{3}}) {
         SharedStrategy strategy(factory);
-        const RunStats stats = simulate(sim_config(k, tau), rs, strategy);
+        const RunStats stats =
+            run_both_paths(sim_config(k, tau), rs, strategy);
         const Count expected =
             single_core_policy_faults(rs.sequence(0), k, factory);
         EXPECT_EQ(stats.total_faults(), expected)
@@ -102,7 +106,7 @@ TEST(SharedStrategy, MulticoreFaultsBoundedByCompulsoryAndTotal) {
   for (int trial = 0; trial < 8; ++trial) {
     const RequestSet rs = random_disjoint_workload(rng, 3, 6, 100);
     SharedStrategy lru(make_policy_factory("lru"));
-    const RunStats stats = simulate(sim_config(9, 1), rs, lru);
+    const RunStats stats = run_both_paths(sim_config(9, 1), rs, lru);
     EXPECT_GE(stats.total_faults(), static_cast<Count>(rs.universe().size()));
     EXPECT_LE(stats.total_faults(), static_cast<Count>(rs.total_requests()));
     EXPECT_EQ(stats.total_requests(), static_cast<Count>(rs.total_requests()));
@@ -119,7 +123,7 @@ TEST(SharedStrategy, NonDisjointWorkloadsBenefitFromSharing) {
     rs.add_sequence(std::move(seq));
   }
   SharedStrategy lru(make_policy_factory("lru"));
-  const RunStats stats = simulate(sim_config(4, 2), rs, lru);
+  const RunStats stats = run_both_paths(sim_config(4, 2), rs, lru);
   // Compulsory misses (some may be charged per-core while a fetch is in
   // flight), then hits for everyone.
   EXPECT_LE(stats.total_faults(), 9u);
@@ -130,7 +134,7 @@ TEST(SharedStrategy, RandomSharedWorkloadRunsCleanly) {
   Rng rng(4);
   const RequestSet rs = random_shared_workload(rng, 4, 12, 120);
   SharedStrategy lru(make_policy_factory("lru"));
-  const RunStats stats = simulate(sim_config(8, 1), rs, lru);
+  const RunStats stats = run_both_paths(sim_config(8, 1), rs, lru);
   EXPECT_EQ(stats.total_requests(), 480u);
 }
 

@@ -4,7 +4,9 @@
 // problems — part j's fault count equals the sequential fault count of R_j
 // with k_j cells, regardless of tau (delays change timing, never one core's
 // request order).  This is the decomposition DESIGN.md's partition search
-// relies on, so it gets its own property test here.
+// relies on, so it gets its own property test here.  Runs go through
+// run_both_paths, so the object runs on the hook instantiation even where
+// simulate() takes the stamp kernel (sP_LRU, sP_CLOCK, ...).
 #include "strategies/static_partition.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@ namespace mcp {
 namespace {
 
 using testing::random_disjoint_workload;
+using testing::run_both_paths;
 using testing::sim_config;
 
 TEST(StaticPartition, NameIncludesSizes) {
@@ -26,7 +29,7 @@ TEST(StaticPartition, NameIncludesSizes) {
   RequestSet rs;
   rs.add_sequence(RequestSequence{1});
   rs.add_sequence(RequestSequence{2});
-  (void)simulate(sim_config(5, 0), rs, strategy);
+  (void)run_both_paths(sim_config(5, 0), rs, strategy);
   EXPECT_EQ(strategy.name(), "sP[2,3]_FIFO");
 }
 
@@ -34,17 +37,22 @@ TEST(StaticPartition, RejectsInvalidPartitions) {
   RequestSet rs;
   rs.add_sequence(RequestSequence{1});
   rs.add_sequence(RequestSequence{2});
+  // simulate() and the object's own run (Simulator::run) alike.
+  Simulator sim(sim_config(5, 0));
   {
     StaticPartitionStrategy wrong_sum({2, 2}, make_policy_factory("lru"));
     EXPECT_THROW((void)simulate(sim_config(5, 0), rs, wrong_sum), ModelError);
+    EXPECT_THROW((void)sim.run(rs, wrong_sum), ModelError);
   }
   {
     StaticPartitionStrategy zero_part({5, 0}, make_policy_factory("lru"));
     EXPECT_THROW((void)simulate(sim_config(5, 0), rs, zero_part), ModelError);
+    EXPECT_THROW((void)sim.run(rs, zero_part), ModelError);
   }
   {
     StaticPartitionStrategy wrong_cores({5}, make_policy_factory("lru"));
     EXPECT_THROW((void)simulate(sim_config(5, 0), rs, wrong_cores), ModelError);
+    EXPECT_THROW((void)sim.run(rs, wrong_cores), ModelError);
   }
 }
 
@@ -62,7 +70,7 @@ TEST(StaticPartition, PartsAreIsolated) {
   rs.add_sequence(std::move(stable));
 
   StaticPartitionStrategy strategy({1, 2}, make_policy_factory("lru"));
-  const RunStats stats = simulate(sim_config(3, 2), rs, strategy);
+  const RunStats stats = run_both_paths(sim_config(3, 2), rs, strategy);
   EXPECT_EQ(stats.core(0).faults, 50u);  // 1 cell, alternating pages
   EXPECT_EQ(stats.core(1).faults, 2u);   // both pages fit
 }
@@ -93,7 +101,7 @@ TEST_P(PartitionDecomposition, FaultsDecomposePerCore) {
          {Partition{2, 2, 2}, Partition{1, 2, 3}, Partition{4, 1, 1}}) {
       StaticPartitionStrategy strategy(part, factory);
       const RunStats stats =
-          simulate(sim_config(6, param.tau), rs, strategy);
+          run_both_paths(sim_config(6, param.tau), rs, strategy);
       for (CoreId j = 0; j < 3; ++j) {
         const Count expected =
             single_core_policy_faults(rs.sequence(j), part[j], factory);
@@ -134,7 +142,7 @@ TEST(StaticPartition, LemmaOneUpperBoundHolds) {
     const RequestSet rs = random_disjoint_workload(rng, 2, 7, 150);
     const Partition part = {3, 5};
     StaticPartitionStrategy lru(part, make_policy_factory("lru"));
-    const RunStats lru_stats = simulate(sim_config(8, 1), rs, lru);
+    const RunStats lru_stats = run_both_paths(sim_config(8, 1), rs, lru);
     Count opt_faults = 0;
     for (CoreId j = 0; j < 2; ++j) {
       opt_faults += belady_faults(rs.sequence(j), part[j]);
@@ -150,7 +158,7 @@ TEST(StaticPartition, HitsInAnotherCoresPartStillCount) {
   rs.add_sequence(RequestSequence{5, 5, 5});
   rs.add_sequence(RequestSequence{5, 5, 5});
   StaticPartitionStrategy strategy({1, 1}, make_policy_factory("lru"));
-  const RunStats stats = simulate(sim_config(2, 1), rs, strategy);
+  const RunStats stats = run_both_paths(sim_config(2, 1), rs, strategy);
   // Core 0 faults once; core 1's first request joins the in-flight fetch
   // (one more fault); afterwards everyone hits page 5 in core 0's part.
   EXPECT_EQ(stats.total_faults(), 2u);

@@ -3,8 +3,13 @@
 // are deliberately tiny and independent so core tests don't depend on it).
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
+
 #include "core/request.hpp"
 #include "core/rng.hpp"
+#include "core/simulator.hpp"
 #include "core/strategy.hpp"
 
 namespace mcp::testing {
@@ -48,6 +53,33 @@ inline SimConfig sim_config(std::size_t cache_size, Time tau) {
   cfg.cache_size = cache_size;
   cfg.fault_penalty = tau;
   return cfg;
+}
+
+/// Runs `strategy` through simulate(), which takes the stamp kernel when
+/// the strategy has a kernel form, and then as an object on the hook
+/// instantiation (Simulator::run), and expects the two RunStats to agree
+/// field for field.  Returns the hook run's; the object reads as after it.
+/// Tests of a strategy object's own behaviour run it through here, so the
+/// object itself is exercised whatever simulate() routes.
+inline RunStats run_both_paths(const SimConfig& config,
+                               const RequestSet& requests,
+                               CacheStrategy& strategy) {
+  const RunStats routed = simulate(config, requests, strategy);
+  RunStats stats = Simulator(config).run(requests, strategy);
+  const std::string what = strategy.name();
+  EXPECT_EQ(routed.num_cores(), stats.num_cores()) << what;
+  EXPECT_EQ(routed.end_time, stats.end_time) << what;
+  EXPECT_EQ(routed.sim_steps, stats.sim_steps) << what;
+  for (CoreId j = 0; j < routed.num_cores() && j < stats.num_cores(); ++j) {
+    const CoreStats& a = routed.core(j);
+    const CoreStats& b = stats.core(j);
+    EXPECT_EQ(a.hits, b.hits) << what << " core " << j;
+    EXPECT_EQ(a.faults, b.faults) << what << " core " << j;
+    EXPECT_EQ(a.requests, b.requests) << what << " core " << j;
+    EXPECT_EQ(a.completion_time, b.completion_time) << what << " core " << j;
+    EXPECT_EQ(a.fault_times, b.fault_times) << what << " core " << j;
+  }
+  return stats;
 }
 
 }  // namespace mcp::testing
